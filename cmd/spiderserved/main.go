@@ -72,7 +72,6 @@ func run() int {
 		retryB   = flag.Duration("retry-base", 100*time.Millisecond, "first retry backoff; doubles per attempt (jittered, capped at 5s)")
 		debug    = flag.String("debug-addr", "", "optional net/http/pprof listen address (e.g. localhost:6060); empty disables")
 		dataDir  = flag.String("data-dir", "", "directory for the durable storage engine; empty serves in-memory only")
-		imgEdges = flag.Int("image-edges", 0, "edge count past which uploaded hosts also persist an SPC1 image (mmap'd back on restart); 0 = default (1M), negative disables")
 	)
 	flag.Parse()
 
@@ -110,7 +109,6 @@ func run() int {
 	cfg := serve.Config{
 		Runners: *runners, QueueCap: *queueCap, CacheCap: *cacheCap,
 		MaxRetries: *retries, RetryBase: *retryB,
-		ImageEdgeThreshold: *imgEdges,
 	}
 	var backend *store.Disk
 	if *dataDir != "" {

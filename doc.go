@@ -66,8 +66,11 @@
 // mining results through mine.EncodeResult/DecodeResult, and terminal
 // job records as JSON journal appends. cmd/spiderserved -data-dir turns
 // it on: a restart recovers the graph store, the persistent result
-// cache, and /jobs history (resuming the job-ID sequence) before the
-// listener opens. Durable: registered graphs, deterministically
+// cache, and every journaled job (resuming the job-ID sequence) before
+// the listener opens. A recovered job is an ordinary terminal job that
+// serves its recorded snapshot, its result from the persistent cache
+// or 410 Gone, and it counts against the same JobsCap retention bound
+// as new jobs. Durable: registered graphs, deterministically
 // cacheable results, terminal job records. Deliberately not durable:
 // non-terminal jobs, progress event logs, and wall-clock-truncated or
 // failed results — all recomputable or timing-dependent. Injected

@@ -17,10 +17,8 @@ import (
 // histograms), per Prometheus base-unit convention.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, name := range r.order {
-		m := r.families[name]
+	for _, m := range r.collect() {
+		name := m.name
 		if m.help != "" {
 			bw.WriteString("# HELP ")
 			bw.WriteString(name)
@@ -35,12 +33,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		bw.WriteByte('\n')
 		switch {
 		case m.children != nil:
-			for _, lv := range m.sortedChildren() {
-				c := m.children[lv]
+			for i, c := range m.kids {
 				if c.counter != nil {
-					writeSample(bw, name, m.label, lv, "", float64(c.counter.Value()))
+					writeSample(bw, name, m.label, m.labels[i], "", float64(c.counter.Value()))
 				} else {
-					writeHistogram(bw, name, m.label, lv, c.histogram)
+					writeHistogram(bw, name, m.label, m.labels[i], c.histogram)
 				}
 			}
 		case m.counter != nil:

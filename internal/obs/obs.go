@@ -28,7 +28,11 @@
 // Metric families may carry one label dimension (Vec variants): label
 // children are created lazily under a mutex and cached by the caller or
 // looked up per record — the lookup is a map read, so hot paths that
-// care hold the child.
+// care hold the child. A scrape holds that mutex only to copy the family
+// and child lists; it reads values, calls CounterFunc/GaugeFunc
+// callbacks and writes to the client with no lock held, so a callback
+// may record into the same registry and a slow client stalls no record
+// site.
 package obs
 
 import (
@@ -395,15 +399,35 @@ func (v *HistogramVec) With(value string) *Histogram {
 	return child.histogram
 }
 
-// sortedChildren returns the vec children in label order (stable
-// exposition and snapshots); callers hold r.mu.
-func (m *metric) sortedChildren() []string {
-	keys := make([]string, 0, len(m.children))
-	for k := range m.children {
-		keys = append(keys, k)
+// family is one registered metric as a scrape sees it: for a vec, its
+// children and their label values in label order (stable exposition and
+// snapshots). The embedded metric's children map is read only under
+// r.mu; the field itself never changes, so a nil check marks a vec.
+type family struct {
+	*metric
+	labels []string
+	kids   []*metric
+}
+
+// collect copies the family list, and each vec's children, under r.mu;
+// scrapes then read values and call callbacks with no lock held.
+func (r *Registry) collect() []family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]family, len(r.order))
+	for i, name := range r.order {
+		m := r.families[name]
+		f := family{metric: m}
+		for lv := range m.children {
+			f.labels = append(f.labels, lv)
+		}
+		sort.Strings(f.labels)
+		for _, lv := range f.labels {
+			f.kids = append(f.kids, m.children[lv])
+		}
+		out[i] = f
 	}
-	sort.Strings(keys)
-	return keys
+	return out
 }
 
 // HistogramSnapshot is the JSON-friendly readout of one histogram: the
@@ -437,20 +461,18 @@ func snapshotHistogram(h *Histogram) HistogramSnapshot {
 // HistogramSnapshot, vec families as a map keyed by label value. The
 // same numbers /metrics exposes, shaped for a JSON stats blob.
 func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.order))
-	for _, name := range r.order {
-		m := r.families[name]
+	fams := r.collect()
+	out := make(map[string]any, len(fams))
+	for _, m := range fams {
+		name := m.name
 		switch {
 		case m.children != nil:
-			byLabel := make(map[string]any, len(m.children))
-			for _, lv := range m.sortedChildren() {
-				c := m.children[lv]
+			byLabel := make(map[string]any, len(m.kids))
+			for i, c := range m.kids {
 				if c.counter != nil {
-					byLabel[lv] = c.counter.Value()
+					byLabel[m.labels[i]] = c.counter.Value()
 				} else {
-					byLabel[lv] = snapshotHistogram(c.histogram)
+					byLabel[m.labels[i]] = snapshotHistogram(c.histogram)
 				}
 			}
 			out[name] = byLabel

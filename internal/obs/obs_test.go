@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -337,6 +338,35 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 	}
 	if got := hv.With("w").Count(); got != workers*perWorker {
 		t.Errorf("vec histogram count = %d, want %d", got, workers*perWorker)
+	}
+}
+
+// TestScrapeCallbackMayRecord: scrapes call CounterFunc/GaugeFunc
+// callbacks with no registry lock held, so a callback that records into
+// a vec of the same registry — With takes that lock — cannot deadlock
+// Snapshot or WritePrometheus.
+func TestScrapeCallbackMayRecord(t *testing.T) {
+	r := NewRegistry()
+	vec := r.CounterVec("scrapes_total", "scrapes seen by the callback", "by")
+	r.GaugeFunc("depth", "reads a component that records", func() float64 {
+		vec.With("callback").Inc()
+		return 1
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.Snapshot()
+		if err := r.WritePrometheus(io.Discard); err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("scrape deadlocked against a callback that records into the registry")
+	}
+	if got := vec.With("callback").Value(); got != 2 {
+		t.Errorf("callback ran %d times, want 2 (one per scrape)", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 
 	"repro/internal/store"
@@ -128,7 +129,7 @@ func (c *Cache) Get(key CacheKey) (*mine.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
-		if err == store.ErrNotFound {
+		if errors.Is(err, store.ErrNotFound) {
 			c.misses++
 		} else {
 			c.degraded++

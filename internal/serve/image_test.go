@@ -29,7 +29,7 @@ func TestImagePersistAndMappedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewStoreWith(d)
-	s.SetImageEdgeThreshold(1) // every host is image-worthy in tests
+	s.imageEdges = 1 // every host is image-worthy in tests
 	sg, existed, err := s.Add(g, "hexring")
 	if err != nil || existed {
 		t.Fatalf("Add: existed=%v err=%v", existed, err)
@@ -47,7 +47,7 @@ func TestImagePersistAndMappedRecovery(t *testing.T) {
 	}
 	defer d2.Close()
 	s2 := NewStoreWith(d2)
-	s2.SetImageEdgeThreshold(1)
+	s2.imageEdges = 1
 	recovered, mapped, err := s2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestImageCorruptionFallsBackToDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewStoreWith(d)
-	s.SetImageEdgeThreshold(1)
+	s.imageEdges = 1
 	sg, _, err := s.Add(g, "h")
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestImageCorruptionFallsBackToDecode(t *testing.T) {
 	}
 	defer d2.Close()
 	s2 := NewStoreWith(d2)
-	s2.SetImageEdgeThreshold(1)
+	s2.imageEdges = 1
 	recovered, mapped, err := s2.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -137,16 +137,15 @@ func TestImageCorruptionFallsBackToDecode(t *testing.T) {
 	}
 	defer d3.Close()
 	s3 := NewStoreWith(d3)
-	s3.SetImageEdgeThreshold(1)
+	s3.imageEdges = 1
 	if _, mapped, err = s3.Recover(); err != nil || mapped != 1 {
 		t.Fatalf("after rebuild: mapped=%d err=%v, want 1/nil", mapped, err)
 	}
 	s3.Close()
 }
 
-// TestImageThreshold: hosts under the threshold (or with persistence
-// disabled) never write images; Memory backends have no file tier at
-// all and uploads still work.
+// TestImageThreshold: hosts under the threshold never write images;
+// Memory backends have no file tier at all and uploads still work.
 func TestImageThreshold(t *testing.T) {
 	d, err := store.OpenDisk(t.TempDir())
 	if err != nil {
@@ -154,7 +153,7 @@ func TestImageThreshold(t *testing.T) {
 	}
 	defer d.Close()
 	s := NewStoreWith(d)
-	s.SetImageEdgeThreshold(1000) // host has 7 edges: under threshold
+	s.imageEdges = 1000 // host has 7 edges: under threshold
 	sg, _, err := s.Add(imageTestHost(), "small")
 	if err != nil {
 		t.Fatal(err)
@@ -164,15 +163,9 @@ func TestImageThreshold(t *testing.T) {
 	}
 
 	s2 := NewStoreWith(store.NewMemory()) // no file tier: threshold moot
-	s2.SetImageEdgeThreshold(1)
+	s2.imageEdges = 1
 	if _, _, err := s2.Add(imageTestHost(), "mem"); err != nil {
 		t.Fatal(err)
-	}
-
-	s3 := NewStoreWith(d)
-	s3.SetImageEdgeThreshold(-1) // disabled
-	if s3.imageEdges != 0 {
-		t.Fatalf("negative threshold left imageEdges=%d", s3.imageEdges)
 	}
 }
 
@@ -184,10 +177,11 @@ func TestServerImageRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, _, err := Open(Config{Runners: 1, QueueCap: 4, Backend: d, ImageEdgeThreshold: 1})
+	srv, _, err := Open(Config{Runners: 1, QueueCap: 4, Backend: d})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.store.imageEdges = 1
 	sg, _, err := srv.Store().Add(imageTestHost(), "via-server")
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +196,7 @@ func TestServerImageRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	srv2, rs, err := Open(Config{Runners: 1, QueueCap: 4, Backend: d2, ImageEdgeThreshold: 1})
+	srv2, rs, err := Open(Config{Runners: 1, QueueCap: 4, Backend: d2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,10 +55,12 @@ func (e *PanicError) Error() string {
 
 // Job is one scheduled mining run. All mutable state is guarded by mu;
 // the identity fields (ID, Graph, Miner, Opts, Key) are immutable after
-// Submit.
+// Submit. A job recovered from the journal after a restart is born
+// terminal: it has no Graph, Opts, events or Result, and it serves the
+// snapshot its terminal record carried.
 type Job struct {
 	ID    string
-	Graph *StoredGraph
+	Graph *StoredGraph // nil for a recovered job
 	Miner string
 	Opts  mine.Options
 	Key   CacheKey
@@ -76,13 +78,10 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 
-	// metrics is the owning Server's observability surface (nil for a
-	// bare Scheduler); terminal transitions that happen on the Job
-	// itself (queued-job cancellation) record through it.
-	metrics *Metrics
-	// sched points back to the owning scheduler so terminal transitions
-	// that happen on the Job itself journal through it (nil for a job
-	// that never passed Submit; journalTerminal tolerates that).
+	// recorded is a recovered job's journaled snapshot (nil for a job
+	// submitted to this process); immutable.
+	recorded *JobSnapshot
+	// sched is the owning scheduler, whose finish makes the job terminal.
 	sched *Scheduler
 }
 
@@ -122,6 +121,9 @@ type JobSnapshot struct {
 
 // Snapshot copies the job's observable state.
 func (j *Job) Snapshot() JobSnapshot {
+	if j.recorded != nil {
+		return *j.recorded
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	s := JobSnapshot{
@@ -159,23 +161,15 @@ func (j *Job) Outcome() (res *mine.Result, ok bool, err error) {
 // (observe completion via Done / WaitEvents — RequestCancel does not
 // block). On a terminal job it is a no-op.
 func (j *Job) RequestCancel() {
+	if j.sched.finish(j, StatusQueued, StatusCanceled, nil, context.Canceled) {
+		return
+	}
+	// Claimed by a runner, or already terminal: cancel the run, if any.
 	j.mu.Lock()
-	canceled := false
-	switch j.status {
-	case StatusQueued:
-		j.status = StatusCanceled
-		j.err = context.Canceled
-		j.finished = time.Now().UTC()
-		j.metrics.jobFinished(StatusCanceled)
-		j.broadcastLocked()
-		canceled = true
-	case StatusRunning:
+	if j.cancel != nil {
 		j.cancel()
 	}
 	j.mu.Unlock()
-	if canceled {
-		j.sched.journalTerminal(j)
-	}
 }
 
 // WaitEvents returns the progress events from index `from` onward. When
@@ -236,10 +230,10 @@ type Scheduler struct {
 	metrics *Metrics
 
 	// journal, when set (serve.New over a persistent backend), receives
-	// one appended record per terminal job transition, so the /jobs
-	// history survives restarts. Append failures are counted in
-	// journalErrs, never propagated: history durability is best-effort,
-	// job execution is not.
+	// one appended record per terminal job transition, so /jobs survives
+	// restarts. Append failures are counted in journalErrs, never
+	// propagated: history durability is best-effort, job execution is
+	// not.
 	journal     journalWriter
 	journalErrs atomic.Int64
 
@@ -267,17 +261,11 @@ type Scheduler struct {
 	order     []string
 	nextID    int
 	accepting bool
-	// retain bounds how many jobs stay registered: once exceeded, the
-	// oldest *terminal* jobs are evicted (a long-running daemon must not
-	// pin every historical Result and event log forever). Live jobs are
-	// never evicted.
+	// retain bounds how many jobs stay registered, recovered and
+	// submitted alike: once exceeded, the oldest *terminal* jobs are
+	// evicted (a long-running daemon must not pin every historical Result
+	// and event log forever). Live jobs are never evicted.
 	retain int
-	// history holds terminal job records recovered from the journal —
-	// the restart-surviving tail of /jobs, kept apart from live *Jobs
-	// (a history entry has a snapshot and a cache key, but no events,
-	// no Result pointer, no goroutine).
-	history      map[string]historyEntry
-	historyOrder []string
 }
 
 // journalWriter is the slice of store.Backend the scheduler needs;
@@ -296,11 +284,6 @@ type jobRecord struct {
 	Type string      `json:"type"`
 	Snap JobSnapshot `json:"snapshot"`
 	Key  CacheKey    `json:"key"`
-}
-
-type historyEntry struct {
-	snap JobSnapshot
-	key  CacheKey
 }
 
 // defaultJobRetention bounds job history when the embedder does not
@@ -334,7 +317,6 @@ func NewScheduler(cache *Cache, runners, queueCap int) *Scheduler {
 		retryBase: defaultRetryBase,
 		sleep:     sleepCtx,
 		jobs:      make(map[string]*Job),
-		history:   make(map[string]historyEntry),
 		accepting: true,
 		retain:    defaultJobRetention,
 	}
@@ -384,10 +366,10 @@ func (s *Scheduler) Submit(sg *StoredGraph, minerName string, opts mine.Options)
 		status:  StatusQueued,
 		notify:  make(chan struct{}),
 		created: time.Now().UTC(),
-		metrics: s.metrics,
 		sched:   s,
 	}
 	cachedRes, hit := s.cache.Get(job.Key)
+	job.cached = hit
 
 	s.mu.Lock()
 	if !s.accepting {
@@ -396,13 +378,7 @@ func (s *Scheduler) Submit(sg *StoredGraph, minerName string, opts mine.Options)
 	}
 	s.nextID++
 	job.ID = fmt.Sprintf("j%d", s.nextID)
-	if hit {
-		job.status = StatusDone
-		job.cached = true
-		job.result = cachedRes
-		job.finished = time.Now().UTC()
-		s.metrics.jobFinished(StatusDone)
-	} else {
+	if !hit {
 		select {
 		case s.queue <- job:
 		default:
@@ -415,100 +391,97 @@ func (s *Scheduler) Submit(sg *StoredGraph, minerName string, opts mine.Options)
 	s.evictLocked()
 	s.mu.Unlock()
 	if hit {
-		// A cache hit is born terminal; journal it like any other
-		// completion (after s.mu is released — journalTerminal fsyncs).
-		s.journalTerminal(job)
+		// A cache hit never enters the queue: it finishes here, once s.mu
+		// is released.
+		s.finish(job, "", StatusDone, cachedRes, nil)
 	}
 	return job, nil
 }
 
-// journalTerminal appends one terminal-job record to the durable
-// journal; a no-op without one (memory-backed serving, bare Scheduler
-// tests). Called only after every scheduler/job mutex is released —
-// Snapshot re-locks j.mu, and the append fsyncs. Failures count in
-// journalErrs and cost only the entry's restart-durability.
-func (s *Scheduler) journalTerminal(j *Job) {
-	if s == nil || s.journal == nil {
-		return
+// finish is the only way a job becomes terminal. Under j.mu it refuses
+// a job that is already terminal or, when from is set, no longer in
+// status from (a queued cancel must not finish a job a runner has just
+// claimed); otherwise it stamps the outcome and wakes waiters. Then,
+// with no lock held, it counts the transition and journals the job:
+// the metrics registry is never entered under a scheduler or job lock,
+// and the journal append fsyncs. A failed append counts in journalErrs
+// and costs only the job's restart-durability. Reports whether this
+// call finished the job.
+func (s *Scheduler) finish(j *Job, from, status Status, res *mine.Result, err error) bool {
+	j.mu.Lock()
+	if j.status.terminal() || (from != "" && j.status != from) {
+		j.mu.Unlock()
+		return false
 	}
-	rec, err := json.Marshal(jobRecord{Type: jobRecordType, Snap: j.Snapshot(), Key: j.Key})
-	if err == nil {
-		err = s.journal.Append(rec)
+	j.status, j.result, j.err = status, res, err
+	j.finished = time.Now().UTC()
+	j.broadcastLocked()
+	j.mu.Unlock()
+
+	s.metrics.jobFinished(status)
+	if s.journal == nil {
+		return true
 	}
-	if err != nil {
+	rec, jerr := json.Marshal(jobRecord{Type: jobRecordType, Snap: j.Snapshot(), Key: j.Key})
+	if jerr == nil {
+		jerr = s.journal.Append(rec)
+	}
+	if jerr != nil {
 		s.journalErrs.Add(1)
 	}
+	return true
 }
 
-// recoverJournal rebuilds the terminal-job history from journal records
-// (the last record per job ID wins) and resumes the ID sequence past
-// the highest recovered numeric ID, so a restarted daemon never mints a
-// job ID that collides with history. Records of unknown type — future
-// kinds sharing the journal — and unparseable records are skipped, not
-// fatal. Returns the recovered-entry count.
+// recoverJournal registers every journaled job as a terminal Job that
+// serves its recorded snapshot (the last record per job ID wins),
+// trims the registry to the retention bound like any other terminal
+// jobs, and resumes the ID sequence past the highest recovered numeric
+// ID, so a restarted daemon never mints a job ID that collides with a
+// recovered one. Records of unknown type — future kinds sharing the
+// journal — and unparseable or non-terminal records are skipped, not
+// fatal. It runs before any Submit, so it returns the recovered-job
+// count.
 func (s *Scheduler) recoverJournal(recs [][]byte) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, raw := range recs {
 		var r jobRecord
-		if err := json.Unmarshal(raw, &r); err != nil || r.Type != jobRecordType || r.Snap.ID == "" {
+		if err := json.Unmarshal(raw, &r); err != nil || r.Type != jobRecordType || r.Snap.ID == "" || !r.Snap.Status.terminal() {
 			continue
 		}
-		if _, ok := s.history[r.Snap.ID]; !ok {
-			s.historyOrder = append(s.historyOrder, r.Snap.ID)
+		j := &Job{
+			ID: r.Snap.ID, Miner: r.Snap.Miner, Key: r.Key,
+			status:   r.Snap.Status,
+			notify:   make(chan struct{}),
+			recorded: &r.Snap,
+			sched:    s,
 		}
-		s.history[r.Snap.ID] = historyEntry{snap: r.Snap, key: r.Key}
+		if r.Snap.Error != "" {
+			j.err = errors.New(r.Snap.Error)
+		}
+		if _, ok := s.jobs[j.ID]; !ok {
+			s.order = append(s.order, j.ID)
+		}
+		s.jobs[j.ID] = j
 		var n int
-		if _, err := fmt.Sscanf(r.Snap.ID, "j%d", &n); err == nil && n > s.nextID {
+		if _, err := fmt.Sscanf(j.ID, "j%d", &n); err == nil && n > s.nextID {
 			s.nextID = n
 		}
 	}
-	// Trim to the retention bound, oldest first, mirroring live-job
-	// eviction.
-	if s.retain > 0 && len(s.historyOrder) > s.retain {
-		drop := len(s.historyOrder) - s.retain
-		for _, id := range s.historyOrder[:drop] {
-			delete(s.history, id)
-		}
-		s.historyOrder = append([]string(nil), s.historyOrder[drop:]...)
-	}
-	return len(s.history)
-}
-
-// History returns the recovered terminal record for a job ID that
-// predates this process (pre-restart history). Live jobs are not
-// consulted — use Get first.
-func (s *Scheduler) History(id string) (JobSnapshot, CacheKey, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.history[id]
-	return e.snap, e.key, ok
+	s.evictLocked()
+	return len(s.order)
 }
 
 // JournalErrs reports failed journal appends since startup.
 func (s *Scheduler) JournalErrs() int64 { return s.journalErrs.Load() }
 
-// Snapshots returns the observable job listing: recovered history first
-// (journal order), then live jobs in submission order — the wire form
-// of GET /jobs. A live job shadows any same-ID history entry, though
-// IDs never collide in practice (recoverJournal resumes the sequence).
+// Snapshots returns every registered job's snapshot in registration
+// order, recovered jobs first: the wire form of GET /jobs.
 func (s *Scheduler) Snapshots() []JobSnapshot {
-	s.mu.Lock()
-	live := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		live = append(live, s.jobs[id])
-	}
-	hist := make([]JobSnapshot, 0, len(s.historyOrder))
-	for _, id := range s.historyOrder {
-		if _, shadowed := s.jobs[id]; shadowed {
-			continue
-		}
-		hist = append(hist, s.history[id].snap)
-	}
-	s.mu.Unlock()
-	out := hist
-	for _, j := range live {
-		out = append(out, j.Snapshot())
+	jobs := s.List()
+	out := make([]JobSnapshot, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.Snapshot()
 	}
 	return out
 }
@@ -658,47 +631,24 @@ func (s *Scheduler) runContained(j *Job) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.totalPanics.Add(1)
-			j.forceFail(&PanicError{Value: r, Stack: debug.Stack()})
+			// No job is left non-terminal; a no-op if it already finished.
+			s.finish(j, "", StatusFailed, nil, &PanicError{Value: r, Stack: debug.Stack()})
 		}
 	}()
 	s.runJob(j)
 }
 
-// forceFail drives a job to terminal "failed" unless it already reached
-// a terminal status — the containment path's guarantee that no job is
-// left non-terminal.
-func (j *Job) forceFail(err error) {
-	j.mu.Lock()
-	if j.status.terminal() {
-		j.mu.Unlock()
+func (s *Scheduler) runJob(j *Job) {
+	if s.baseCtx.Err() != nil {
+		// Hard shutdown: cancel queued work rather than run it with a dead
+		// context (a no-op for a job cancelled while queued).
+		s.finish(j, "", StatusCanceled, nil, context.Canceled)
 		return
 	}
-	j.status = StatusFailed
-	j.err = err
-	j.finished = time.Now().UTC()
-	j.metrics.jobFinished(StatusFailed)
-	j.broadcastLocked()
-	j.mu.Unlock()
-	j.sched.journalTerminal(j)
-}
-
-func (s *Scheduler) runJob(j *Job) {
 	j.mu.Lock()
 	if j.status != StatusQueued {
 		// Cancelled while waiting in the queue.
 		j.mu.Unlock()
-		return
-	}
-	if s.baseCtx.Err() != nil {
-		// Hard shutdown: fail queued work over running it with a dead
-		// context.
-		j.status = StatusCanceled
-		j.err = context.Canceled
-		j.finished = time.Now().UTC()
-		s.metrics.jobFinished(StatusCanceled)
-		j.broadcastLocked()
-		j.mu.Unlock()
-		s.journalTerminal(j)
 		return
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
@@ -720,13 +670,9 @@ func (s *Scheduler) runJob(j *Job) {
 		}
 	}
 
-	j.mu.Lock()
-	j.result = res
-	j.err = err
-	j.finished = time.Now().UTC()
+	status := StatusDone
 	switch {
 	case err == nil:
-		j.status = StatusDone
 		// Wall-clock-truncated results are timing-dependent (how far a
 		// run gets in MaxWallClock varies with load); caching one would
 		// replay a machine-state accident forever. Every other outcome —
@@ -738,21 +684,19 @@ func (s *Scheduler) runJob(j *Job) {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The façade contract: a fired context returns ctx.Err() plus
 		// deterministic committed partials — keep both.
-		j.status = StatusCanceled
+		status = StatusCanceled
 	default:
 		// Exhausted retries, a permanent failure, or a contained panic.
 		// Failed results never enter the cache (the err == nil gate
 		// above) — a fault must not be replayed to future submissions.
-		j.status = StatusFailed
+		status = StatusFailed
 	}
 	var stages []mine.StageTime
 	if res != nil {
 		stages = res.Stats.Stages
 	}
-	s.metrics.recordRun(j.Miner, j.status, j.finished.Sub(j.started), stages)
-	j.broadcastLocked()
-	j.mu.Unlock()
-	s.journalTerminal(j)
+	s.metrics.recordRun(j.Miner, time.Since(j.started), stages)
+	s.finish(j, "", status, res, err)
 }
 
 // mineWithRetry invokes the miner, re-running transient-classed failures

@@ -2,11 +2,14 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
+	"repro/internal/store"
 	"repro/mine"
 )
 
@@ -362,5 +365,152 @@ func TestSchedulerRejectsUnknownMiner(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	if _, err := s.Submit(tinyStoredGraph(t), "no-such-miner", mine.Options{}); err == nil {
 		t.Error("unknown miner accepted")
+	}
+}
+
+// TestTerminalPathsFinishOnce: every way a job can end — completion,
+// cache hit, miner failure, a panic contained at the miner boundary or
+// in the runner, queued cancel, running cancel, hard-drain cancel —
+// journals exactly one record and adds exactly one to
+// spiderserved_jobs_finished_total{status}.
+func TestTerminalPathsFinishOnce(t *testing.T) {
+	defer fault.DisarmAll()
+	const seedBlock, seedFail, seedPanic = 100, 101, 102
+	started := make(chan struct{}, 1)
+	setTestMiner(t, func(ctx context.Context, host mine.Host, opts mine.Options) (*mine.Result, error) {
+		switch opts.Seed {
+		case seedBlock:
+			started <- struct{}{}
+			<-ctx.Done()
+			return &mine.Result{Miner: "testminer", Truncated: mine.TruncatedCanceled}, ctx.Err()
+		case seedFail:
+			return nil, errors.New("no frequent spiders")
+		case seedPanic:
+			panic("miner exploded")
+		}
+		return &mine.Result{Miner: "testminer", Patterns: []*mine.Pattern{stubPattern()}}, nil
+	})
+	sg := tinyStoredGraph(t)
+	submit := func(t *testing.T, s *Scheduler, seed int64) *Job {
+		t.Helper()
+		j, err := s.Submit(sg, "testminer", mine.Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	running := func(t *testing.T, s *Scheduler) *Job {
+		t.Helper()
+		j := submit(t, s, seedBlock)
+		select {
+		case <-started:
+		case <-time.After(5 * time.Second):
+			t.Fatal("runner never started the blocking job")
+		}
+		return j
+	}
+	contained := func(t *testing.T, j *Job) *Job {
+		t.Helper()
+		waitTerminal(t, j)
+		var pe *PanicError
+		if _, _, err := j.Outcome(); !errors.As(err, &pe) {
+			t.Fatalf("job error %v, want a contained *PanicError", err)
+		}
+		return j
+	}
+
+	// Each run drives one job down its path and returns it. Whatever
+	// else it submitted ends too (at the latest in the hard drain that
+	// closes every case) and is held to the same once-only rule.
+	cases := []struct {
+		name string
+		want Status
+		run  func(t *testing.T, s *Scheduler) *Job
+	}{
+		{"completion", StatusDone, func(t *testing.T, s *Scheduler) *Job {
+			j := submit(t, s, 1)
+			waitTerminal(t, j)
+			return j
+		}},
+		{"cache-hit", StatusDone, func(t *testing.T, s *Scheduler) *Job {
+			waitTerminal(t, submit(t, s, 1))
+			j := submit(t, s, 1)
+			if snap := j.Snapshot(); !snap.Cached {
+				t.Fatalf("resubmission %+v is not a cache hit", snap)
+			}
+			return j
+		}},
+		{"miner-failure", StatusFailed, func(t *testing.T, s *Scheduler) *Job {
+			j := submit(t, s, seedFail)
+			waitTerminal(t, j)
+			return j
+		}},
+		{"miner-panic", StatusFailed, func(t *testing.T, s *Scheduler) *Job {
+			return contained(t, submit(t, s, seedPanic))
+		}},
+		{"runner-panic", StatusFailed, func(t *testing.T, s *Scheduler) *Job {
+			// A panic outside the miner's own boundary reaches the
+			// runner's last-resort containment.
+			fpSchedClaim.Arm(fault.Spec{Kind: fault.KindPanic, Msg: "claim exploded", Limit: 1})
+			return contained(t, submit(t, s, 1))
+		}},
+		{"queued-cancel", StatusCanceled, func(t *testing.T, s *Scheduler) *Job {
+			running(t, s)
+			j := submit(t, s, 1)
+			j.RequestCancel()
+			return j
+		}},
+		{"running-cancel", StatusCanceled, func(t *testing.T, s *Scheduler) *Job {
+			j := running(t, s)
+			j.RequestCancel()
+			waitTerminal(t, j)
+			return j
+		}},
+		{"hard-drain-cancel", StatusCanceled, func(t *testing.T, s *Scheduler) *Job {
+			running(t, s)
+			return submit(t, s, 1) // queued when the drain below hardens
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			journal := store.NewMemory()
+			s := NewScheduler(NewCache(8), 1, 4)
+			s.metrics = newMetrics()
+			s.journal = journal
+			j := tc.run(t, s)
+			expired, cancel := context.WithCancel(context.Background())
+			cancel()
+			s.Shutdown(expired) // returns once every runner has exited
+			fault.DisarmAll()
+
+			if snap := j.Snapshot(); snap.Status != tc.want {
+				t.Fatalf("job %s ended %q, want %q", j.ID, snap.Status, tc.want)
+			}
+			recs, err := journal.Journal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			journaled := map[string][]Status{}
+			for _, raw := range recs {
+				var r jobRecord
+				if err := json.Unmarshal(raw, &r); err != nil {
+					t.Fatal(err)
+				}
+				journaled[r.Snap.ID] = append(journaled[r.Snap.ID], r.Snap.Status)
+			}
+			ended := map[Status]uint64{}
+			for _, job := range s.List() {
+				snap := job.Snapshot()
+				ended[snap.Status]++
+				if got := journaled[job.ID]; len(got) != 1 || got[0] != snap.Status {
+					t.Errorf("job %s ended %q but journaled %v, want exactly one %q record", job.ID, snap.Status, got, snap.Status)
+				}
+			}
+			for _, st := range []Status{StatusDone, StatusFailed, StatusCanceled} {
+				if got := s.metrics.jobsFinished.With(string(st)).Value(); got != ended[st] {
+					t.Errorf("jobs_finished_total{status=%q} = %d, want %d", st, got, ended[st])
+				}
+			}
+		})
 	}
 }

@@ -166,21 +166,19 @@ func (m *Metrics) observeQueueWait(d time.Duration) {
 	m.queueWait.Observe(int64(d))
 }
 
-// recordRun records one finished run: terminal status, wall-clock by
-// miner, and the per-stage breakdown the engine reported.
-func (m *Metrics) recordRun(miner string, status Status, run time.Duration, stages []mine.StageTime) {
+// recordRun records one finished run: wall-clock by miner and the
+// per-stage breakdown the engine reported.
+func (m *Metrics) recordRun(miner string, run time.Duration, stages []mine.StageTime) {
 	if m == nil {
 		return
 	}
-	m.jobsFinished.With(string(status)).Inc()
 	m.runSeconds.With(miner).Observe(int64(run))
 	for _, st := range stages {
 		m.stageSeconds.With(st.Name).Observe(int64(st.Duration))
 	}
 }
 
-// jobFinished records a terminal transition that never ran (cache-hit
-// completions, queued-job cancellations, containment failures).
+// jobFinished counts one terminal transition (Scheduler.finish).
 func (m *Metrics) jobFinished(status Status) {
 	if m == nil {
 		return

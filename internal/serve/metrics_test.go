@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/store"
 	"repro/mine"
 )
 
@@ -139,6 +141,21 @@ func TestCacheDegradeIsNotAMiss(t *testing.T) {
 	st := c.Stats()
 	if st.Degraded != 1 || st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("stats = %+v, want hits=1 misses=1 degraded=1", st)
+	}
+
+	// A cold miss over a durable backend is a miss too, though the disk
+	// store wraps ErrNotFound with the key it missed.
+	d, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	dc := NewCacheWith(4, d)
+	if _, ok := dc.Get(key); ok {
+		t.Fatal("cold disk-backed cache returned a hit")
+	}
+	if st := dc.Stats(); st.Misses != 1 || st.Degraded != 0 {
+		t.Fatalf("disk-backed cold miss: stats = %+v, want misses=1 degraded=0", st)
 	}
 }
 
@@ -268,51 +285,99 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeUnderTraffic scrapes /metrics concurrently with live
-// submissions: scrapes must stay well-formed (parse as exposition
-// lines) and never panic or race (the CI race job covers the latter).
+// TestMetricsScrapeUnderTraffic scrapes /metrics and /stats while jobs
+// are submitted, run and cancelled: scrapes must stay well-formed (parse
+// as exposition lines), never panic or race (the CI race job covers the
+// latter), and never deadlock. With the cache on, identical submissions
+// finish as cache hits inside Submit while the scrapes read the
+// scheduler through the registry's callbacks.
 func TestMetricsScrapeUnderTraffic(t *testing.T) {
-	setTestMiner(t, nil)
-	srv := New(Config{Runners: 2, QueueCap: 64, CacheCap: 0})
+	for _, cacheCap := range []int{0, 8} {
+		t.Run(fmt.Sprintf("cache=%d", cacheCap), func(t *testing.T) {
+			scrapeUnderTraffic(t, cacheCap)
+		})
+	}
+}
+
+func scrapeUnderTraffic(t *testing.T, cacheCap int) {
+	setTestMiner(t, func(ctx context.Context, host mine.Host, opts mine.Options) (*mine.Result, error) {
+		// Long enough that submissions queue up behind the runners.
+		select {
+		case <-time.After(time.Millisecond):
+			return &mine.Result{Miner: "testminer"}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	srv := New(Config{Runners: 2, QueueCap: 64, CacheCap: cacheCap})
 	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	defer srv.Shutdown(context.Background())
 
 	resp := post(t, ts.URL+"/graphs", "text/plain", tinyHostLG(t))
 	sg := decodeJSON[StoredGraph](t, resp.Body)
 	resp.Body.Close()
+	submit := func(seed int) (id string) {
+		body := fmt.Sprintf(`{"graph":%q,"miner":"testminer","options":{"seed":%d}}`, sg.ID, seed)
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			return ""
+		}
+		defer resp.Body.Close()
+		var snap JobSnapshot
+		if json.NewDecoder(resp.Body).Decode(&snap) != nil {
+			return ""
+		}
+		return snap.ID // "" for a 503
+	}
 
-	var wg sync.WaitGroup
+	var traffic, scrapers sync.WaitGroup
 	stop := make(chan struct{})
-	wg.Add(1)
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
+	traffic.Add(2)
 	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			body := fmt.Sprintf(`{"graph":%q,"miner":"testminer","options":{"seed":%d}}`, sg.ID, i)
-			resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
+		// Identical submissions: cache hits once the first has run.
+		defer traffic.Done()
+		for !stopped() {
+			submit(0)
+		}
+	}()
+	go func() {
+		// Fresh submissions, each cancelled at once — most still queued.
+		defer traffic.Done()
+		for i := 1; !stopped(); i++ {
+			if id := submit(i); id != "" {
+				req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
+				if resp, err := http.DefaultClient.Do(req); err == nil {
+					resp.Body.Close()
+				}
 			}
 		}
 	}()
 	for i := 0; i < 4; i++ {
-		wg.Add(1)
+		scrapers.Add(1)
 		go func() {
-			defer wg.Done()
-			for n := 0; n < 25; n++ {
-				resp, err := http.Get(ts.URL + "/metrics")
+			defer scrapers.Done()
+			for n := 0; n < 200; n++ {
+				path := "/metrics"
+				if n%2 == 1 {
+					path = "/stats"
+				}
+				resp, err := http.Get(ts.URL + path)
 				if err != nil {
-					t.Errorf("scrape: %v", err)
+					t.Errorf("scrape %s: %v", path, err)
 					return
 				}
 				body, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
+				if path != "/metrics" {
+					continue
+				}
 				for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
 					if line == "" || strings.HasPrefix(line, "#") {
 						continue
@@ -325,7 +390,19 @@ func TestMetricsScrapeUnderTraffic(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(50 * time.Millisecond)
-	close(stop)
-	wg.Wait()
+	done := make(chan struct{})
+	go func() {
+		scrapers.Wait()
+		close(stop)
+		traffic.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		// No cleanup: a deadlocked server would hang it too.
+		t.Fatal("scrapes and submissions deadlocked")
+	}
+	srv.Shutdown(context.Background())
+	ts.Close()
 }

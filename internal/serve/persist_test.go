@@ -248,6 +248,75 @@ func TestRestartIDSequenceAndGone(t *testing.T) {
 	}
 }
 
+// TestRestartRecoveredJobsShareJobsCap: recovered jobs are ordinary
+// terminal jobs under the one JobsCap bound. Recovery keeps the newest
+// JobsCap records, and a submission past the cap evicts the oldest
+// terminal job — here a recovered one — from /jobs and GET /jobs/{id}.
+func TestRestartRecoveredJobsShareJobsCap(t *testing.T) {
+	setTestMiner(t, nil)
+	dir := t.TempDir()
+	open := func(jobsCap int) (*Server, RecoveryStats, *store.Disk) {
+		t.Helper()
+		backend, err := store.OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, rs, err := Open(Config{Runners: 1, QueueCap: 8, JobsCap: jobsCap, Backend: backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, rs, backend
+	}
+	g := mine.FromEdges([]mine.Label{1, 2, 1}, []mine.Edge{{U: 0, W: 1}, {U: 1, W: 2}})
+	submit := func(srv *Server, seed int64) *Job {
+		t.Helper()
+		sg, _, err := srv.Store().Add(g, "tiny")
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := srv.Scheduler().Submit(sg, "testminer", mine.Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, j)
+		return j
+	}
+	listed := func(srv *Server) string {
+		var ids []string
+		for _, snap := range srv.Scheduler().Snapshots() {
+			ids = append(ids, snap.ID)
+		}
+		return strings.Join(ids, " ")
+	}
+
+	srv, _, backend := open(0)
+	for seed := int64(1); seed <= 3; seed++ {
+		submit(srv, seed)
+	}
+	srv.Shutdown(context.Background())
+	if err := backend.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, rs, backend := open(2)
+	defer backend.Close()
+	defer srv.Shutdown(context.Background())
+	if rs.Jobs != 2 || listed(srv) != "j2 j3" {
+		t.Fatalf("recovered %d jobs listed as %q, want the newest two: \"j2 j3\"", rs.Jobs, listed(srv))
+	}
+	if j4 := submit(srv, 4); j4.ID != "j4" {
+		t.Fatalf("post-restart job got id %s, want j4", j4.ID)
+	}
+	if got := listed(srv); got != "j3 j4" {
+		t.Fatalf("jobs after one more submission %q, want \"j3 j4\" (oldest terminal evicted)", got)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/jobs/j2", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("GET evicted recovered job: %d, want 404", rec.Code)
+	}
+}
+
 // TestChaosDiskFaults drives the store/disk/* failpoints through the
 // HTTP surface: injected storage I/O faults must surface as 503
 // backpressure (upload) or silent cache degradation (reads) — never as

@@ -25,8 +25,9 @@ type Config struct {
 	// CacheCap bounds the result cache in entries; <= 0 disables
 	// caching.
 	CacheCap int
-	// JobsCap bounds how many jobs stay registered; past it the oldest
-	// terminal jobs are evicted (default 4096).
+	// JobsCap bounds how many jobs stay registered, journal-recovered
+	// ones included; past it the oldest terminal jobs are evicted
+	// (default 4096).
 	JobsCap int
 	// MaxUploadBytes bounds a POST /graphs request body; oversized
 	// uploads get 413 (default 256 MiB).
@@ -38,13 +39,6 @@ type Config struct {
 	// RetryBase seeds the exponential retry backoff (doubled per
 	// attempt, jittered, capped at 5s); <= 0 means the 100ms default.
 	RetryBase time.Duration
-	// ImageEdgeThreshold is the edge count past which uploaded hosts also
-	// persist an SPC1 image to the backend's file tier, letting recovery
-	// mmap them back in O(1) instead of re-decoding (see the package
-	// doc's Out-of-core notes). 0 means DefaultImageEdgeThreshold;
-	// negative disables image persistence. Ignored when the backend has
-	// no file tier (store.FileBackend).
-	ImageEdgeThreshold int
 	// Backend, when set, is the durable storage engine (internal/store):
 	// uploaded graphs and cacheable results write through to it, and
 	// terminal job records are journaled, so a restart over the same
@@ -103,9 +97,6 @@ func New(cfg Config) *Server {
 		persistent: persistent,
 		maxUpload:  cfg.MaxUploadBytes,
 	}
-	if cfg.ImageEdgeThreshold != 0 {
-		s.store.SetImageEdgeThreshold(cfg.ImageEdgeThreshold)
-	}
 	if persistent {
 		s.cache = NewCacheWith(cfg.CacheCap, backend)
 	} else {
@@ -163,14 +154,14 @@ func Open(cfg Config) (*Server, RecoveryStats, error) {
 type RecoveryStats struct {
 	Graphs int // graphs re-registered (fingerprints re-verified)
 	Mapped int // of those, served by mmap'ing an SPC1 image (zero decode)
-	Jobs   int // terminal job records replayed into /jobs history
+	Jobs   int // terminal job records re-registered as jobs
 }
 
 // Recover rebuilds serving state from the configured durable backend:
 // graph blobs decode and re-register under re-verified fingerprints,
-// and the journal replays terminal job records into history (resuming
-// the job-ID sequence past them). A no-op without a Config.Backend.
-// Call before serving traffic; Open does.
+// and the journal's terminal job records re-register as terminal jobs
+// (resuming the job-ID sequence past them). A no-op without a
+// Config.Backend. Call before serving traffic; Open does.
 func (s *Server) Recover() (RecoveryStats, error) {
 	var rs RecoveryStats
 	if !s.persistent {
@@ -535,8 +526,6 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	// Snapshots includes journal-recovered history ahead of live jobs,
-	// so /jobs reads continuously across a restart.
 	s.writeJSON(w, http.StatusOK, s.sched.Snapshots())
 }
 
@@ -550,29 +539,14 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if j, ok := s.sched.Get(id); ok {
+	if j, ok := s.job(w, r); ok {
 		s.writeJSON(w, http.StatusOK, j.Snapshot())
-		return
 	}
-	if snap, _, ok := s.sched.History(id); ok {
-		s.writeJSON(w, http.StatusOK, snap)
-		return
-	}
-	s.writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", id))
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, ok := s.sched.Get(id)
+	j, ok := s.job(w, r)
 	if !ok {
-		if snap, _, hok := s.sched.History(id); hok {
-			// History entries are terminal by construction; cancelling one
-			// is the same no-op as cancelling any terminal job.
-			s.writeJSON(w, http.StatusAccepted, snap)
-			return
-		}
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", id))
 		return
 	}
 	// Cancel on the job we already hold: a concurrent retention eviction
@@ -586,27 +560,12 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 // of the job (late subscribers catch up first), terminated by a final
 // status record {"status": ..., "truncated": ..., "error": ...} once the
 // job is terminal.
+//
+// Event logs are not journaled (they are progress, not outcome), so a
+// job recovered after a restart streams just its terminal status record.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, ok := s.sched.Get(id)
+	j, ok := s.job(w, r)
 	if !ok {
-		snap, _, hok := s.sched.History(id)
-		if !hok {
-			s.writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", id))
-			return
-		}
-		// Event logs are not journaled (they are progress, not outcome);
-		// replay just the terminal status record so the stream contract —
-		// "terminated by a status record" — holds across restarts.
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		if err := json.NewEncoder(w).Encode(map[string]string{
-			"status":    string(snap.Status),
-			"truncated": snap.Truncated,
-			"error":     snap.Error,
-		}); err != nil {
-			s.metrics.encodeFailure()
-		}
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -663,10 +622,8 @@ type resultJSON struct {
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	j, ok := s.sched.Get(id)
+	j, ok := s.job(w, r)
 	if !ok {
-		s.writeHistoryResult(w, id)
 		return
 	}
 	res, done, err := j.Outcome()
@@ -675,6 +632,19 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := j.Snapshot()
+	if j.recorded != nil {
+		// A recovered job's Result did not survive the restart, so only an
+		// outcome that was cacheable — and therefore persisted in the
+		// result cache's durable tier — can be re-served; anything else
+		// (failures, cancellations' partials, wall-clock-truncated runs) is
+		// 410 Gone with a resubmit hint, never a 404 that would suggest the
+		// job ID is wrong.
+		if res, ok = s.cache.Get(j.Key); !ok {
+			s.writeError(w, http.StatusGone, fmt.Errorf("serve: job %q finished %q before a restart and its result was not retained; resubmit to recompute", j.ID, snap.Status))
+			return
+		}
+		snap.Cached = true
+	}
 	out := resultJSON{
 		Job: j.ID, Status: snap.Status, Miner: j.Miner,
 		Truncated: snap.Truncated, Cached: snap.Cached,
@@ -690,31 +660,4 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		out.Patterns = []*mine.Pattern{}
 	}
 	s.writeJSON(w, http.StatusOK, out)
-}
-
-// writeHistoryResult serves the result of a journal-recovered job. The
-// in-process Result pointer did not survive the restart, so only
-// outcomes that were cacheable — and therefore persisted in the result
-// cache's durable tier — can be re-served; anything else (failures,
-// cancellations' partials, wall-clock-truncated runs) is 410 Gone with
-// a resubmit hint, never a 404 that would suggest the job ID is wrong.
-func (s *Server) writeHistoryResult(w http.ResponseWriter, id string) {
-	snap, key, ok := s.sched.History(id)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q", id))
-		return
-	}
-	if res, hit := s.cache.Get(key); hit {
-		out := resultJSON{
-			Job: id, Status: snap.Status, Miner: snap.Miner,
-			Truncated: snap.Truncated, Cached: true, Error: snap.Error,
-			Stats: res.Stats, Patterns: res.Patterns,
-		}
-		if out.Patterns == nil {
-			out.Patterns = []*mine.Pattern{}
-		}
-		s.writeJSON(w, http.StatusOK, out)
-		return
-	}
-	s.writeError(w, http.StatusGone, fmt.Errorf("serve: job %q finished %q before a restart and its result was not retained; resubmit to recompute", id, snap.Status))
 }

@@ -41,7 +41,9 @@ const (
 // DefaultImageEdgeThreshold is the edge count past which an uploaded
 // host also gets an SPC1 image in the backend's file tier (when the
 // backend has one). Below it the SPG1 blob decode is already cheap and
-// the extra file would just double small hosts' disk footprint.
+// the extra file would just double small hosts' disk footprint; above
+// it, recovery maps the image instead of decoding the host onto the
+// heap.
 const DefaultImageEdgeThreshold = 1 << 20
 
 // StoredGraph is one registered host graph. ID is the content
@@ -73,8 +75,9 @@ type Store struct {
 
 	// files is the backend's optional whole-file tier (feature-tested at
 	// construction); imageEdges is the edge count at which uploads write
-	// an SPC1 image through it (0 disables). mapped tracks the mmap
-	// handles Recover opened so Close can unmap them.
+	// an SPC1 image through it (DefaultImageEdgeThreshold; tests lower
+	// it). mapped tracks the mmap handles Recover opened so Close can
+	// unmap them.
 	files      store.FileBackend
 	imageEdges int
 	mapped     []*graph.Mapped
@@ -99,24 +102,9 @@ func NewStore() *Store { return NewStoreWith(store.NewMemory()) }
 // NewStoreWith returns an empty graph store writing through to the
 // given backend.
 func NewStoreWith(b store.Backend) *Store {
-	s := &Store{byID: make(map[string]*StoredGraph), backend: b}
+	s := &Store{byID: make(map[string]*StoredGraph), backend: b, imageEdges: DefaultImageEdgeThreshold}
 	s.files, _ = b.(store.FileBackend)
-	if s.files != nil {
-		s.imageEdges = DefaultImageEdgeThreshold
-	}
 	return s
-}
-
-// SetImageEdgeThreshold overrides the edge count at which uploads also
-// persist an SPC1 image to the backend's file tier; <= 0 disables image
-// persistence. A no-op threshold change on a backend without a file
-// tier stays a no-op.
-func (s *Store) SetImageEdgeThreshold(edges int) {
-	if edges <= 0 {
-		s.imageEdges = 0
-		return
-	}
-	s.imageEdges = edges
 }
 
 // Close unmaps every graph Recover opened via mmap. The store must not
@@ -140,7 +128,7 @@ func (s *Store) Close() error {
 // blob in the log is the durable copy, the image is an open-time
 // optimization recreated on the next upload or recovery if lost.
 func (s *Store) putImage(id string, g *graph.Graph) {
-	if s.files == nil || s.imageEdges <= 0 || g.M() < s.imageEdges {
+	if s.files == nil || g.M() < s.imageEdges {
 		return
 	}
 	if err := s.files.PutFile(kindImage, id, imageWriterTo{g}); err != nil {
@@ -325,7 +313,7 @@ func (s *Store) Recover() (recovered, mapped int, err error) {
 // fingerprint check that ties the mapped bytes to the id they claim.
 // Any failure returns nil — the caller decodes the SPG1 blob instead.
 func (s *Store) openImage(id string) *graph.Mapped {
-	if s.files == nil || s.imageEdges <= 0 {
+	if s.files == nil {
 		return nil
 	}
 	path, err := s.files.FilePath(kindImage, id)

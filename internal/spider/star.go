@@ -16,7 +16,6 @@ import (
 	"strconv"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 )
 
 // Star is a radius-1 spider: Head is the head vertex label; Leaves is the
@@ -104,12 +103,6 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions returns the options used throughout the paper's
-// experiments: σ as given, r=1, no caps.
-func DefaultOptions(minSupport int) Options {
-	return Options{MinSupport: minSupport, Radius: 1}
-}
-
 // MineStars enumerates all frequent stars of g level-wise with no
 // cancellation; see MineStarsContext.
 func MineStars(g *graph.Graph, opt Options) []*MinedStar {
@@ -140,24 +133,6 @@ func MineStarsContext(ctx context.Context, g *graph.Graph, opt Options) ([]*Mine
 
 func sortMined(ms []*MinedStar) {
 	slices.SortFunc(ms, cmpStars)
-}
-
-// expandLevel applies expand to every frontier star, optionally with a
-// worker pool. Per-parent outputs land in frontier-order slots and are
-// concatenated in that order, so the result is identical for any worker
-// count. A cancelled expansion discards the whole level.
-func expandLevel(ctx context.Context, frontier []*MinedStar, expand func(*MinedStar) []*MinedStar, workers int) ([]*MinedStar, error) {
-	results, err := par.Map(ctx, len(frontier), workers, func(_, i int) []*MinedStar {
-		return expand(frontier[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	var next []*MinedStar
-	for _, r := range results {
-		next = append(next, r...)
-	}
-	return next, nil
 }
 
 // Catalog indexes mined spiders for the random draw and the per-head
