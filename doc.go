@@ -218,8 +218,11 @@
 //     distinct-image sets.
 //   - Growth and merging (internal/spidermine) reuse pooled scratch:
 //     epoch-stamped host marks instead of per-embedding maps, hash-deduped
-//     union subgraphs, early-exit diameter checks (graph.DiameterAtMost),
-//     and pooled BFS buffers for all eccentricity work.
+//     union subgraphs rebuilt in place (graph.SubgraphScratch), early-exit
+//     diameter checks that also reject disconnected unions
+//     (graph.DiameterAtMost), one WL refinement per union whose colors
+//     also drive its isomorphism tests (canon.Iso.MapColored), and pooled
+//     BFS buffers for all eccentricity work.
 //
 // # Pattern identity
 //

@@ -14,20 +14,22 @@ import (
 // Invariant / IsomorphismMapping / Isomorphic functions borrow one from a
 // sync.Pool, so one-shot callers get the pooled fast path too.
 //
-// Ownership: every slice returned by an Iso method (MapInto's Mapping,
-// refine's color slice) aliases the scratch and is invalidated by the next
-// call on the same Iso. Callers that retain results must copy them.
+// Ownership: every slice returned by an Iso method (the Mapping of MapInto
+// and MapColored, the slices of Colors) aliases the scratch and is
+// invalidated by the next call that writes it. Callers that retain
+// results must copy them.
 type Iso struct {
 	next, buf []uint64 // refinement ping-pong buffer + neighbor-color sort buffer
-	final     []uint64 // Invariant's sorted color multiset
-	ca, cb    []uint64 // per-side vertex colors
-	sa, sb    []uint64 // sorted multiset / profile comparison scratch
+	ca, cb    []uint64 // per-side vertex colors; ca is also Invariant's
+	fa, fb    []uint64 // per-side sorted color multisets; fa is also Invariant's
+	sa, sb    []uint64 // label/degree profile scratch
 	cv        []colorVert
 	ckeys     []uint64  // sorted distinct colors of b
 	coff      []int32   // group offsets into cverts, len(ckeys)+1
 	cverts    []graph.V // b-vertices grouped by color, v-ascending per group
 	glo, ghi  []int32   // per a-vertex candidate range in cverts, resolved once
 	order     []graph.V
+	heap      []orderItem
 	placed    []bool
 	adjPlaced []int32
 	mapping   Mapping
@@ -82,22 +84,38 @@ func (s *Iso) refine(g *graph.Graph, dst []uint64) []uint64 {
 	return dst
 }
 
+// sortedCopy returns src's values, sorted, in dst's reused backing.
+func sortedCopy(dst, src []uint64) []uint64 {
+	dst = append(dst[:0], src...)
+	slices.Sort(dst)
+	return dst
+}
+
 // Invariant is the scratch-backed form of the package-level Invariant.
+// The per-vertex colors and their sorted multiset it computes stay
+// available through Colors.
 func (s *Iso) Invariant(g *graph.Graph) uint64 {
 	n := g.N()
 	if n == 0 {
+		s.ca, s.fa = s.ca[:0], s.fa[:0]
 		return fnvOffset
 	}
 	s.ca = s.refine(g, s.ca)
-	s.final = append(s.final[:0], s.ca...)
-	slices.Sort(s.final)
+	s.fa = sortedCopy(s.fa, s.ca)
 	h := fnvMix(fnvOffset, uint64(n))
 	h = fnvMix(h, uint64(g.M()))
-	for _, c := range s.final {
+	for _, c := range s.fa {
 		h = fnvMix(h, c)
 	}
 	return h
 }
+
+// Colors returns the per-vertex WL colors of the graph the last Invariant
+// call hashed, and their sorted multiset: the inputs MapColored takes, so
+// a graph whose invariant was just computed is never refined again. Both
+// alias the scratch; they stay valid across MapColored calls and are
+// overwritten by the next Invariant or MapInto.
+func (s *Iso) Colors() (colors, sorted []uint64) { return s.ca, s.fa }
 
 func (s *Iso) sameProfile(a, b *graph.Graph) bool {
 	n := a.N()
@@ -112,20 +130,41 @@ func (s *Iso) sameProfile(a, b *graph.Graph) bool {
 	return slices.Equal(sa, sb)
 }
 
-func (s *Iso) sameColorMultiset(ca, cb []uint64) bool {
-	sa := append(growU64(s.sa, 0), ca...)
-	sb := append(growU64(s.sb, 0), cb...)
-	s.sa, s.sb = sa, sb
-	slices.Sort(sa)
-	slices.Sort(sb)
-	return slices.Equal(sa, sb)
+// orderItem is one entry of isoOrderInto's lazy heap: a vertex with its
+// placed-neighbour count at push time and its fixed tie-breakers.
+type orderItem struct {
+	adj  int32 // placed neighbours when pushed
+	size int32 // candidate-group size in b
+	deg  int32
+	v    graph.V
 }
 
-// isoOrderInto is isoOrder over pooled slices: a's vertices ordered so
-// that vertices with rare colors come first and every subsequent vertex is
+// before reports whether x is picked ahead of y: more placed neighbours,
+// then a rarer color (smaller candidate group), then a higher degree, then
+// the lower vertex id.
+func (x orderItem) before(y orderItem) bool {
+	if x.adj != y.adj {
+		return x.adj > y.adj
+	}
+	if x.size != y.size {
+		return x.size < y.size
+	}
+	if x.deg != y.deg {
+		return x.deg > y.deg
+	}
+	return x.v < y.v
+}
+
+// isoOrderInto orders a's vertices for the mapping search so that
+// vertices with rare colors come first and every subsequent vertex is
 // adjacent to an earlier one when possible, keeping backtracking shallow.
-// Candidate-group sizes come from the per-vertex ranges MapInto resolved
-// (s.glo/s.ghi) — the O(n²) pick loop below must not re-search colors.
+// Each step picks the unplaced vertex that comes first under
+// orderItem.before; candidate-group sizes come from the per-vertex ranges
+// MapColored resolved (s.glo/s.ghi). The pick is a lazy max-heap: placing
+// a vertex pushes a fresh entry for each unplaced neighbour, so ordering
+// costs O(m log n). An entry whose count is out of date comes after its
+// vertex's fresh entry, so it surfaces only once the vertex is placed, and
+// is dropped then.
 func (s *Iso) isoOrderInto(a *graph.Graph) []graph.V {
 	n := a.N()
 	if cap(s.placed) < n {
@@ -133,61 +172,77 @@ func (s *Iso) isoOrderInto(a *graph.Graph) []graph.V {
 		s.adjPlaced = make([]int32, n)
 	}
 	placed, adjPlaced := s.placed[:n], s.adjPlaced[:n]
-	for i := 0; i < n; i++ {
-		placed[i], adjPlaced[i] = false, 0
+	h := s.heap[:0]
+	for v := 0; v < n; v++ {
+		placed[v], adjPlaced[v] = false, 0
+		h = append(h, orderItem{0, s.ghi[v] - s.glo[v], int32(a.Degree(graph.V(v))), graph.V(v)})
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
 	order := s.order[:0]
-
-	pick := func() graph.V {
-		best := graph.V(-1)
-		for v := 0; v < n; v++ {
-			if placed[v] {
-				continue
-			}
-			if best < 0 {
-				best = graph.V(v)
-				continue
-			}
-			// Prefer higher adjacency to placed region, then rarer color,
-			// then higher degree.
-			bv, vv := best, graph.V(v)
-			switch {
-			case adjPlaced[vv] != adjPlaced[bv]:
-				if adjPlaced[vv] > adjPlaced[bv] {
-					best = vv
-				}
-			case s.ghi[vv]-s.glo[vv] != s.ghi[bv]-s.glo[bv]:
-				if s.ghi[vv]-s.glo[vv] < s.ghi[bv]-s.glo[bv] {
-					best = vv
-				}
-			case a.Degree(vv) > a.Degree(bv):
-				best = vv
-			}
-		}
-		return best
-	}
 	for len(order) < n {
-		v := pick()
+		top := h[0]
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		siftDown(h, 0)
+		v := top.v
+		if placed[v] {
+			continue
+		}
 		placed[v] = true
 		order = append(order, v)
 		for _, w := range a.Neighbors(v) {
-			adjPlaced[w]++
+			if !placed[w] {
+				adjPlaced[w]++
+				h = append(h, orderItem{adjPlaced[w], s.ghi[w] - s.glo[w], int32(a.Degree(w)), w})
+				siftUp(h, len(h)-1)
+			}
 		}
 	}
-	s.order = order
+	s.heap, s.order = h, order
 	return order
+}
+
+func siftUp(h []orderItem, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func siftDown(h []orderItem, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // MapInto is the scratch-backed form of IsomorphismMapping: a
 // label-preserving adjacency-preserving bijection from a's vertices to b's
-// (mapping[av] = bv), or nil. The returned Mapping aliases the scratch —
-// copy it to retain it past the next call.
+// (mapping[av] = bv), or nil. It refines both graphs and runs MapColored.
+// The returned Mapping aliases the scratch — copy it to retain it past
+// the next call.
 func (s *Iso) MapInto(a, b *graph.Graph) Mapping {
 	if a.N() != b.N() || a.M() != b.M() {
 		return nil
 	}
-	n := a.N()
-	if n == 0 {
+	if a.N() == 0 {
 		return Mapping{}
 	}
 	if !s.sameProfile(a, b) {
@@ -195,8 +250,26 @@ func (s *Iso) MapInto(a, b *graph.Graph) Mapping {
 	}
 	s.ca = s.refine(a, s.ca)
 	s.cb = s.refine(b, s.cb)
-	ca, cb := s.ca, s.cb
-	if !s.sameColorMultiset(ca, cb) {
+	s.fa = sortedCopy(s.fa, s.ca)
+	s.fb = sortedCopy(s.fb, s.cb)
+	return s.MapColored(a, s.ca, s.fa, b, s.cb, s.fb)
+}
+
+// MapColored is the mapping search behind MapInto, over WL colors the
+// caller already holds: ca and cb are a's and b's per-vertex colors, fa
+// and fb their sorted multisets (see Colors). It returns the Mapping
+// MapInto(a, b) returns, or nil, without refining either graph, and it
+// leaves the colors Invariant computed untouched. The returned Mapping
+// aliases the scratch — copy it to retain it past the next call.
+func (s *Iso) MapColored(a *graph.Graph, ca, fa []uint64, b *graph.Graph, cb, fb []uint64) Mapping {
+	if a.N() != b.N() || a.M() != b.M() {
+		return nil
+	}
+	n := a.N()
+	if n == 0 {
+		return Mapping{}
+	}
+	if !slices.Equal(fa, fb) {
 		return nil
 	}
 	// Candidate sets: a-vertex can only map to b-vertices with the same WL

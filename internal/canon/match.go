@@ -27,7 +27,7 @@ func ImageKey(p *graph.Graph, m Mapping) string {
 func AppendImageKey(buf []byte, p *graph.Graph, m Mapping) []byte {
 	var stack [32]graph.Edge
 	edges := AppendMappedEdges(stack[:0], p, m)
-	sortEdges(edges)
+	graph.SortEdges(edges)
 	for _, e := range edges {
 		buf = appendVarint(buf, uint64(e.U))
 		buf = appendVarint(buf, uint64(e.W))
@@ -42,7 +42,7 @@ func AppendImageKey(buf []byte, p *graph.Graph, m Mapping) []byte {
 // grown for reuse across calls.
 func ImageHash(buf []graph.Edge, p *graph.Graph, m Mapping) ([2]uint64, []graph.Edge) {
 	edges := AppendMappedEdges(buf[:0], p, m)
-	sortEdges(edges)
+	graph.SortEdges(edges)
 	return HashEdges(edges), edges
 }
 

@@ -1,7 +1,6 @@
 package canon
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -251,7 +250,7 @@ func (mt *Matcher) imageHash() [2]uint64 {
 	for _, e := range mt.pEdges {
 		mt.imgBuf = append(mt.imgBuf, graph.NormEdge(mt.mapping[e.U], mt.mapping[e.W]))
 	}
-	sortEdges(mt.imgBuf)
+	graph.SortEdges(mt.imgBuf)
 	return HashEdges(mt.imgBuf)
 }
 
@@ -271,36 +270,6 @@ func HashEdges(es []graph.Edge) [2]uint64 {
 		b ^= b >> 29
 	}
 	return [2]uint64{a, b}
-}
-
-// sortEdges sorts a small edge list by (U, W): insertion sort below 16
-// elements (the common pattern-size case), pdqsort above.
-func sortEdges(es []graph.Edge) {
-	if len(es) < 16 {
-		for i := 1; i < len(es); i++ {
-			e := es[i]
-			j := i
-			for j > 0 && edgeLess(e, es[j-1]) {
-				es[j] = es[j-1]
-				j--
-			}
-			es[j] = e
-		}
-		return
-	}
-	slices.SortFunc(es, func(a, b graph.Edge) int {
-		if a.U != b.U {
-			return int(a.U) - int(b.U)
-		}
-		return int(a.W) - int(b.W)
-	})
-}
-
-func edgeLess(a, b graph.Edge) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.W < b.W
 }
 
 // appendEdges appends p's edges (U < W, lexicographic) to buf without the

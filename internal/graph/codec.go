@@ -91,9 +91,12 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Vertex ids must fit V. Each label takes at least one byte and each
+	// edge at least two, so counts the remaining bytes cannot hold are
+	// corrupt: reject them before NewBuilder reserves space for them.
 	const maxGraphDim = 1 << 31
-	if n64 > maxGraphDim || m64 > maxGraphDim {
-		return nil, fmt.Errorf("%w: implausible dimensions n=%d m=%d", ErrBadCodec, n64, m64)
+	if n64 > maxGraphDim || m64 > maxGraphDim || n64 > uint64(len(p)) || m64 > uint64(len(p))/2 {
+		return nil, fmt.Errorf("%w: implausible dimensions n=%d m=%d for %d bytes", ErrBadCodec, n64, m64, len(p))
 	}
 	n, m := int(n64), int(m64)
 	b := NewBuilder(n, m)

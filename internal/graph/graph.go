@@ -267,10 +267,10 @@ func (b *Builder) HasEdge(u, w V) bool {
 
 // Build finalizes the graph: the edge list is sorted and deduplicated in a
 // single pass (self-loops dropped), adjacency is laid out in CSR form, and
-// the label index and neighbor-label sketches are precomputed.
+// the neighbor-label sketches are precomputed.
 func (b *Builder) Build() *Graph {
 	n := len(b.labels)
-	slices.SortFunc(b.edges, cmpEdge)
+	SortEdges(b.edges)
 	// Single dedupe pass, compacting in place (the builder is typically
 	// discarded after Build, and AddEdge order is already destroyed by the
 	// sort).
@@ -290,45 +290,93 @@ func (b *Builder) Build() *Graph {
 	}
 	b.edges = dedup
 	b.seen = nil // edge list mutated; invalidate the HasEdge set
-	m := len(dedup)
 
-	// CSR: count degrees, prefix-sum into offsets, then fill. Filling the
-	// lower endpoints first and the upper endpoints second leaves every
-	// vertex's range sorted, because dedup is sorted by (U, W) and U < W:
-	// pass 1 appends neighbors smaller than v in ascending U order, pass 2
-	// appends neighbors greater than v in ascending W order.
-	offs := make([]int32, n+1)
-	for _, e := range dedup {
+	labels := make([]Label, n)
+	copy(labels, b.labels)
+	g := &Graph{labels: labels}
+	g.fillCSR(dedup)
+	return g
+}
+
+// fillCSR lays out g's adjacency over its len(g.labels) vertices from
+// edges, which must be sorted by (U, W), duplicate-free and have U < W,
+// computes the neighbor-label sketches and drops any label index built
+// for g's previous contents. Arrays g already holds are reused when large
+// enough, so a scratch graph rebuilt in place (SubgraphScratch) stops
+// allocating once warm. It is the one CSR fill behind Builder.Build and
+// SubgraphScratch.
+func (g *Graph) fillCSR(edges []Edge) {
+	n := len(g.labels)
+	g.m = len(edges)
+	// CSR: count degrees into offs[v+1] and prefix-sum, so offs[v] is v's
+	// start; then fill, using offs[v] itself as v's cursor, and shift the
+	// offsets back by one slot. Filling the lower endpoints first and the
+	// upper endpoints second leaves every vertex's range sorted, because
+	// edges is sorted by (U, W) and U < W: pass 1 appends neighbors smaller
+	// than v in ascending U order, pass 2 appends neighbors greater than v
+	// in ascending W order.
+	offs := resize(g.offs, n+1)
+	clear(offs)
+	for _, e := range edges {
 		offs[e.U+1]++
 		offs[e.W+1]++
 	}
 	for v := 0; v < n; v++ {
 		offs[v+1] += offs[v]
 	}
-	nbrs := make([]V, 2*m)
-	cursor := make([]int32, n)
-	copy(cursor, offs[:n])
-	for _, e := range dedup {
-		nbrs[cursor[e.W]] = e.U
-		cursor[e.W]++
+	nbrs := resize(g.nbrs, 2*len(edges))
+	for _, e := range edges {
+		nbrs[offs[e.W]] = e.U
+		offs[e.W]++
 	}
-	for _, e := range dedup {
-		nbrs[cursor[e.U]] = e.W
-		cursor[e.U]++
+	for _, e := range edges {
+		nbrs[offs[e.U]] = e.W
+		offs[e.U]++
 	}
+	// offs[v] now holds v's end, which is v+1's start.
+	copy(offs[1:], offs[:n])
+	offs[0] = 0
+	g.offs, g.nbrs = offs, nbrs
 
-	labels := make([]Label, n)
-	copy(labels, b.labels)
-	g := &Graph{labels: labels, offs: offs, nbrs: nbrs, m: m}
-	g.sketches = make([]uint64, n)
+	g.sketches = resize(g.sketches, n)
 	for v := 0; v < n; v++ {
 		var sk uint64
-		for _, w := range g.Neighbors(V(v)) {
-			sk = sketchAdd(sk, labels[w])
+		for _, w := range nbrs[offs[v]:offs[v+1]] {
+			sk = sketchAdd(sk, g.labels[w])
 		}
 		g.sketches[v] = sk
 	}
-	return g
+
+	g.labelOnce = sync.Once{}
+	g.numLabels, g.labelVerts, g.byLabel = 0, nil, nil
+}
+
+// resize returns s resliced to length n when its capacity allows, else a
+// fresh length-n slice. A nil s always gets a fresh slice, so a newly
+// built graph never shares an array with anything.
+func resize[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// SortEdges sorts an edge list by (U, W): insertion sort below 16 edges
+// (the common pattern-size case), pdqsort above.
+func SortEdges(es []Edge) {
+	if len(es) < 16 {
+		for i := 1; i < len(es); i++ {
+			e := es[i]
+			j := i
+			for j > 0 && cmpEdge(e, es[j-1]) < 0 {
+				es[j] = es[j-1]
+				j--
+			}
+			es[j] = e
+		}
+		return
+	}
+	slices.SortFunc(es, cmpEdge)
 }
 
 // FromEdges builds a graph directly from a label slice and an edge list.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -270,10 +271,10 @@ func TestNeighborhood(t *testing.T) {
 
 func TestUnionEdges(t *testing.T) {
 	a := []Edge{{0, 1}, {1, 2}}
-	b := []Edge{{2, 1}, {3, 4}}
-	u := UnionEdges(a, b)
-	if len(u) != 3 {
-		t.Fatalf("union size %d, want 3 (reversed duplicate must collapse)", len(u))
+	b := []Edge{{1, 2}, {3, 4}}
+	u := AppendMergedEdges(nil, a, b)
+	if want := []Edge{{0, 1}, {1, 2}, {3, 4}}; !slices.Equal(u, want) {
+		t.Fatalf("union %v, want %v (the shared edge must collapse)", u, want)
 	}
 }
 

@@ -65,51 +65,91 @@ func (g *Graph) Neighborhood(v V, r int) (*Graph, []V) {
 	return g.Induced(verts)
 }
 
-// SubgraphOfEdgesInto is SubgraphOfEdges over caller-owned scratch: verts
-// (reused, returned grown) collects the endpoint set and b builds the
-// subgraph (Reset internally). The returned vertex slice aliases the
-// scratch — callers that retain the mapping must copy it; the Graph itself
-// is freshly built and independent.
-func (g *Graph) SubgraphOfEdgesInto(edges []Edge, verts []V, b *Builder) (*Graph, []V) {
-	verts = verts[:0]
+// AppendMergedEdges appends the union of a and b to dst and returns the
+// extended slice. Both inputs must be sorted by (U, W) and duplicate-free;
+// one linear merge then yields the sorted duplicate-free union.
+func AppendMergedEdges(dst, a, b []Edge) []Edge {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := cmpEdge(a[i], b[j]); {
+		case c < 0:
+			dst = append(dst, a[i])
+			i++
+		case c > 0:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// SubgraphScratch rebuilds edge subgraphs of a host in place: the
+// endpoint table is host-sized and epoch-stamped, and the subgraph's
+// arrays are reused, so a warm rebuild allocates nothing. Hot loops (the
+// miner's merge check builds one union subgraph per candidate embedding
+// pair) hold one per worker. The zero value is ready to use; a
+// SubgraphScratch is not safe for concurrent use.
+type SubgraphScratch struct {
+	g     Graph
+	stamp []uint32 // per host vertex: the epoch that last saw it
+	id    []V      // per host vertex: its subgraph id, valid when stamped this epoch
+	epoch uint32
+	verts []V    // subgraph id -> host vertex
+	edges []Edge // edges renumbered into subgraph ids
+}
+
+// OfSortedEdges rebuilds the scratch graph as the subgraph of host made
+// of exactly the given edges and their endpoints, and returns it with the
+// new→original vertex map, both equal to host.SubgraphOfEdges(edges).
+// The edges must be sorted by (U, W), duplicate-free and have U < W, as
+// AppendMergedEdges leaves them. Both results alias the scratch and are
+// overwritten by the next call: Clone the graph and copy the map to keep
+// them.
+func (s *SubgraphScratch) OfSortedEdges(host *Graph, edges []Edge) (*Graph, []V) {
+	if len(s.stamp) < host.N() {
+		s.stamp = make([]uint32, host.N())
+		s.id = make([]V, host.N())
+		s.epoch = 0
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: a stale stamp could equal the new epoch
+		clear(s.stamp)
+		s.epoch = 1
+	}
+	verts := s.verts[:0]
 	for _, e := range edges {
-		verts = append(verts, e.U, e.W)
+		if s.stamp[e.U] != s.epoch {
+			s.stamp[e.U] = s.epoch
+			verts = append(verts, e.U)
+		}
+		if s.stamp[e.W] != s.epoch {
+			s.stamp[e.W] = s.epoch
+			verts = append(verts, e.W)
+		}
 	}
 	slices.Sort(verts)
-	verts = slices.Compact(verts)
-	b.Reset(len(verts), len(edges))
-	for _, v := range verts {
-		b.AddVertex(g.Label(v))
+	for i, v := range verts {
+		s.id[v] = V(i)
 	}
+	// Subgraph ids follow host order, so renumbering keeps the list
+	// sorted with U < W and it can fill the CSR directly.
+	rel := s.edges[:0]
 	for _, e := range edges {
-		u, _ := slices.BinarySearch(verts, e.U)
-		w, _ := slices.BinarySearch(verts, e.W)
-		b.AddEdge(V(u), V(w))
+		rel = append(rel, Edge{s.id[e.U], s.id[e.W]})
 	}
-	return b.Build(), verts
-}
-
-// Union returns the union graph of two subgraph vertex/edge sets drawn from
-// the same host graph, expressed as host edges; endpoints are implied.
-// Used when merging overlapping pattern embeddings.
-func UnionEdges(a, b []Edge) []Edge {
-	return AppendUnionEdges(make([]Edge, 0, len(a)+len(b)), a, b)
-}
-
-// AppendUnionEdges is UnionEdges into caller-owned scratch: the normalized,
-// sorted, deduplicated union of a and b is appended to dst (usually
-// dst[:0] of a reused buffer) and returned.
-func AppendUnionEdges(dst []Edge, a, b []Edge) []Edge {
-	base := len(dst)
-	for _, e := range a {
-		dst = append(dst, NormEdge(e.U, e.W))
+	g := &s.g
+	g.labels = resize(g.labels, len(verts))
+	for i, v := range verts {
+		g.labels[i] = host.labels[v]
 	}
-	for _, e := range b {
-		dst = append(dst, NormEdge(e.U, e.W))
-	}
-	out := dst[base:]
-	slices.SortFunc(out, cmpEdge)
-	return dst[:base+len(slices.Compact(out))]
+	g.fillCSR(rel)
+	s.verts, s.edges = verts, rel
+	return g, verts
 }
 
 func cmpEdge(a, b Edge) int {

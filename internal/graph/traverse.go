@@ -9,6 +9,7 @@ import "sync"
 type bfsScratch struct {
 	dist  []int32
 	queue []V
+	ub    []int32 // DiameterAtMost's per-vertex eccentricity upper bounds
 }
 
 var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
@@ -246,11 +247,15 @@ func (g *Graph) IsConnected() bool {
 	return reached == n
 }
 
-// DiameterAtMost reports whether Diameter() <= d, but exits early: the
-// per-source eccentricity scan aborts on the first vertex exceeding d, and
-// a connected graph whose first eccentricity e satisfies 2e <= d is
-// accepted after a single BFS (all pairwise distances are at most 2e by
-// the triangle inequality). Merge and growth checks only ever need the
+// DiameterAtMost reports whether the graph is connected and
+// Diameter() <= d. A disconnected graph has infinite diameter and is never
+// accepted; the empty graph is. One BFS, from vertex 0, rejects a
+// disconnected graph and accepts a connected one whose eccentricity e
+// there satisfies 2e <= d (all pairwise distances are at most 2e by the
+// triangle inequality). Past that, only vertices whose eccentricity is
+// not yet bounded by d get a BFS of their own, and the first one
+// exceeding d rejects: every BFS from u bounds each ecc(v) by
+// dist(u, v) + ecc(u). Merge and growth checks only ever need the
 // threshold comparison, never the exact diameter.
 func (g *Graph) DiameterAtMost(d int) bool {
 	n := g.N()
@@ -258,17 +263,30 @@ func (g *Graph) DiameterAtMost(d int) bool {
 		return true
 	}
 	s := bfsPool.Get().(*bfsScratch)
-	ok := true
-	for v := 0; v < n; v++ {
-		ecc := g.bfs(s, V(v))
-		if int(ecc) > d {
-			ok = false
-			break
+	defer bfsPool.Put(s)
+	ecc := g.bfs(s, 0)
+	if len(s.queue) != n || int(ecc) > d {
+		return false
+	}
+	if 2*int(ecc) <= d {
+		return true
+	}
+	ub := s.ub[:0]
+	for _, dv := range s.dist {
+		ub = append(ub, dv+ecc)
+	}
+	s.ub = ub
+	for v := 1; v < n; v++ {
+		if int(ub[v]) <= d {
+			continue
 		}
-		if v == 0 && 2*int(ecc) <= d && len(s.queue) == n {
-			break
+		e := g.bfs(s, V(v))
+		if int(e) > d {
+			return false
+		}
+		for w, dw := range s.dist {
+			ub[w] = min(ub[w], dw+e)
 		}
 	}
-	bfsPool.Put(s)
-	return ok
+	return true
 }

@@ -39,6 +39,20 @@
 //     may be referenced by retained output — anything that survives the
 //     call is copied out (e.g. merge winners copy their embedding lists
 //     out of the pooled buckets).
+//   - Merge scratch (mergeScratch, one per worker): each candidate union
+//     costs one pass of each kind. The parents' host images are sorted
+//     (pa's once per distinct embedding, since a group's candidates are
+//     sorted by (ea, eb)) and merged linearly (graph.AppendMergedEdges);
+//     the union subgraph is rebuilt in place in a graph.SubgraphScratch,
+//     whose host-sized epoch-stamped endpoint table renumbers endpoints
+//     in O(1) and whose CSR fill is the one Builder.Build uses; a single
+//     DiameterAtMost pass checks connectivity and Dmax together; and the
+//     union is WL-refined once (canon.Iso.Invariant), its colors reused
+//     for every bucket comparison (canon.Iso.MapColored). A bucket keeps
+//     the colors of the union that founded it, so its representative is
+//     never refined again, and a union is cloned only when it founds a
+//     bucket. A warm tryMerge whose unions all repeat or fail Dmax
+//     allocates nothing (TestMergeScratchWarmNoAlloc).
 //   - Worker-indexed accumulators (par.Slots): progress flags, iso-run
 //     counters, and item-indexed merge results, zero-filled on For and
 //     reduced in item order after each join, preserving the PR 2
@@ -49,8 +63,9 @@
 //
 // The allocation budgets are pinned by TestStageIAllocBudget and
 // TestFullPipelineAllocBudget (repo root), the warm 0-alloc contracts by
-// TestStarMinerWarmNoAlloc (internal/spider) and TestGrowScratchWarm*
-// (this package), and the cross-run reuse contract by TestMinerResetReuse
+// TestStarMinerWarmNoAlloc (internal/spider), TestGrowScratchWarm* and
+// TestMergeScratchWarmNoAlloc (this package), and the cross-run reuse
+// contract by TestMinerResetReuse
 // and TestStarMinerWarmAcrossHosts. BENCH_PR8.json records the measured
 // steady state.
 package spidermine

@@ -26,6 +26,65 @@ func (m *Miner) checkMerges(ws []*grown) ([]*grown, error) {
 	if len(ws) < 2 {
 		return ws, nil
 	}
+	groups := m.mergeGroups(ws)
+	if len(groups) == 0 {
+		return ws, nil
+	}
+	cands := m.mergeCands
+
+	consumed := m.consumed.For(len(ws))
+	var merged []*grown
+	// apply is the ordered reduction step shared by the sequential and
+	// parallel paths: accept a merge, number it, and retire its parents.
+	apply := func(pk pairKey, mp *pattern.Pattern) {
+		mp.ID = m.newID()
+		consumed[pk.a] = true
+		consumed[pk.b] = true
+		m.stats.Merges++
+		radius := ws[pk.a].radius
+		if r := ws[pk.b].radius; r > radius {
+			radius = r
+		}
+		merged = append(merged, &grown{p: mp, radius: radius})
+	}
+	if workers := m.workerCount(len(groups)); workers > 1 {
+		if err := m.mergeParallel(ws, groups, workers, consumed, apply); err != nil {
+			return ws, err
+		}
+	} else {
+		sc := m.mergeWS.For(1)[0]
+		for _, gp := range groups {
+			if m.done != nil {
+				if err := m.cancelled(); err != nil {
+					return ws, err
+				}
+			}
+			if consumed[gp.pk.a] || consumed[gp.pk.b] {
+				continue
+			}
+			mp := m.tryMerge(ws[gp.pk.a].p, ws[gp.pk.b].p, cands[gp.lo:gp.hi], sc, &m.stats.IsoRun)
+			if mp != nil {
+				apply(gp.pk, mp)
+			}
+		}
+	}
+	if len(merged) == 0 {
+		return ws, nil
+	}
+	out := make([]*grown, 0, len(ws))
+	for i, w := range ws {
+		if !consumed[i] {
+			out = append(out, w)
+		}
+	}
+	return append(out, merged...), nil
+}
+
+// mergeGroups collects the round's merge candidates — overlapping
+// (pattern pair, embedding pair) combinations of ws — into m.mergeCands,
+// sorted by (a, b, ea, eb), and returns them cut into per-pattern-pair
+// groups (also kept in m.pairGroups); nil when nothing overlaps.
+func (m *Miner) mergeGroups(ws []*grown) []pairGroup {
 	// Overlap detection samples at most mergeScanEmb embeddings per pattern:
 	// merging only needs *one* overlapping pair per site, and the usage
 	// index otherwise grows as patterns × embeddings × pattern size.
@@ -98,7 +157,7 @@ func (m *Miner) checkMerges(ws []*grown) ([]*grown, error) {
 	}
 	if len(cands) == 0 {
 		m.mergeCands = cands
-		return ws, nil
+		return nil
 	}
 	// Deterministic evaluation order: sort the flat list by
 	// (a, b, ea, eb) and cut it into per-pattern-pair groups — the same
@@ -127,53 +186,7 @@ func (m *Miner) checkMerges(ws []*grown) ([]*grown, error) {
 		i = j
 	}
 	m.pairGroups = groups
-
-	consumed := m.consumed.For(len(ws))
-	var merged []*grown
-	// apply is the ordered reduction step shared by the sequential and
-	// parallel paths: accept a merge, number it, and retire its parents.
-	apply := func(pk pairKey, mp *pattern.Pattern) {
-		mp.ID = m.newID()
-		consumed[pk.a] = true
-		consumed[pk.b] = true
-		m.stats.Merges++
-		radius := ws[pk.a].radius
-		if r := ws[pk.b].radius; r > radius {
-			radius = r
-		}
-		merged = append(merged, &grown{p: mp, radius: radius})
-	}
-	if workers := m.workerCount(len(groups)); workers > 1 {
-		if err := m.mergeParallel(ws, groups, workers, consumed, apply); err != nil {
-			return ws, err
-		}
-	} else {
-		sc := m.mergeWS.For(1)[0]
-		for _, gp := range groups {
-			if m.done != nil {
-				if err := m.cancelled(); err != nil {
-					return ws, err
-				}
-			}
-			if consumed[gp.pk.a] || consumed[gp.pk.b] {
-				continue
-			}
-			mp := m.tryMerge(ws[gp.pk.a].p, ws[gp.pk.b].p, cands[gp.lo:gp.hi], sc, &m.stats.IsoRun)
-			if mp != nil {
-				apply(gp.pk, mp)
-			}
-		}
-	}
-	if len(merged) == 0 {
-		return ws, nil
-	}
-	out := make([]*grown, 0, len(ws))
-	for i, w := range ws {
-		if !consumed[i] {
-			out = append(out, w)
-		}
-	}
-	return append(out, merged...), nil
+	return groups
 }
 
 // usageSlot names one embedding of one working pattern during overlap
@@ -200,27 +213,28 @@ type pairGroup struct {
 }
 
 // mbucket is one structure class of union subgraphs during tryMerge:
-// representative graph, its iso-consistent embeddings, and the 128-bit
-// image-hash dedupe set. Buckets are pooled per worker in mergeScratch;
-// the winner's embs list is copied out, so the backing arrays recycle.
+// representative graph, its WL colors, and its iso-consistent embeddings.
+// Buckets are pooled per worker in mergeScratch; the winner's embs list is
+// copied out, so the backing arrays recycle. repr is a clone of the union
+// that founded the bucket, and colors/sorted are that union's refinement,
+// kept so the representative is never refined again.
 type mbucket struct {
-	inv  uint64
-	repr *graph.Graph
-	embs []pattern.Embedding
-	seen map[[2]uint64]struct{}
+	inv            uint64
+	repr           *graph.Graph
+	colors, sorted []uint64
+	embs           []pattern.Embedding
 }
 
-// mergeScratch is one worker's tryMerge state: mapped-edge and union
-// buffers, the union-hash dedupe set, the pooled subgraph builder and
-// vertex scratch, the bucket pool, and the WL/isomorphism scratch. Owned
-// by exactly one worker for the duration of a merge wave.
+// mergeScratch is one worker's tryMerge state: the sorted host images of
+// the two parents' embeddings and their merged union, the union-hash
+// dedupe set, the in-place union subgraph, the bucket pool, and the
+// WL/isomorphism scratch. Owned by exactly one worker for the duration of
+// a merge wave.
 type mergeScratch struct {
 	bufA, bufB []graph.Edge
 	unionBuf   []graph.Edge
-	imgBuf     []graph.Edge
 	seenUnions map[[2]uint64]struct{}
-	vertsBuf   []graph.V
-	b          graph.Builder
+	sub        graph.SubgraphScratch
 	buckets    []*mbucket
 	iso        canon.Iso
 }
@@ -230,6 +244,13 @@ type mergeScratch struct {
 // structure class is frequent, returns it as the merged pattern (ID
 // unassigned — the caller's ordered reduction numbers accepted merges).
 // Returns nil if no frequent merged structure exists.
+//
+// Each union costs one pass of each kind: a linear merge of the parents'
+// sorted images (pa's is sorted once per distinct embedding, since eps is
+// sorted by (ea, eb)), an in-place rebuild in sc.sub, one BFS pass that
+// checks connectivity and Dmax together, and one WL refinement whose
+// colors also drive every bucket comparison. A union is cloned only when
+// it founds a bucket.
 //
 // tryMerge is read-only on pa, pb, and the Miner, and confines its
 // mutable state to sc, so merge rounds may evaluate many pairs
@@ -244,41 +265,41 @@ func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []mergeCand, sc *mergeScra
 	// used counts live buckets this call; entries beyond it are pool
 	// leftovers from earlier calls.
 	used := 0
+	lastA := int32(-1)
 
 	for _, pr := range eps {
 		ea, eb := int(pr.ea), int(pr.eb)
 		if ea >= len(pa.Emb) || eb >= len(pb.Emb) {
 			continue
 		}
-		sc.bufA = canon.AppendMappedEdges(sc.bufA[:0], pa.G, canon.Mapping(pa.Emb[ea]))
+		if pr.ea != lastA {
+			sc.bufA = canon.AppendMappedEdges(sc.bufA[:0], pa.G, canon.Mapping(pa.Emb[ea]))
+			graph.SortEdges(sc.bufA)
+			lastA = pr.ea
+		}
 		sc.bufB = canon.AppendMappedEdges(sc.bufB[:0], pb.G, canon.Mapping(pb.Emb[eb]))
+		graph.SortEdges(sc.bufB)
 		// Distinct embedding pairs routinely produce the same union edge
-		// set; the subgraph build, diameter check and isomorphism bucketing
-		// are all no-ops for a repeat (the image hash dedupes it anyway), so
-		// skip them wholesale on a 128-bit hash of the sorted union (see
-		// canon.HashEdges for the collision trade-off).
-		sc.unionBuf = graph.AppendUnionEdges(sc.unionBuf[:0], sc.bufA, sc.bufB)
-		union := sc.unionBuf
-		uh := canon.HashEdges(union)
+		// set; skip a repeat on a 128-bit hash of the sorted union (see
+		// canon.HashEdges for the collision trade-off). A union's edge set
+		// is also the host image of the embedding it adds to its bucket,
+		// so every embedding a bucket gains is a distinct subgraph.
+		sc.unionBuf = graph.AppendMergedEdges(sc.unionBuf[:0], sc.bufA, sc.bufB)
+		uh := canon.HashEdges(sc.unionBuf)
 		if _, dup := sc.seenUnions[uh]; dup {
 			continue
 		}
 		sc.seenUnions[uh] = struct{}{}
-		ug, verts := m.g.SubgraphOfEdgesInto(union, sc.vertsBuf, &sc.b)
-		sc.vertsBuf = verts
-		if !ug.IsConnected() {
-			continue
-		}
-		// Merged patterns must respect the diameter bound; a union that
-		// exceeds Dmax cannot be a subgraph of a valid result pattern that
-		// this merge is meant to witness.
+		ug, verts := sc.sub.OfSortedEdges(m.g, sc.unionBuf)
+		// Merged patterns must be connected and respect the diameter
+		// bound; a union that exceeds Dmax cannot be a subgraph of a valid
+		// result pattern that this merge is meant to witness.
 		if !ug.DiameterAtMost(m.cfg.Dmax) {
 			continue
 		}
-		emb := make(pattern.Embedding, len(verts))
-		copy(emb, verts)
 
 		inv := sc.iso.Invariant(ug)
+		colors, sorted := sc.iso.Colors()
 		placed := false
 		// Linear scan of the pooled buckets filtered by invariant — same
 		// visit order as the historical per-invariant append lists.
@@ -287,23 +308,18 @@ func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []mergeCand, sc *mergeScra
 			if bk.inv != inv || bk.repr.N() != ug.N() || bk.repr.M() != ug.M() {
 				continue
 			}
-			mapping := sc.iso.MapInto(ug, bk.repr)
+			mapping := sc.iso.MapColored(ug, colors, sorted, bk.repr, bk.colors, bk.sorted)
 			*isoRun++
 			if mapping == nil {
 				continue
 			}
-			// Re-express emb in repr's vertex order: repr vertex i hosts
-			// emb[inverse(i)].
-			re := make(pattern.Embedding, len(emb))
+			// Re-express the union's vertices in repr's vertex order: repr
+			// vertex i hosts verts[inverse(i)].
+			re := make(pattern.Embedding, len(verts))
 			for ugv, reprv := range mapping {
-				re[reprv] = emb[ugv]
+				re[reprv] = verts[ugv]
 			}
-			var h [2]uint64
-			h, sc.imgBuf = canon.ImageHash(sc.imgBuf, bk.repr, canon.Mapping(re))
-			if _, dup := bk.seen[h]; !dup {
-				bk.seen[h] = struct{}{}
-				bk.embs = append(bk.embs, re)
-			}
+			bk.embs = append(bk.embs, re)
 			placed = true
 			break
 		}
@@ -312,17 +328,17 @@ func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []mergeCand, sc *mergeScra
 			if used < len(sc.buckets) {
 				bk = sc.buckets[used]
 				bk.embs = bk.embs[:0]
-				clear(bk.seen)
 			} else {
-				bk = &mbucket{seen: make(map[[2]uint64]struct{})}
+				bk = new(mbucket)
 				sc.buckets = append(sc.buckets, bk)
 			}
 			used++
 			bk.inv = inv
-			bk.repr = ug
-			var h [2]uint64
-			h, sc.imgBuf = canon.ImageHash(sc.imgBuf, ug, canon.Mapping(emb))
-			bk.seen[h] = struct{}{}
+			bk.repr = ug.Clone()
+			bk.colors = append(bk.colors[:0], colors...)
+			bk.sorted = append(bk.sorted[:0], sorted...)
+			emb := make(pattern.Embedding, len(verts))
+			copy(emb, verts)
 			bk.embs = append(bk.embs, emb)
 		}
 	}
