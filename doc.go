@@ -216,13 +216,17 @@
 //     checks. EnumerateEmbeddingsReference retains the naive matcher as
 //     the correctness oracle; differential tests assert identical
 //     distinct-image sets.
-//   - Growth and merging (internal/spidermine) reuse pooled scratch:
-//     epoch-stamped host marks instead of per-embedding maps, hash-deduped
-//     union subgraphs rebuilt in place (graph.SubgraphScratch), early-exit
+//   - Growth and merging (internal/spidermine) reuse per-worker scratch:
+//     epoch-stamped host marks instead of per-embedding maps; parent
+//     images sorted once per distinct embedding and merged linearly, so
+//     building a candidate union sorts nothing; hash-deduped union
+//     subgraphs rebuilt in place (graph.SubgraphScratch); early-exit
 //     diameter checks that also reject disconnected unions
-//     (graph.DiameterAtMost), one WL refinement per union whose colors
-//     also drive its isomorphism tests (canon.Iso.MapColored), and pooled
-//     BFS buffers for all eccentricity work.
+//     (graph.BFS.DiameterAtMost); one sort-free word-level WL refinement
+//     per union whose colors also drive its isomorphism tests
+//     (canon.Iso.MapColored); and per-worker BFS scratch (graph.BFS) for
+//     all boundary, eccentricity and diameter work, so warm mining never
+//     borrows from a sync.Pool.
 //
 // # Pattern identity
 //
@@ -259,9 +263,10 @@
 //     are consumed in full before any cancellable section, so a cancelled
 //     run leaves the stream where an uncancelled one would).
 //   - Per-worker scratch: each worker owns its canon.Matcher,
-//     spider.Materializer, grow scratch, and accumulator slot; package
-//     sync.Pools (BFS buffers, pooled matchers) remain as race-free
-//     backstops for code off the sharded paths. Scratch contents may
+//     spider.Materializer, grow and merge scratch (BFS state included),
+//     and accumulator slot; package sync.Pools (BFS buffers, pooled
+//     matchers) remain as race-free backstops for code off the sharded
+//     paths. Scratch contents may
 //     affect allocation behavior, never results.
 //   - Ordered reduction: parallel stages write results into item-indexed
 //     slots (par.Map) and all cross-worker combination — concatenating

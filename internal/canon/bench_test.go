@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -13,11 +14,23 @@ func benchGraph(n int, seed int64) *graph.Graph {
 	return randomGraph(n, 2*n, 4, rng)
 }
 
+// BenchmarkInvariant refines a random 50-vertex graph and a hub-heavy
+// 600-vertex BA graph, whose hubs have hundreds of neighbours: the shape
+// of the merge check's largest unions.
 func BenchmarkInvariant(b *testing.B) {
-	g := benchGraph(50, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Invariant(g)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"n=50", benchGraph(50, 1)},
+		{"ba600", gen.BarabasiAlbert(600, 2, 50, rand.New(rand.NewSource(1)))},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Invariant(c.g)
+			}
+		})
 	}
 }
 

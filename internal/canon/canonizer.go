@@ -102,10 +102,15 @@ type Canonizer struct {
 // the search only loses pruning power, never correctness.
 const maxGens = 512
 
+// traceSeed starts every trace hash (it is the FNV-1a 64-bit offset
+// basis). Canonical forms are the minimum leaf by trace, so changing it
+// would change every canonical code.
+const traceSeed = 14695981039346656037
+
 // traceMix is the cheap multiply–xorshift combiner for trace hashes: the
 // trace only steers pruning (code comparison decides identity), and it is
-// recomputed at every search node, so one multiply beats fnvMix's
-// byte-at-a-time loop. Both sides of an isomorphism mix identical
+// recomputed at every search node, so one multiply beats a full
+// finalizer like mix64. Both sides of an isomorphism mix identical
 // invariant values, so any deterministic combiner preserves correctness.
 func traceMix(h, x uint64) uint64 {
 	h = (h ^ x) * 0x9e3779b97f4a7c15
@@ -244,7 +249,7 @@ func (c *Canonizer) pushCell(s int32) {
 // which the leaf-depth rules in search tolerate) equal shapes.
 func (c *Canonizer) refine() uint64 {
 	g := c.g
-	h := uint64(fnvOffset)
+	h := uint64(traceSeed)
 	for c.qHead < len(c.queue) {
 		s := c.queue[c.qHead]
 		c.qHead++

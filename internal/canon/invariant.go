@@ -14,19 +14,20 @@ package canon
 
 import "repro/internal/graph"
 
-// fnv64 constants for inline hashing without allocation.
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+// golden is the 64-bit golden-ratio increment of splitmix64. Adding it
+// before mix64 keeps a zero color from hashing to zero, which would make
+// it vanish from every neighbour sum.
+const golden = 0x9e3779b97f4a7c15
 
-func fnvMix(h uint64, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= fnvPrime
-		x >>= 8
-	}
-	return h
+// mix64 is splitmix64's finalizer: a bijection on 64-bit words whose
+// output bits each depend on every input bit. It is the one word mixer
+// behind refinement colors and Invariant.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // Invariant returns an isomorphism-invariant 64-bit hash of the labeled
@@ -45,7 +46,12 @@ func Invariant(g *graph.Graph) uint64 {
 
 // refinementRounds picks enough WL rounds to stabilize small patterns:
 // diameter-many rounds suffice; log2(n)+2 is a safe, cheap bound for the
-// pattern sizes the miners handle.
+// pattern sizes the miners handle. The count is part of the refinement's
+// contract: after each round the colors partition the vertices exactly as
+// the reference kernel's do (sorted neighbour lists hashed bytewise, kept
+// in internal/spidermine/refine_ref_test.go). On a graph still splitting
+// at the last round, one round more or fewer changes that partition, and
+// with it the mappings MapColored finds.
 func refinementRounds(n int) int {
 	r := 2
 	for m := n; m > 1; m >>= 1 {
@@ -58,9 +64,10 @@ func refinementRounds(n int) int {
 }
 
 // VertexColors runs the same refinement as Invariant and returns the final
-// per-vertex colors (freshly allocated — safe to retain). Used by the
-// canonical-code search to seed its initial partition and by spider-set
-// signatures.
+// per-vertex colors (freshly allocated — safe to retain). Only their
+// partition is meaningful: two vertices share a color exactly when
+// refinement cannot tell them apart. The harmful-overlap support measure
+// (internal/support) uses it to approximate automorphism orbits.
 func VertexColors(g *graph.Graph) []uint64 {
 	s := isoPool.Get().(*Iso)
 	s.ca = s.refine(g, s.ca)

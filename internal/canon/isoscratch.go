@@ -19,7 +19,7 @@ import (
 // invalidated by the next call that writes it. Callers that retain
 // results must copy them.
 type Iso struct {
-	next, buf []uint64 // refinement ping-pong buffer + neighbor-color sort buffer
+	next, hc  []uint64 // refinement ping-pong buffer + per-round color hashes
 	ca, cb    []uint64 // per-side vertex colors; ca is also Invariant's
 	fa, fb    []uint64 // per-side sorted color multisets; fa is also Invariant's
 	sa, sb    []uint64 // label/degree profile scratch
@@ -43,41 +43,44 @@ type colorVert struct {
 
 var isoPool = sync.Pool{New: func() any { return new(Iso) }}
 
+// growU64 returns b resliced to n, grown the way append grows, so an Iso
+// that meets ever larger graphs reallocates O(log n) times.
 func growU64(b []uint64, n int) []uint64 {
-	if cap(b) < n {
-		return make([]uint64, n)
-	}
-	return b[:n]
+	return slices.Grow(b[:0], n)[:n]
 }
 
-// refine runs the WL color refinement of Invariant into dst (grown as
-// needed) and returns it. The result is identical to the historical
-// VertexColors output.
+// refine runs the WL color refinement behind Invariant into dst (grown as
+// needed) and returns it. Each round hashes every vertex's color once
+// with mix64, sums each vertex's neighbour hashes by wrapping addition (a
+// multiset hash: XOR would cancel a color seen twice), and mixes that sum
+// with the vertex's own color, so no round sorts or loops over bytes.
+// Like the reference kernel's, each new color is a function of the old
+// color and the multiset of neighbour colors that is injective up to
+// 64-bit collisions, so after every round the colors split the vertices
+// into the same classes. Only that partition is promised: color values
+// are derived state that nothing may persist or order by.
 func (s *Iso) refine(g *graph.Graph, dst []uint64) []uint64 {
 	n := g.N()
 	dst = growU64(dst, n)
 	s.next = growU64(s.next, n)
-	colors, next := dst, s.next
-	for v := 0; v < n; v++ {
-		colors[v] = fnvMix(fnvOffset, uint64(g.Label(graph.V(v))))
+	s.hc = growU64(s.hc, n)
+	colors, next, hc := dst, s.next, s.hc
+	for v := range colors {
+		colors[v] = uint64(g.Label(graph.V(v)))
 	}
-	buf := s.buf[:0]
 	for r := refinementRounds(n); r > 0; r-- {
-		for v := 0; v < n; v++ {
-			buf = buf[:0]
+		for v, c := range colors {
+			hc[v] = mix64(c + golden)
+		}
+		for v, c := range colors {
+			var sum uint64
 			for _, w := range g.Neighbors(graph.V(v)) {
-				buf = append(buf, colors[w])
+				sum += hc[w]
 			}
-			slices.Sort(buf)
-			h := fnvMix(fnvOffset, colors[v])
-			for _, c := range buf {
-				h = fnvMix(h, c)
-			}
-			next[v] = h
+			next[v] = mix64(c ^ sum)
 		}
 		colors, next = next, colors
 	}
-	s.buf = buf
 	if n > 0 && &colors[0] != &dst[0] {
 		copy(dst, colors)
 	}
@@ -95,17 +98,12 @@ func sortedCopy(dst, src []uint64) []uint64 {
 // The per-vertex colors and their sorted multiset it computes stay
 // available through Colors.
 func (s *Iso) Invariant(g *graph.Graph) uint64 {
-	n := g.N()
-	if n == 0 {
-		s.ca, s.fa = s.ca[:0], s.fa[:0]
-		return fnvOffset
-	}
 	s.ca = s.refine(g, s.ca)
 	s.fa = sortedCopy(s.fa, s.ca)
-	h := fnvMix(fnvOffset, uint64(n))
-	h = fnvMix(h, uint64(g.M()))
+	h := mix64(uint64(g.N()) + golden)
+	h = mix64(h ^ uint64(g.M()))
 	for _, c := range s.fa {
-		h = fnvMix(h, c)
+		h = mix64(h ^ c)
 	}
 	return h
 }

@@ -88,51 +88,53 @@ func AppendMergedEdges(dst, a, b []Edge) []Edge {
 	return append(dst, b[j:]...)
 }
 
-// SubgraphScratch rebuilds edge subgraphs of a host in place: the
-// endpoint table is host-sized and epoch-stamped, and the subgraph's
-// arrays are reused, so a warm rebuild allocates nothing. Hot loops (the
-// miner's merge check builds one union subgraph per candidate embedding
-// pair) hold one per worker. The zero value is ready to use; a
-// SubgraphScratch is not safe for concurrent use.
+// AppendMergedVerts appends the union of a and b to dst and returns the
+// extended slice. Both inputs must be ascending and duplicate-free; one
+// linear merge then yields the ascending duplicate-free union.
+func AppendMergedVerts(dst, a, b []V) []V {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		case a[i] > b[j]:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// SubgraphScratch rebuilds edge subgraphs of a host in place: a
+// host-sized table renumbers endpoints in O(1), and the subgraph's arrays
+// are reused, so a warm rebuild allocates nothing. Hot loops (the miner's
+// merge check builds one union subgraph per candidate embedding pair)
+// hold one per worker. The zero value is ready to use; a SubgraphScratch
+// is not safe for concurrent use.
 type SubgraphScratch struct {
 	g     Graph
-	stamp []uint32 // per host vertex: the epoch that last saw it
-	id    []V      // per host vertex: its subgraph id, valid when stamped this epoch
-	epoch uint32
-	verts []V    // subgraph id -> host vertex
+	id    []V    // per host vertex: its subgraph id, valid for the current call's verts
 	edges []Edge // edges renumbered into subgraph ids
 }
 
 // OfSortedEdges rebuilds the scratch graph as the subgraph of host made
-// of exactly the given edges and their endpoints, and returns it with the
-// new→original vertex map, both equal to host.SubgraphOfEdges(edges).
+// of exactly the given edges and their endpoints, and returns it: the
+// graph host.SubgraphOfEdges(edges) returns, whose vertex map is verts.
 // The edges must be sorted by (U, W), duplicate-free and have U < W, as
-// AppendMergedEdges leaves them. Both results alias the scratch and are
-// overwritten by the next call: Clone the graph and copy the map to keep
-// them.
-func (s *SubgraphScratch) OfSortedEdges(host *Graph, edges []Edge) (*Graph, []V) {
-	if len(s.stamp) < host.N() {
-		s.stamp = make([]uint32, host.N())
+// AppendMergedEdges leaves them; verts must be exactly their endpoints,
+// ascending, as AppendMergedVerts leaves two such lists. The graph
+// aliases the scratch and is overwritten by the next call: Clone it to
+// keep it.
+func (s *SubgraphScratch) OfSortedEdges(host *Graph, verts []V, edges []Edge) *Graph {
+	if len(s.id) < host.N() {
 		s.id = make([]V, host.N())
-		s.epoch = 0
 	}
-	s.epoch++
-	if s.epoch == 0 { // wrapped: a stale stamp could equal the new epoch
-		clear(s.stamp)
-		s.epoch = 1
-	}
-	verts := s.verts[:0]
-	for _, e := range edges {
-		if s.stamp[e.U] != s.epoch {
-			s.stamp[e.U] = s.epoch
-			verts = append(verts, e.U)
-		}
-		if s.stamp[e.W] != s.epoch {
-			s.stamp[e.W] = s.epoch
-			verts = append(verts, e.W)
-		}
-	}
-	slices.Sort(verts)
 	for i, v := range verts {
 		s.id[v] = V(i)
 	}
@@ -148,8 +150,8 @@ func (s *SubgraphScratch) OfSortedEdges(host *Graph, edges []Edge) (*Graph, []V)
 		g.labels[i] = host.labels[v]
 	}
 	g.fillCSR(rel)
-	s.verts, s.edges = verts, rel
-	return g, verts
+	s.edges = rel
+	return g
 }
 
 func cmpEdge(a, b Edge) int {

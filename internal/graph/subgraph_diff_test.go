@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -24,11 +23,12 @@ func randomSortedEdges(rng *rand.Rand, g *Graph, k int) []Edge {
 	return out
 }
 
-// TestSubgraphScratchMatchesSubgraphOfEdges: one reused SubgraphScratch
-// rebuilds, over unions of growing and shrinking size, exactly the graph
-// and vertex map SubgraphOfEdges builds: labels, offsets, neighbors,
-// sketches, and a label index that reflects the new contents although the
-// previous one was forced before the rebuild.
+// TestSubgraphScratchMatchesSubgraphOfEdges: one reused SubgraphScratch,
+// given the vertex map SubgraphOfEdges returns, rebuilds over unions of
+// growing and shrinking size exactly the graph SubgraphOfEdges builds:
+// labels, offsets, neighbors, sketches, and a label index that reflects
+// the new contents although the previous one was forced before the
+// rebuild.
 func TestSubgraphScratchMatchesSubgraphOfEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rounds := 400
@@ -48,14 +48,11 @@ func TestSubgraphScratchMatchesSubgraphOfEdges(t *testing.T) {
 		if r > 0 {
 			sc.g.ensureLabelIndex() // a stale index must not survive the rebuild
 		}
-		got, gotVerts := sc.OfSortedEdges(host, edges)
-		want, wantVerts := host.SubgraphOfEdges(edges)
+		want, verts := host.SubgraphOfEdges(edges)
+		got := sc.OfSortedEdges(host, verts, edges)
 		sameGraph(t, got, want)
 		if !slices.Equal(got.offs, want.offs) || !slices.Equal(got.nbrs, want.nbrs) {
 			t.Fatalf("round %d: CSR arrays differ: offs %v vs %v", r, got.offs, want.offs)
-		}
-		if !slices.Equal(gotVerts, wantVerts) {
-			t.Fatalf("round %d: vertex map %v, want %v", r, gotVerts, wantVerts)
 		}
 		if got.NumLabels() != want.NumLabels() {
 			t.Fatalf("round %d: NumLabels %d, want %d", r, got.NumLabels(), want.NumLabels())
@@ -71,46 +68,25 @@ func TestSubgraphScratchMatchesSubgraphOfEdges(t *testing.T) {
 	}
 }
 
-// TestSubgraphScratchEpochWrap: the endpoint table stays correct when the
-// epoch counter wraps around. The first rebuild stamps its endpoints with
-// epoch 1; the wrapping rebuild takes the same edges, so a stamp surviving
-// the wrap would hide every endpoint.
-func TestSubgraphScratchEpochWrap(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	host := randomGraph(rng, 40, 120)
-	first := randomSortedEdges(rng, host, 10)
-	var sc SubgraphScratch
-	sc.OfSortedEdges(host, first)
-	sc.epoch = math.MaxUint32
-	for r := 0; r < 6; r++ {
-		edges := first
-		if r > 0 {
-			edges = randomSortedEdges(rng, host, 1+rng.Intn(20))
-		}
-		got, gotVerts := sc.OfSortedEdges(host, edges)
-		want, wantVerts := host.SubgraphOfEdges(edges)
-		sameGraph(t, got, want)
-		if !slices.Equal(gotVerts, wantVerts) {
-			t.Fatalf("round %d (epoch %d): vertex map %v, want %v", r, sc.epoch, gotVerts, wantVerts)
-		}
-	}
-}
-
 // TestSubgraphScratchWarmNoAlloc: a warm rebuild no larger than an
 // earlier one allocates nothing.
 func TestSubgraphScratchWarmNoAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	host := randomGraph(rng, 60, 200)
 	edges := randomSortedEdges(rng, host, 40)
+	_, verts := host.SubgraphOfEdges(edges)
+	_, fewer := host.SubgraphOfEdges(edges[:25])
 	var sc SubgraphScratch
-	sc.OfSortedEdges(host, edges)
-	if allocs := testing.AllocsPerRun(50, func() { sc.OfSortedEdges(host, edges[:25]) }); allocs != 0 {
+	sc.OfSortedEdges(host, verts, edges)
+	if allocs := testing.AllocsPerRun(50, func() { sc.OfSortedEdges(host, fewer, edges[:25]) }); allocs != 0 {
 		t.Errorf("warm OfSortedEdges allocates %.1f/op, want 0", allocs)
 	}
 }
 
 // TestAppendMergedEdgesMatchesSortCompact: the linear merge of two sorted
-// duplicate-free lists equals concatenating, sorting and compacting them.
+// duplicate-free lists equals concatenating, sorting and compacting them,
+// for edge lists (AppendMergedEdges) and for their endpoint lists
+// (AppendMergedVerts).
 func TestAppendMergedEdgesMatchesSortCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	rounds := 2000
@@ -128,6 +104,13 @@ func TestAppendMergedEdgesMatchesSortCompact(t *testing.T) {
 		got := AppendMergedEdges(slices.Clone(prefix), a, b)
 		if !slices.Equal(got[:1], prefix) || !slices.Equal(got[1:], want) {
 			t.Fatalf("round %d: merge(%v, %v) = %v, want %v after the prefix", r, a, b, got, want)
+		}
+		_, va := host.SubgraphOfEdges(a)
+		_, vb := host.SubgraphOfEdges(b)
+		wantV := slices.Compact(slices.Sorted(slices.Values(append(slices.Clone(va), vb...))))
+		gotV := AppendMergedVerts([]V{7}, va, vb)
+		if gotV[0] != 7 || !slices.Equal(gotV[1:], wantV) {
+			t.Fatalf("round %d: merge(%v, %v) = %v, want %v after the prefix", r, va, vb, gotV, wantV)
 		}
 	}
 }
@@ -147,7 +130,9 @@ func randomTree(rng *rand.Rand, n int) *Graph {
 
 // TestDiameterAtMostMatchesDiameter: DiameterAtMost(d) equals
 // IsConnected() && Diameter() <= d on random graphs, connected and
-// disconnected, at every threshold from below 0 to past the diameter.
+// disconnected, at every threshold from below 0 to past the diameter,
+// through the pooled Graph method and through one BFS reused across
+// graphs of every size, as the miner's worker scratch holds it.
 func TestDiameterAtMostMatchesDiameter(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	rounds := 600
@@ -155,6 +140,7 @@ func TestDiameterAtMostMatchesDiameter(t *testing.T) {
 		rounds = 100
 	}
 	connected, disconnected := 0, 0
+	var bfs BFS
 	for r := 0; r < rounds; r++ {
 		n := 1 + rng.Intn(25)
 		// Sparse draws are often disconnected, dense ones connected; every
@@ -170,8 +156,13 @@ func TestDiameterAtMostMatchesDiameter(t *testing.T) {
 			disconnected++
 		}
 		for d := -1; d <= diam+2; d++ {
-			if got, want := g.DiameterAtMost(d), conn && diam <= d; got != want {
+			want := conn && diam <= d
+			if got := g.DiameterAtMost(d); got != want {
 				t.Fatalf("round %d (n=%d m=%d connected=%v diameter=%d): DiameterAtMost(%d) = %v, want %v",
+					r, g.N(), g.M(), conn, diam, d, got, want)
+			}
+			if got := bfs.DiameterAtMost(g, d); got != want {
+				t.Fatalf("round %d (n=%d m=%d connected=%v diameter=%d): reused BFS DiameterAtMost(%d) = %v, want %v",
 					r, g.N(), g.M(), conn, diam, d, got, want)
 			}
 		}

@@ -1,23 +1,33 @@
 package graph
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
-// bfsScratch holds reusable BFS state. Eccentricity and Diameter run on
-// every boundary vertex of every growth step, so allocating dist+queue per
-// call dominated whole-pipeline profiles; a pool keeps steady-state BFS
-// allocation-free.
-type bfsScratch struct {
+// BFS is reusable breadth-first-search scratch: the distance and queue
+// buffers, plus DiameterAtMost's eccentricity bounds. Eccentricity,
+// DiameterAtMost and the boundary search (AppendAtDistance) run on every
+// boundary vertex of every growth step and on every merge union, so hot
+// loops hold one BFS per worker (the miner's grow and merge scratch) and
+// never allocate for them. Graph.Eccentricity and Graph.DiameterAtMost
+// borrow one from a sync.Pool. The zero value is ready to use; a BFS is
+// not safe for concurrent use.
+type BFS struct {
 	dist  []int32
 	queue []V
 	ub    []int32 // DiameterAtMost's per-vertex eccentricity upper bounds
 }
 
-var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
+var bfsPool = sync.Pool{New: func() any { return new(BFS) }}
 
-func (s *bfsScratch) reset(n int) {
+func (s *BFS) reset(n int) {
 	if cap(s.dist) < n {
-		s.dist = make([]int32, n)
-		s.queue = make([]V, 0, n)
+		// Grow the way append does, so scratch that meets ever larger
+		// graphs (a worker's, across one mine) reallocates O(log n)
+		// times, not once per new size.
+		s.dist = slices.Grow(s.dist[:0], n)
+		s.queue = slices.Grow(s.queue[:0], n)
 	}
 	s.dist = s.dist[:n]
 	for i := range s.dist {
@@ -28,7 +38,7 @@ func (s *bfsScratch) reset(n int) {
 
 // bfs runs a BFS from src into the scratch's dist array (-1 = unreached)
 // and returns the maximum distance reached.
-func (g *Graph) bfs(s *bfsScratch, src V) int32 {
+func (g *Graph) bfs(s *BFS, src V) int32 {
 	s.reset(g.N())
 	s.dist[src] = 0
 	s.queue = append(s.queue, src)
@@ -57,7 +67,7 @@ func (g *Graph) BFSFrom(src V) []int {
 	if int(src) >= g.N() || src < 0 {
 		return dist
 	}
-	s := bfsPool.Get().(*bfsScratch)
+	s := bfsPool.Get().(*BFS)
 	g.bfs(s, src)
 	for i, d := range s.dist {
 		dist[i] = int(d)
@@ -66,22 +76,20 @@ func (g *Graph) BFSFrom(src V) []int {
 	return dist
 }
 
-// AppendAtDistance appends to dst the vertices at exactly distance d from
-// src, in ascending vertex order, and returns the extended slice. The BFS
-// state is pooled, so steady-state calls allocate only if dst must grow —
-// this is the growth loop's boundary computation (pattern.AppendBoundary).
-func (g *Graph) AppendAtDistance(dst []V, src V, d int) []V {
+// AppendAtDistance appends to dst the vertices of g at exactly distance d
+// from src, in ascending vertex order, and returns the extended slice.
+// Warm calls allocate only if dst must grow — this is the growth loop's
+// boundary computation (pattern.AppendBoundary).
+func (s *BFS) AppendAtDistance(g *Graph, dst []V, src V, d int) []V {
 	if int(src) >= g.N() || src < 0 {
 		return dst
 	}
-	s := bfsPool.Get().(*bfsScratch)
 	g.bfs(s, src)
 	for v, dv := range s.dist {
 		if int(dv) == d {
 			dst = append(dst, V(v))
 		}
 	}
-	bfsPool.Put(s)
 	return dst
 }
 
@@ -107,15 +115,21 @@ func (g *Graph) BFSWithin(src V, r int) map[V]int {
 }
 
 // Eccentricity returns the maximum shortest-path distance from v to any
-// vertex reachable from v. Returns 0 for isolated vertices.
+// vertex reachable from v. Returns 0 for isolated vertices. The BFS state
+// is pooled; hot loops hold their own BFS and call (*BFS).Eccentricity.
 func (g *Graph) Eccentricity(v V) int {
+	s := bfsPool.Get().(*BFS)
+	ecc := s.Eccentricity(g, v)
+	bfsPool.Put(s)
+	return ecc
+}
+
+// Eccentricity is the scratch-backed form of Graph.Eccentricity.
+func (s *BFS) Eccentricity(g *Graph, v V) int {
 	if int(v) >= g.N() || v < 0 {
 		return 0
 	}
-	s := bfsPool.Get().(*bfsScratch)
-	ecc := g.bfs(s, v)
-	bfsPool.Put(s)
-	return int(ecc)
+	return int(g.bfs(s, v))
 }
 
 // Diameter returns the diameter of the graph: the maximum eccentricity over
@@ -124,7 +138,7 @@ func (g *Graph) Eccentricity(v V) int {
 // for patterns and test graphs, not massive inputs — use
 // EffectiveDiameter for those.
 func (g *Graph) Diameter() int {
-	s := bfsPool.Get().(*bfsScratch)
+	s := bfsPool.Get().(*BFS)
 	var diam int32
 	for v := 0; v < g.N(); v++ {
 		if e := g.bfs(s, V(v)); e > diam {
@@ -145,7 +159,7 @@ func (g *Graph) RadiusFrom(v V, r int) bool {
 	if int(v) >= g.N() || v < 0 {
 		return false
 	}
-	s := bfsPool.Get().(*bfsScratch)
+	s := bfsPool.Get().(*BFS)
 	ecc := g.bfs(s, v)
 	reached := len(s.queue)
 	bfsPool.Put(s)
@@ -240,7 +254,7 @@ func (g *Graph) IsConnected() bool {
 	if n == 0 {
 		return true
 	}
-	s := bfsPool.Get().(*bfsScratch)
+	s := bfsPool.Get().(*BFS)
 	g.bfs(s, 0)
 	reached := len(s.queue)
 	bfsPool.Put(s)
@@ -256,14 +270,21 @@ func (g *Graph) IsConnected() bool {
 // not yet bounded by d get a BFS of their own, and the first one
 // exceeding d rejects: every BFS from u bounds each ecc(v) by
 // dist(u, v) + ecc(u). Merge and growth checks only ever need the
-// threshold comparison, never the exact diameter.
+// threshold comparison, never the exact diameter. The BFS state is
+// pooled; hot loops hold their own BFS and call (*BFS).DiameterAtMost.
 func (g *Graph) DiameterAtMost(d int) bool {
+	s := bfsPool.Get().(*BFS)
+	ok := s.DiameterAtMost(g, d)
+	bfsPool.Put(s)
+	return ok
+}
+
+// DiameterAtMost is the scratch-backed form of Graph.DiameterAtMost.
+func (s *BFS) DiameterAtMost(g *Graph, d int) bool {
 	n := g.N()
 	if n == 0 {
 		return true
 	}
-	s := bfsPool.Get().(*bfsScratch)
-	defer bfsPool.Put(s)
 	ecc := g.bfs(s, 0)
 	if len(s.queue) != n || int(ecc) > d {
 		return false

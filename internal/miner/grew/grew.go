@@ -10,6 +10,7 @@ package grew
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/canon"
@@ -97,21 +98,24 @@ func MineContext(ctx context.Context, g *graph.Graph, cfg Config) ([]Result, err
 			}
 			conns[ck] = append(conns[ck], e)
 		}
-		// Order connection types by decreasing frequency (then key) and
-		// contract greedily; each instance participates in at most one
-		// merge per round (vertex-disjointness).
+		// Order connection types by decreasing frequency, then by their
+		// first host edge (each edge has one type, so this order is total
+		// and never reads the kinds' hash values), and contract greedily;
+		// each instance participates in at most one merge per round
+		// (vertex-disjointness).
 		keys := make([]connKey, 0, len(conns))
 		for k := range conns {
 			keys = append(keys, k)
 		}
 		sort.Slice(keys, func(i, j int) bool {
-			if len(conns[keys[i]]) != len(conns[keys[j]]) {
-				return len(conns[keys[i]]) > len(conns[keys[j]])
+			ei, ej := conns[keys[i]], conns[keys[j]]
+			if len(ei) != len(ej) {
+				return len(ei) > len(ej)
 			}
-			if keys[i].a != keys[j].a {
-				return keys[i].a < keys[j].a
+			if ei[0].U != ej[0].U {
+				return ei[0].U < ej[0].U
 			}
-			return keys[i].b < keys[j].b
+			return ei[0].W < ej[0].W
 		})
 		mergedAny := false
 		usedInstance := make(map[int]bool)
@@ -198,11 +202,17 @@ func MineContext(ctx context.Context, g *graph.Graph, cfg Config) ([]Result, err
 		}
 		out = append(out, Result{P: pattern.New(repr, embs), Instances: len(embs)})
 	}
+	// Largest first, then most instances, then by the smallest host
+	// vertex of the first instance: instances are vertex-disjoint, so the
+	// order is total and map iteration above cannot reach it.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].P.Size() != out[j].P.Size() {
 			return out[i].P.Size() > out[j].P.Size()
 		}
-		return out[i].Instances > out[j].Instances
+		if out[i].Instances != out[j].Instances {
+			return out[i].Instances > out[j].Instances
+		}
+		return slices.Min(out[i].P.Emb[0]) < slices.Min(out[j].P.Emb[0])
 	})
 	return out, ctxErr
 }

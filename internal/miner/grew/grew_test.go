@@ -1,6 +1,8 @@
 package grew
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
@@ -103,5 +105,32 @@ func TestGrewEmptyGraph(t *testing.T) {
 	b := graph.NewBuilder(0, 0)
 	if res := Mine(b.Build(), Config{}); len(res) != 0 {
 		t.Fatal("patterns from empty graph")
+	}
+}
+
+// TestGrewDeterministic: mining one host repeatedly returns the same
+// results in the same order. Neither Go map order nor invariant hash
+// values may decide between tied results (equal size and instance count)
+// or between equally frequent connection types.
+func TestGrewDeterministic(t *testing.T) {
+	seeds := 5
+	if testing.Short() {
+		seeds = 2
+	}
+	encode := func(res []Result) string {
+		var s string
+		for _, r := range res {
+			s += fmt.Sprintf("%d %v %v %v;", r.Instances, r.P.G.Edges(), r.P.G.Labels(), r.P.Emb)
+		}
+		return s
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		g := gen.BarabasiAlbert(600, 2, 6, rand.New(rand.NewSource(seed)))
+		first := encode(Mine(g, Config{MinSupport: 2}))
+		for i := 1; i < 20; i++ {
+			if got := encode(Mine(g, Config{MinSupport: 2})); got != first {
+				t.Fatalf("host seed %d: mine %d returned different results than mine 0", seed, i)
+			}
+		}
 	}
 }

@@ -156,22 +156,22 @@ func (p *Pattern) DedupeEmbeddings() int {
 // boundary is every vertex (merged patterns grow from their whole rim).
 // Vertices are returned sorted, matching the paper's lexicographic queue.
 func (p *Pattern) Boundary(radius int) []graph.V {
-	return p.AppendBoundary(nil, radius)
+	return p.AppendBoundary(new(graph.BFS), nil, radius)
 }
 
 // AppendBoundary is Boundary into caller-owned scratch: the boundary
 // vertices (ascending) are appended to dst and the extended slice
-// returned. The growth loop reuses one buffer per worker this way; the
-// BFS behind it is pooled (graph.AppendAtDistance), so warm calls only
-// allocate if dst must grow.
-func (p *Pattern) AppendBoundary(dst []graph.V, radius int) []graph.V {
+// returned, and the BFS behind them runs in s. The growth loop reuses one
+// buffer and one BFS per worker this way, so warm calls only allocate if
+// dst must grow.
+func (p *Pattern) AppendBoundary(s *graph.BFS, dst []graph.V, radius int) []graph.V {
 	if p.Origin < 0 {
 		for i := 0; i < p.NV(); i++ {
 			dst = append(dst, graph.V(i))
 		}
 		return dst
 	}
-	return p.G.AppendAtDistance(dst, p.Origin, radius)
+	return s.AppendAtDistance(p.G, dst, p.Origin, radius)
 }
 
 // UsesHostVertex reports whether any embedding of p covers hv, and returns

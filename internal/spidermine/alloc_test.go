@@ -35,11 +35,10 @@ func TestGrowScratchWarmNoAlloc(t *testing.T) {
 
 // TestGrowScratchWarmGrowPattern: a full warm growPattern pass on a
 // pattern whose every boundary extension fails must also be
-// allocation-free (boundary buffer + per-vertex scratch reuse).
+// allocation-free (boundary buffer + per-vertex scratch reuse). The
+// boundary BFS runs in the worker's own scratch, never in a sync.Pool,
+// so this holds under -race too, where pools drop items at random.
 func TestGrowScratchWarmGrowPattern(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool randomly drops items under -race; the pooled BFS boundary scratch then reallocates")
-	}
 	g := growHost()
 	m := minerFor(g, Config{MinSupport: 3, Dmax: 6})
 	pg := graph.FromEdges([]graph.Label{9, 1}, []graph.Edge{{U: 0, W: 1}})
@@ -62,14 +61,12 @@ func TestGrowScratchWarmGrowPattern(t *testing.T) {
 
 // TestMergeScratchWarmNoAlloc pins scratch reuse in the merge engine: a
 // warm tryMerge over a candidate group whose unions all either repeat an
-// earlier union or fail Dmax must not allocate. The sorted parent images,
-// the merged union, the union-hash set, the in-place union subgraph and
-// the BFS are all length-reset or pooled; only a union that founds a
-// bucket (a clone) or joins one (a retained embedding) may allocate.
+// earlier union or fail Dmax must not allocate. The prepared parent
+// images and their per-embedding index, the merged union, the union-hash
+// set, the in-place union subgraph and the BFS are all length-reset
+// worker scratch; only a union that founds a bucket (a clone) or joins
+// one (a retained embedding) may allocate.
 func TestMergeScratchWarmNoAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool randomly drops items under -race; the pooled BFS scratch then reallocates")
-	}
 	// Host: a labeled path 0-1-...-8. Both parents are 3-vertex paths, so
 	// every union of two overlapping images is a 5-vertex path of
 	// diameter 4, beyond Dmax = 3.

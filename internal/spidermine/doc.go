@@ -39,20 +39,25 @@
 //     may be referenced by retained output — anything that survives the
 //     call is copied out (e.g. merge winners copy their embedding lists
 //     out of the pooled buckets).
-//   - Merge scratch (mergeScratch, one per worker): each candidate union
-//     costs one pass of each kind. The parents' host images are sorted
-//     (pa's once per distinct embedding, since a group's candidates are
-//     sorted by (ea, eb)) and merged linearly (graph.AppendMergedEdges);
+//   - Merge scratch (mergeScratch, one per worker): building a candidate
+//     union sorts nothing. Each parent image is prepared once per distinct
+//     embedding per tryMerge call — its edges sorted and its endpoints
+//     sorted — pa's per run of equal ea (a group's candidates are sorted
+//     by (ea, eb)) and pb's kept for the whole call behind a per-embedding
+//     index that is cleared on entry, not a map. A union is then two
+//     linear merges (graph.AppendMergedEdges, graph.AppendMergedVerts);
 //     the union subgraph is rebuilt in place in a graph.SubgraphScratch,
-//     whose host-sized epoch-stamped endpoint table renumbers endpoints
-//     in O(1) and whose CSR fill is the one Builder.Build uses; a single
-//     DiameterAtMost pass checks connectivity and Dmax together; and the
-//     union is WL-refined once (canon.Iso.Invariant), its colors reused
-//     for every bucket comparison (canon.Iso.MapColored). A bucket keeps
-//     the colors of the union that founded it, so its representative is
-//     never refined again, and a union is cloned only when it founds a
-//     bucket. A warm tryMerge whose unions all repeat or fail Dmax
-//     allocates nothing (TestMergeScratchWarmNoAlloc).
+//     whose host-sized table renumbers the given endpoints in O(1) and
+//     whose CSR fill is the one Builder.Build uses; a single
+//     DiameterAtMost pass in the worker's own graph.BFS checks
+//     connectivity and Dmax together; and the union is WL-refined once
+//     (canon.Iso.Invariant, sort-free), its colors reused for every
+//     bucket comparison (canon.Iso.MapColored). A bucket keeps the colors
+//     of the union that founded it, so its representative is never
+//     refined again, and a union is cloned only when it founds a bucket.
+//     A warm tryMerge whose unions all repeat or fail Dmax allocates
+//     nothing (TestMergeScratchWarmNoAlloc), under -race as well: warm
+//     growth and merge never borrow from a sync.Pool.
 //   - Worker-indexed accumulators (par.Slots): progress flags, iso-run
 //     counters, and item-indexed merge results, zero-filled on For and
 //     reduced in item order after each join, preserving the PR 2

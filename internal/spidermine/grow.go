@@ -55,7 +55,7 @@ func (m *Miner) growAll(ws []*grown) (bool, error) {
 //     vertices are added; the interior of P is untouched.
 func (m *Miner) growPattern(w *grown, sc *growScratch) bool {
 	p := w.p
-	sc.boundary = p.AppendBoundary(sc.boundary[:0], w.radius)
+	sc.boundary = p.AppendBoundary(&sc.bfs, sc.boundary[:0], w.radius)
 	grewAny := false
 	for _, b := range sc.boundary {
 		if int(b) >= p.NV() {
@@ -122,12 +122,14 @@ func incrCount(lcs []labCount, l graph.Label) []labCount {
 // epoch-stamped host-vertex set (no clearing between embeddings, just a
 // new epoch); everything else is reused buffers truncated per call, so a
 // warm growth pass allocates only what the grown pattern retains (its new
-// graph and embedding storage).
+// graph and embedding storage). The boundary search, the eccentricity
+// guard and the diameter check all run in bfs, never in pooled scratch.
 type growScratch struct {
 	mark  []int32
 	epoch int32
 
 	boundary []graph.V
+	bfs      graph.BFS
 
 	// Availability table, rebuilt per extendAt call: per-embedding runs of
 	// label groups (gOff offsets into groups) whose candidate vertices are
@@ -176,7 +178,7 @@ func (m *Miner) extendAt(p *pattern.Pattern, b graph.V, sc *growScratch) bool {
 	// max(diam, ecc(b)+1, 2); never grow past Dmax (Definition 2 demands
 	// diam(P) <= Dmax, so growth in that direction cannot lead to a valid
 	// result pattern).
-	eccB := p.G.Eccentricity(b)
+	eccB := sc.bfs.Eccentricity(p.G, b)
 	if eccB+1 > m.cfg.Dmax {
 		return false
 	}
@@ -329,7 +331,7 @@ func (m *Miner) extendAt(p *pattern.Pattern, b graph.V, sc *growScratch) bool {
 	// sufficient once several boundary vertices have grown this pass).
 	// For very large patterns the O(V·(V+E)) exact check is deferred to
 	// the final top-K filter; the ecc guard alone bounds overshoot to +1.
-	if newG.N() <= 256 && !newG.DiameterAtMost(m.cfg.Dmax) {
+	if newG.N() <= 256 && !sc.bfs.DiameterAtMost(newG, m.cfg.Dmax) {
 		return false
 	}
 

@@ -225,18 +225,52 @@ type mbucket struct {
 	embs           []pattern.Embedding
 }
 
-// mergeScratch is one worker's tryMerge state: the sorted host images of
-// the two parents' embeddings and their merged union, the union-hash
-// dedupe set, the in-place union subgraph, the bucket pool, and the
-// WL/isomorphism scratch. Owned by exactly one worker for the duration of
-// a merge wave.
+// mergeScratch is one worker's tryMerge state: the prepared host images
+// of the two parents' embeddings and their merged union, the union-hash
+// dedupe set, the in-place union subgraph, the BFS scratch, the bucket
+// pool, and the WL/isomorphism scratch. Owned by exactly one worker for
+// the duration of a merge wave.
+//
+// An image is prepared once per distinct embedding per call: its edges
+// sorted by (U, W) and its endpoints ascending. pa's current one lives in
+// edgesA/vertsA (a group's candidates are sorted by (ea, eb), so each ea
+// comes in one run). pb's are kept for the whole call: slotB[eb] is one
+// plus the index into spansB of eb's image in edgesB/vertsB, or zero
+// while eb is unprepared; tryMerge clears it on entry.
 type mergeScratch struct {
-	bufA, bufB []graph.Edge
-	unionBuf   []graph.Edge
+	edgesA     []graph.Edge
+	vertsA     []graph.V
+	slotB      []int32
+	spansB     []imageSpan
+	edgesB     []graph.Edge
+	vertsB     []graph.V
+	unionEdges []graph.Edge
+	unionVerts []graph.V
 	seenUnions map[[2]uint64]struct{}
 	sub        graph.SubgraphScratch
+	bfs        graph.BFS
 	buckets    []*mbucket
 	iso        canon.Iso
+}
+
+// imageSpan locates one prepared image in mergeScratch's flat pb buffers.
+type imageSpan struct{ e0, e1, v0, v1 int32 }
+
+// appendImage appends the host image of embedding e of pattern graph p:
+// its edges, sorted by (U, W), to edges, and their endpoints, ascending,
+// to verts. Building a union sorts nothing else, and tryMerge runs these
+// two sorts once per distinct parent embedding per call.
+func appendImage(edges []graph.Edge, verts []graph.V, p *graph.Graph, e pattern.Embedding) ([]graph.Edge, []graph.V) {
+	e0, v0 := len(edges), len(verts)
+	edges = canon.AppendMappedEdges(edges, p, canon.Mapping(e))
+	graph.SortEdges(edges[e0:])
+	for pv, hv := range e {
+		if p.Degree(graph.V(pv)) > 0 {
+			verts = append(verts, hv)
+		}
+	}
+	slices.Sort(verts[v0:])
+	return edges, verts
 }
 
 // tryMerge builds union subgraphs for each candidate embedding pair (the
@@ -245,9 +279,9 @@ type mergeScratch struct {
 // unassigned — the caller's ordered reduction numbers accepted merges).
 // Returns nil if no frequent merged structure exists.
 //
-// Each union costs one pass of each kind: a linear merge of the parents'
-// sorted images (pa's is sorted once per distinct embedding, since eps is
-// sorted by (ea, eb)), an in-place rebuild in sc.sub, one BFS pass that
+// Each union costs one pass of each kind, and building it sorts nothing:
+// a linear merge of the parents' prepared images (edges and endpoints;
+// see mergeScratch), an in-place rebuild in sc.sub, one BFS pass that
 // checks connectivity and Dmax together, and one WL refinement whose
 // colors also drive every bucket comparison. A union is cloned only when
 // it founds a bucket.
@@ -262,6 +296,12 @@ func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []mergeCand, sc *mergeScra
 	} else {
 		clear(sc.seenUnions)
 	}
+	if cap(sc.slotB) < len(pb.Emb) {
+		sc.slotB = make([]int32, len(pb.Emb))
+	}
+	sc.slotB = sc.slotB[:len(pb.Emb)]
+	clear(sc.slotB)
+	sc.spansB, sc.edgesB, sc.vertsB = sc.spansB[:0], sc.edgesB[:0], sc.vertsB[:0]
 	// used counts live buckets this call; entries beyond it are pool
 	// leftovers from earlier calls.
 	used := 0
@@ -273,28 +313,35 @@ func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []mergeCand, sc *mergeScra
 			continue
 		}
 		if pr.ea != lastA {
-			sc.bufA = canon.AppendMappedEdges(sc.bufA[:0], pa.G, canon.Mapping(pa.Emb[ea]))
-			graph.SortEdges(sc.bufA)
+			sc.edgesA, sc.vertsA = appendImage(sc.edgesA[:0], sc.vertsA[:0], pa.G, pa.Emb[ea])
 			lastA = pr.ea
 		}
-		sc.bufB = canon.AppendMappedEdges(sc.bufB[:0], pb.G, canon.Mapping(pb.Emb[eb]))
-		graph.SortEdges(sc.bufB)
+		if sc.slotB[eb] == 0 {
+			sp := imageSpan{e0: int32(len(sc.edgesB)), v0: int32(len(sc.vertsB))}
+			sc.edgesB, sc.vertsB = appendImage(sc.edgesB, sc.vertsB, pb.G, pb.Emb[eb])
+			sp.e1, sp.v1 = int32(len(sc.edgesB)), int32(len(sc.vertsB))
+			sc.spansB = append(sc.spansB, sp)
+			sc.slotB[eb] = int32(len(sc.spansB))
+		}
+		sp := sc.spansB[sc.slotB[eb]-1]
 		// Distinct embedding pairs routinely produce the same union edge
 		// set; skip a repeat on a 128-bit hash of the sorted union (see
 		// canon.HashEdges for the collision trade-off). A union's edge set
 		// is also the host image of the embedding it adds to its bucket,
 		// so every embedding a bucket gains is a distinct subgraph.
-		sc.unionBuf = graph.AppendMergedEdges(sc.unionBuf[:0], sc.bufA, sc.bufB)
-		uh := canon.HashEdges(sc.unionBuf)
+		sc.unionEdges = graph.AppendMergedEdges(sc.unionEdges[:0], sc.edgesA, sc.edgesB[sp.e0:sp.e1])
+		uh := canon.HashEdges(sc.unionEdges)
 		if _, dup := sc.seenUnions[uh]; dup {
 			continue
 		}
 		sc.seenUnions[uh] = struct{}{}
-		ug, verts := sc.sub.OfSortedEdges(m.g, sc.unionBuf)
+		verts := graph.AppendMergedVerts(sc.unionVerts[:0], sc.vertsA, sc.vertsB[sp.v0:sp.v1])
+		sc.unionVerts = verts
+		ug := sc.sub.OfSortedEdges(m.g, verts, sc.unionEdges)
 		// Merged patterns must be connected and respect the diameter
 		// bound; a union that exceeds Dmax cannot be a subgraph of a valid
 		// result pattern that this merge is meant to witness.
-		if !ug.DiameterAtMost(m.cfg.Dmax) {
+		if !sc.bfs.DiameterAtMost(ug, m.cfg.Dmax) {
 			continue
 		}
 
