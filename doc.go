@@ -227,6 +227,19 @@
 //     (canon.Iso.MapColored); and per-worker BFS scratch (graph.BFS) for
 //     all boundary, eccentricity and diameter work, so warm mining never
 //     borrows from a sync.Pool.
+//   - Stage I, growth and selection sort nothing per item. spider.StarMiner
+//     indexes by label rank (a label's index among the host's sorted
+//     distinct labels), never by label value, and extends a star with one
+//     walk over each host's sorted ranks, bucketing hosts by rank. Growth
+//     tallies leaf labels by their position in the head's frequent-leaf
+//     run; its eccentricity guard skips the BFS wherever a lower bound
+//     from an earlier BFS of the same pass already reaches Dmax
+//     (graph.BFS.EccentricityRaising; the bounds live for one pass only,
+//     since merges replace pattern graphs between passes); and it dedupes
+//     images by canon.ImageHash, an order-independent set hash, so growth
+//     never sorts an image. Selection and experiments.ExactTopK filter by
+//     the threshold test DiameterAtMost, which agrees with Diameter() on
+//     the connected patterns that reach them.
 //
 // # Pattern identity
 //

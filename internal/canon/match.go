@@ -35,16 +35,48 @@ func AppendImageKey(buf []byte, p *graph.Graph, m Mapping) []byte {
 	return buf
 }
 
-// ImageHash returns the 128-bit hash identifying the host subgraph image
-// of mapping m — the hash-keyed equivalent of ImageKey, for dedupe sets
-// that would otherwise materialize a string per probe (see HashEdges for
-// the collision trade-off). buf is caller-owned edge scratch, returned
-// grown for reuse across calls.
-func ImageHash(buf []graph.Edge, p *graph.Graph, m Mapping) ([2]uint64, []graph.Edge) {
-	edges := AppendMappedEdges(buf[:0], p, m)
-	graph.SortEdges(edges)
-	return HashEdges(edges), edges
+// ImageHash returns a 128-bit hash of the host subgraph image of mapping
+// m — the set of host edges NormEdge(m[u], m[w]) over p's edges — for
+// dedupe sets that would otherwise materialize an ImageKey string per
+// probe. Growth's image dedupe and pattern.DedupeEmbeddings use it.
+//
+// It hashes the image as a set: each of two lanes is the wrapping sum of
+// mix64 over the normalized edges, under its own offset, so it needs no
+// sort and no edge buffer and does not depend on the order p lists its
+// edges in. An image's edges are distinct (m is injective), so the set
+// identifies the image. The package has two image hashes, chosen by the
+// shape of the input: HashEdges hashes an edge list in order, and its
+// callers hash lists that are tiny or already sorted (the matcher's
+// emitted mappings, merge unions), where sort-then-FNV measured faster;
+// here the edges arrive unsorted, one image per embedding.
+//
+// The collision trade-off: an additive hash is weaker than a sequential
+// one on structured inputs, because two edge sets collide in a lane
+// whenever their mixed words sum alike. If mix64 behaves like a random
+// function that has probability about 2^-64 per lane, and the two lanes
+// use different offsets; TestImageHashMatchesReference (internal/
+// spidermine) checks the dedupe decisions against sort-then-FNV on hubs,
+// grids and mining working sets. As with HashEdges, a collision makes the
+// caller treat the second image as a duplicate and drop that embedding.
+// Image hashes are derived state: nothing may persist them or order by
+// them.
+func ImageHash(p *graph.Graph, m Mapping) [2]uint64 {
+	var h [2]uint64
+	for u := 0; u < p.N(); u++ {
+		for _, w := range p.Neighbors(graph.V(u)) {
+			if graph.V(u) < w {
+				e := graph.NormEdge(m[u], m[w])
+				x := uint64(uint32(e.U))<<32 | uint64(uint32(e.W))
+				h[0] += mix64(x + golden)
+				h[1] += mix64(x ^ imageLane)
+			}
+		}
+	}
+	return h
 }
+
+// imageLane is ImageHash's second-lane offset (the first adds golden).
+const imageLane = 0xd1b54a32d192ed03
 
 // AppendMappedEdges appends the host image of p's edge set under m —
 // NormEdge(m[u], m[w]) for every pattern edge {u, w} — to buf, unsorted.

@@ -259,7 +259,10 @@ func (mt *Matcher) imageHash() [2]uint64 {
 // must identify the edge set). A collision between distinct edge lists
 // makes the caller treat the second as a duplicate of the first —
 // silently dropping an embedding or skipping a merge candidate — so two
-// streams keep that probability astronomically small.
+// streams keep that probability astronomically small. It is one of two
+// image hashes, chosen by input shape: the matcher's images are a few
+// edges and the merge unions arrive sorted, so sort-then-FNV suits them,
+// while ImageHash hashes an unsorted image as a set without sorting.
 func HashEdges(es []graph.Edge) [2]uint64 {
 	a := uint64(14695981039346656037)
 	b := uint64(0xcbf29ce484222325 ^ 0x9e3779b97f4a7c15)

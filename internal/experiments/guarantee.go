@@ -13,12 +13,14 @@ import (
 // ExactTopK computes the exact top-K largest frequent patterns of g by
 // complete enumeration (MoSS) followed by the diameter filter — feasible
 // only on small graphs, which is precisely why SpiderMine exists. Returns
-// the sizes (edge counts) of the top-K patterns, descending.
+// the sizes (edge counts) of the top-K patterns, descending. MoSS grows
+// connected patterns only, so the threshold test DiameterAtMost is the
+// filter (TestExactTopKPatternsConnected).
 func ExactTopK(g *graph.Graph, sigma, k, dmax int) []int {
 	res := mineMoSS(g, moss.Config{MinSupport: sigma})
 	var sizes []int
 	for _, p := range res.Patterns {
-		if p.G.Diameter() <= dmax {
+		if p.G.DiameterAtMost(dmax) {
 			sizes = append(sizes, p.Size())
 		}
 	}

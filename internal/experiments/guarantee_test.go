@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/miner/moss"
 )
 
 // TestGuaranteeTheorem1 empirically checks the paper's headline guarantee
@@ -42,6 +45,46 @@ func TestExactTopK(t *testing.T) {
 	sizes := ExactTopK(g, 2, 3, 2)
 	if len(sizes) == 0 || sizes[0] != 3 {
 		t.Fatalf("exact top sizes %v, want leading 3", sizes)
+	}
+}
+
+// TestExactTopKPatternsConnected pins what lets ExactTopK filter by
+// DiameterAtMost: every MoSS pattern is connected, so the threshold test
+// keeps exactly the patterns Diameter() <= dmax keeps. MoSS grows each
+// pattern from a connected parent by one edge, so its first patterns show
+// it as well as all of them would; the hosts (two triangles,
+// GuaranteeCheck's host and two small random ones) would each take
+// seconds to enumerate in full.
+func TestExactTopKPatternsConnected(t *testing.T) {
+	guarantee, _ := gen.Synthetic(gen.SyntheticConfig{
+		N: 150, AvgDeg: 2.5, NumLabels: 40, Seed: 5,
+		Large: gen.InjectSpec{NV: 10, Count: 2, Support: 2},
+		Small: gen.InjectSpec{NV: 3, Count: 3, Support: 2},
+	})
+	rng := rand.New(rand.NewSource(7))
+	for _, h := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"triangles", twoTrianglesGraph()},
+		{"guarantee", guarantee},
+		{"er", gen.ErdosRenyi(60, 2.5, 8, rng)},
+		{"ba", gen.BarabasiAlbert(60, 2, 8, rng)},
+	} {
+		res := mineMoSS(h.g, moss.Config{MinSupport: 2, MaxPatterns: 5000})
+		if len(res.Patterns) == 0 {
+			t.Fatalf("%s: MoSS found no patterns", h.name)
+		}
+		for _, p := range res.Patterns {
+			if !p.G.IsConnected() {
+				t.Fatalf("%s: MoSS pattern with %d vertices is disconnected", h.name, p.NV())
+			}
+			for _, d := range []int{2, 4, 6} {
+				if p.G.DiameterAtMost(d) != (p.G.Diameter() <= d) {
+					t.Fatalf("%s: DiameterAtMost(%d) disagrees with diameter %d", h.name, d, p.G.Diameter())
+				}
+			}
+		}
 	}
 }
 

@@ -45,11 +45,11 @@ func (g *Graph) WriteLG(w io.Writer, name string) error {
 // ReadLG parses a single graph in LG format. Unknown directives and blank
 // lines are ignored; an optional trailing edge label field is accepted and
 // dropped (the library is vertex-labeled). Malformed input — duplicate or
-// out-of-order vertex ids, edges referencing undefined vertices, a second
-// graph header — is rejected with a positional (line-numbered) error
-// rather than silently accepted: serving endpoints ingest through this
-// reader, and a quietly mis-parsed host would poison every job mined
-// against it.
+// out-of-order vertex ids, labels outside int32, edges referencing
+// undefined vertices, a second graph header — is rejected with a
+// positional (line-numbered) error rather than silently accepted: serving
+// endpoints ingest through this reader, and a quietly mis-parsed host
+// would poison every job mined against it.
 func ReadLG(r io.Reader) (*Graph, string, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -82,7 +82,9 @@ func ReadLG(r io.Reader) (*Graph, string, error) {
 			if err != nil {
 				return nil, "", fmt.Errorf("graph: line %d: bad vertex id: %v", lineNo, err)
 			}
-			lab, err := strconv.Atoi(fields[2])
+			// Labels are int32: a wider value is rejected, never wrapped
+			// onto a label the host may already use.
+			lab, err := strconv.ParseInt(fields[2], 10, 32)
 			if err != nil {
 				return nil, "", fmt.Errorf("graph: line %d: bad vertex label: %v", lineNo, err)
 			}

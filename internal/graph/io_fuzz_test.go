@@ -21,6 +21,8 @@ func FuzzReadGraph(f *testing.F) {
 	f.Add("t # dup-id\nv 0 1\nv 1 2\nv 0 3\ne 0 1\n")    // duplicate vertex id: must error, not merge
 	f.Add("t # dangling\nv 0 1\nv 1 1\ne 1 7\ne -2 0\n") // edges against undefined vertices: must error
 	f.Add("t # one\nv 0 1\nt # two\nv 1 1\ne 0 1\n")     // second graph header: must error, not concatenate
+	f.Add("v 0 0\nv 1 4294967296\ne 0 1\n")              // label past int32: must error, not wrap to 0
+	f.Add("v 0 -1\nv 1 -4294967297\ne 0 1\n")            // label below int32: must error, not wrap to -1
 	f.Fuzz(func(t *testing.T, in string) {
 		g, name, err := ReadLG(strings.NewReader(in))
 		if err != nil {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -113,6 +114,35 @@ func TestReadLGRejectsGarbageWithPosition(t *testing.T) {
 			if !strings.Contains(err.Error(), frag) {
 				t.Errorf("%s: error %q missing %q", c.name, err, frag)
 			}
+		}
+	}
+}
+
+// TestReadLGLabelRange: labels are int32. The ends of that range parse
+// as themselves; a label outside it is rejected with its line number, not
+// wrapped onto a label the host may already use (4294967296 used to read
+// as 0, and -4294967297 as -1).
+func TestReadLGLabelRange(t *testing.T) {
+	g, _, err := ReadLG(strings.NewReader("v 0 2147483647\nv 1 -2147483648\ne 0 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Label(0) != math.MaxInt32 || g.Label(1) != math.MinInt32 {
+		t.Fatalf("labels %d, %d; want the int32 extremes", g.Label(0), g.Label(1))
+	}
+	for _, c := range []struct{ in, line string }{
+		{"v 0 0\nv 1 4294967296\ne 0 1\n", "line 2"},
+		{"v 0 -1\nv 1 -4294967297\ne 0 1\n", "line 2"},
+		{"v 0 2147483648\n", "line 1"},
+		{"t # g\nv 0 1\nv 1 2\nv 2 -2147483649\n", "line 4"},
+	} {
+		_, _, err := ReadLG(strings.NewReader(c.in))
+		if err == nil {
+			t.Errorf("%q: accepted a label outside int32", c.in)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.line) || !strings.Contains(err.Error(), "bad vertex label") {
+			t.Errorf("%q: error %q does not name %s and the label", c.in, err, c.line)
 		}
 	}
 }

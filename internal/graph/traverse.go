@@ -6,7 +6,7 @@ import (
 )
 
 // BFS is reusable breadth-first-search scratch: the distance and queue
-// buffers, plus DiameterAtMost's eccentricity bounds. Eccentricity,
+// buffers, plus DiameterAtMost's eccentricity bounds. EccentricityRaising,
 // DiameterAtMost and the boundary search (AppendAtDistance) run on every
 // boundary vertex of every growth step and on every merge union, so hot
 // loops hold one BFS per worker (the miner's grow and merge scratch) and
@@ -116,20 +116,37 @@ func (g *Graph) BFSWithin(src V, r int) map[V]int {
 
 // Eccentricity returns the maximum shortest-path distance from v to any
 // vertex reachable from v. Returns 0 for isolated vertices. The BFS state
-// is pooled; hot loops hold their own BFS and call (*BFS).Eccentricity.
+// is pooled; hot loops hold their own BFS and call
+// (*BFS).EccentricityRaising.
 func (g *Graph) Eccentricity(v V) int {
 	s := bfsPool.Get().(*BFS)
-	ecc := s.Eccentricity(g, v)
+	ecc := s.EccentricityRaising(g, v, nil)
 	bfsPool.Put(s)
 	return ecc
 }
 
-// Eccentricity is the scratch-backed form of Graph.Eccentricity.
-func (s *BFS) Eccentricity(g *Graph, v V) int {
+// EccentricityRaising is the scratch-backed form of Graph.Eccentricity,
+// which also raises caller-held lower bounds on the other vertices'
+// eccentricities (lb may be nil). For every vertex w < len(lb) reached
+// from v, lb[w] becomes at least dist(v, w) and ecc(v) − dist(v, w):
+// ecc(w) is at least its distance to v, and a vertex at distance ecc(v)
+// from v is at least ecc(v) − dist(v, w) from w. DiameterAtMost carries
+// upper bounds the same way. Bounds hold only while the graph's distances
+// do: the caller decides how long that is (growth keeps them for one pass,
+// which only appends leaves, so distances between existing vertices never
+// shrink and eccentricities only grow).
+func (s *BFS) EccentricityRaising(g *Graph, v V, lb []int32) int {
 	if int(v) >= g.N() || v < 0 {
 		return 0
 	}
-	return int(g.bfs(s, v))
+	ecc := g.bfs(s, v)
+	for _, w := range s.queue {
+		if int(w) < len(lb) {
+			dw := s.dist[w]
+			lb[w] = max(lb[w], dw, ecc-dw)
+		}
+	}
+	return int(ecc)
 }
 
 // Diameter returns the diameter of the graph: the maximum eccentricity over

@@ -116,13 +116,12 @@ func (p *Pattern) String() string {
 	return fmt.Sprintf("pattern{id=%d v=%d e=%d emb=%d}", p.ID, p.NV(), p.Size(), len(p.Emb))
 }
 
-// dedupeScratch pools the image-hash set and edge buffer DedupeEmbeddings
-// probes with, so per-seed dedupe passes stop allocating a string per
-// embedding (128-bit image hashes stand in for ImageKey strings — the
-// accepted collision trade-off, see canon.HashEdges).
+// dedupeScratch pools the image-hash set DedupeEmbeddings probes with, so
+// per-seed dedupe passes stop allocating a string per embedding (128-bit
+// image hashes stand in for ImageKey strings — the accepted collision
+// trade-off, see canon.ImageHash).
 type dedupeScratch struct {
 	seen map[[2]uint64]struct{}
-	buf  []graph.Edge
 }
 
 var dedupePool = sync.Pool{
@@ -137,8 +136,7 @@ func (p *Pattern) DedupeEmbeddings() int {
 	kept := p.Emb[:0]
 	removed := 0
 	for _, e := range p.Emb {
-		var h [2]uint64
-		h, s.buf = canon.ImageHash(s.buf, p.G, canon.Mapping(e))
+		h := canon.ImageHash(p.G, canon.Mapping(e))
 		if _, dup := s.seen[h]; dup {
 			removed++
 			continue

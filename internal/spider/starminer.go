@@ -2,6 +2,7 @@ package spider
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -22,16 +23,24 @@ import (
 //
 // Internals, replacing the historical map-based level tables:
 //
-//   - nbrOff/nbrFlat: CSR-shaped per-vertex sorted neighbor-label table
+//   - labels/rank: every table holds label ranks, not labels. A rank is
+//     the label's index among the host's sorted distinct labels (labels
+//     maps it back for output), so rank order is label order and every
+//     sorted structure comes out as it would over labels. Ranks are dense
+//     and never negative whatever the labels are, so per-rank tallies are
+//     plain arrays;
+//   - nbrOff/nbrFlat: CSR-shaped per-vertex sorted neighbor-rank table
 //     (was [][]graph.Label of per-chunk carved slices);
 //   - level 1: flat (head, leaf, host) triples built per chunk,
 //     concatenated in chunk order and sorted by the total order
 //     (head, leaf, host) — the exact frontier the map+sort path built;
-//   - expansion: per-worker starScratch (candidate/host buffers plus the
-//     output arenas), with per-item output spans concatenated in frontier
-//     order, so results stay bit-identical for any worker count.
+//   - expansion: per-worker starScratch (per-rank tallies plus the output
+//     arenas), with per-item output spans concatenated in frontier order,
+//     so results stay bit-identical for any worker count.
 type StarMiner struct {
-	nbrFlat []graph.Label
+	labels  []graph.Label // rank -> label: the host's sorted distinct labels
+	rank    []int32       // vertex -> rank of its label
+	nbrFlat []int32
 	nbrOff  []int32
 
 	triples      []pairTriple
@@ -56,10 +65,10 @@ type StarMiner struct {
 	expFn       func(worker, item int)
 }
 
-// pairTriple is one level-1 observation: head vertex v (labeled head) has
-// at least one neighbor labeled leaf.
+// pairTriple is one level-1 observation: head vertex v (label rank head)
+// has at least one neighbor of label rank leaf.
 type pairTriple struct {
-	head, leaf graph.Label
+	head, leaf int32
 	v          graph.V
 }
 
@@ -79,19 +88,46 @@ type expandSpan struct {
 	w, lo, hi int32
 }
 
-// starScratch is one worker's expansion state: transient candidate/host
-// buffers plus the arenas that back the retained output (hosts, leaf
-// multisets, MinedStar structs). Worker i owns scratch i for the duration
-// of a level; arenas reset only between runs, never between levels, so
-// every star of a run stays valid until the next Mine.
+// starScratch is one worker's expansion state: per-rank tallies plus the
+// arenas that back the retained output (hosts, leaf multisets, MinedStar
+// structs). Worker i owns scratch i for the duration of a level; arenas
+// reset only between runs, never between levels, so every star of a run
+// stays valid until the next Mine.
+//
+// The tallies are expand's: cnt[r] counts the hosts that can take one more
+// leaf of rank r, seen marks each counted rank with one bit, obs records
+// every (rank, host) observation, ranks lists the frequent ranks and pos[r]
+// is rank r's placement cursor. cnt and seen are zero between calls
+// (expand clears what it set); pos is read only where expand set it.
 type starScratch struct {
-	cands []graph.Label
-	hosts []graph.V
+	cnt   []int32
+	pos   []int32
+	seen  []uint64
+	obs   []rankHost
+	ranks []int32
 	out   []*MinedStar
 
 	hostArena arena[graph.V]
 	leafArena arena[graph.Label]
 	stars     arena[MinedStar]
+}
+
+// rankHost is one expansion observation: host v can take one more leaf
+// of rank r.
+type rankHost struct {
+	r int32
+	v graph.V
+}
+
+// fit sizes the per-rank tallies for a host with n distinct labels. They
+// only ever grow: a new table starts zeroed, and an old one is zero
+// between expand calls, so neither needs clearing.
+func (s *starScratch) fit(n int) {
+	if len(s.cnt) < n {
+		s.cnt = make([]int32, n)
+		s.pos = make([]int32, n)
+		s.seen = make([]uint64, (n+63)/64)
+	}
 }
 
 func (s *starScratch) resetRun() {
@@ -146,19 +182,9 @@ func growI32(b []int32, n int) []int32 {
 	return b[:n]
 }
 
-func (sm *StarMiner) nbrLabels(v graph.V) []graph.Label {
+// nbrRanks returns v's neighbor label ranks, ascending.
+func (sm *StarMiner) nbrRanks(v graph.V) []int32 {
 	return sm.nbrFlat[sm.nbrOff[v]:sm.nbrOff[v+1]]
-}
-
-// countLabel counts occurrences of l among v's neighbor labels.
-func (sm *StarMiner) countLabel(v graph.V, l graph.Label) int {
-	ls := sm.nbrLabels(v)
-	lo, _ := slices.BinarySearch(ls, l)
-	hi := lo
-	for hi < len(ls) && ls[hi] == l {
-		hi++
-	}
-	return hi - lo
 }
 
 // Mine enumerates all frequent stars of g level-wise; see MineStarsContext
@@ -177,9 +203,20 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) ([]*
 		s.resetRun()
 	}
 
-	// Per-vertex sorted neighbor-label table, CSR-shaped. Chunks partition
-	// the vertex range contiguously, so workers write disjoint segments.
+	// Label ranks: the host's sorted distinct labels, and each vertex's
+	// label's index among them.
 	n := g.N()
+	sm.labels = append(sm.labels[:0], g.Labels()...)
+	slices.Sort(sm.labels)
+	sm.labels = slices.Compact(sm.labels)
+	sm.rank = growI32(sm.rank, n)
+	for v, l := range g.Labels() {
+		r, _ := slices.BinarySearch(sm.labels, l)
+		sm.rank[v] = int32(r)
+	}
+
+	// Per-vertex sorted neighbor-rank table, CSR-shaped. Chunks partition
+	// the vertex range contiguously, so workers write disjoint segments.
 	sm.nbrOff = growI32(sm.nbrOff, n+1)
 	total := 0
 	for v := 0; v < n; v++ {
@@ -187,10 +224,7 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) ([]*
 		total += g.Degree(graph.V(v))
 	}
 	sm.nbrOff[n] = int32(total)
-	if cap(sm.nbrFlat) < total {
-		sm.nbrFlat = make([]graph.Label, total)
-	}
-	sm.nbrFlat = sm.nbrFlat[:total]
+	sm.nbrFlat = growI32(sm.nbrFlat, total)
 	sm.chunks = par.AppendChunks(sm.chunks[:0], n, opt.Workers)
 	chunks := sm.chunks
 	sm.curG = g
@@ -200,7 +234,7 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) ([]*
 			for v := c[0]; v < c[1]; v++ {
 				seg := sm.nbrFlat[sm.nbrOff[v]:sm.nbrOff[v+1]]
 				for i, w := range g.Neighbors(graph.V(v)) {
-					seg[i] = g.Label(w)
+					seg[i] = sm.rank[w]
 				}
 				slices.Sort(seg)
 			}
@@ -218,17 +252,15 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) ([]*
 	}
 	if sm.l1Fn == nil {
 		sm.l1Fn = func(_, ci int) {
-			g, c := sm.curG, sm.chunks[ci]
+			c := sm.chunks[ci]
 			buf := sm.chunkTriples[ci][:0]
 			for v := c[0]; v < c[1]; v++ {
-				hl := g.Label(graph.V(v))
-				var prev graph.Label = -1
-				for _, l := range sm.nbrLabels(graph.V(v)) {
-					if l == prev {
-						continue
+				prev := int32(-1) // no rank is negative
+				for _, r := range sm.nbrRanks(graph.V(v)) {
+					if r != prev {
+						buf = append(buf, pairTriple{head: sm.rank[v], leaf: r, v: graph.V(v)})
+						prev = r
 					}
-					prev = l
-					buf = append(buf, pairTriple{head: hl, leaf: l, v: graph.V(v)})
 				}
 			}
 			sm.chunkTriples[ci] = buf
@@ -259,9 +291,9 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) ([]*
 				hosts[k-i] = triples[k].v
 			}
 			leaves := s0.leafArena.alloc(1)
-			leaves[0] = triples[i].leaf
+			leaves[0] = sm.labels[triples[i].leaf]
 			ms := &s0.stars.alloc(1)[0]
-			*ms = MinedStar{Star: Star{Head: triples[i].head, Leaves: leaves}, Hosts: hosts}
+			*ms = MinedStar{Star: Star{Head: sm.labels[triples[i].head], Leaves: leaves}, Hosts: hosts}
 			frontier = append(frontier, ms)
 		}
 		i = j
@@ -274,7 +306,7 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) ([]*
 		if opt.MaxSpiders > 0 && len(all) >= opt.MaxSpiders {
 			break
 		}
-		next, err := sm.expandLevel(ctx, g, cur, sigma, opt.Workers, spare[:0])
+		next, err := sm.expandLevel(ctx, cur, sigma, opt.Workers, spare[:0])
 		if err != nil {
 			// Return only fully committed levels: the partial catalog is
 			// then a deterministic function of how many levels completed.
@@ -299,22 +331,23 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) ([]*
 // workers. Per-item outputs land in per-worker append buffers with spans
 // recorded per item; concatenating spans in frontier order reproduces the
 // sequential output for any worker count.
-func (sm *StarMiner) expandLevel(ctx context.Context, g *graph.Graph, frontier []*MinedStar, sigma, workers int, dst []*MinedStar) ([]*MinedStar, error) {
+func (sm *StarMiner) expandLevel(ctx context.Context, frontier []*MinedStar, sigma, workers int, dst []*MinedStar) ([]*MinedStar, error) {
 	wk := par.Bound(len(frontier), workers)
 	scrs := sm.ws.For(wk)
 	for _, s := range scrs {
 		s.out = s.out[:0]
+		s.fit(len(sm.labels))
 	}
 	if cap(sm.spans) < len(frontier) {
 		sm.spans = make([]expandSpan, len(frontier))
 	}
 	spans := sm.spans[:len(frontier)]
-	sm.curG, sm.curSigma, sm.curFrontier, sm.curScrs = g, sigma, frontier, scrs
+	sm.curSigma, sm.curFrontier, sm.curScrs = sigma, frontier, scrs
 	if sm.expFn == nil {
 		sm.expFn = func(w, i int) {
 			s := sm.curScrs[w]
 			lo := len(s.out)
-			sm.expand(sm.curG, sm.curFrontier[i], sm.curSigma, s)
+			sm.expand(sm.curFrontier[i], sm.curSigma, s)
 			sm.spans[i] = expandSpan{w: int32(w), lo: int32(lo), hi: int32(len(s.out))}
 		}
 	}
@@ -330,53 +363,92 @@ func (sm *StarMiner) expandLevel(ctx context.Context, g *graph.Graph, frontier [
 }
 
 // expand appends to s.out every frequent one-leaf extension of ms whose
-// new leaf label is >= the star's last leaf (canonical generation order).
-func (sm *StarMiner) expand(g *graph.Graph, ms *MinedStar, sigma int, s *starScratch) {
+// new leaf label is >= the star's last leaf (canonical generation order),
+// in ascending order of the new label, each with its hosts ascending.
+//
+// One walk per host over its neighbor ranks from last's rank up: a host
+// can take one more leaf of rank r when r's run there is longer than the
+// star's leaves of rank r, which can only be nonzero for last's rank. The
+// host lists come out ascending because ms.Hosts is, and appending a label
+// >= last keeps the leaf multiset sorted.
+func (sm *StarMiner) expand(ms *MinedStar, sigma int, s *starScratch) {
 	leaves := ms.Star.Leaves
 	last := leaves[len(leaves)-1]
-	// Candidate extension labels: any label >= last present among hosts'
-	// neighbors, deduplicated by sort+compact.
-	cands := s.cands[:0]
+	lr, _ := slices.BinarySearch(sm.labels, last)
+	lastRank := int32(lr)
+	lastNeed := 1
+	for i := len(leaves) - 1; i >= 0 && leaves[i] == last; i-- {
+		lastNeed++
+	}
+
+	// Count: cnt[r] hosts can take rank r; obs keeps the observations.
+	obs := s.obs[:0]
+	hiRank := int32(-1)
 	for _, v := range ms.Hosts {
-		ls := sm.nbrLabels(v)
-		lo, _ := slices.BinarySearch(ls, last)
-		var prev graph.Label = -1
-		for _, l := range ls[lo:] {
-			if l != prev {
-				cands = append(cands, l)
-				prev = l
+		rs := sm.nbrRanks(v)
+		i, _ := slices.BinarySearch(rs, lastRank)
+		for i < len(rs) {
+			r := rs[i]
+			j := i + 1
+			for j < len(rs) && rs[j] == r {
+				j++
 			}
+			need := 1
+			if r == lastRank {
+				need = lastNeed
+			}
+			if j-i >= need {
+				if s.cnt[r] == 0 {
+					s.seen[r>>6] |= 1 << (r & 63)
+					hiRank = max(hiRank, r)
+				}
+				s.cnt[r]++
+				obs = append(obs, rankHost{r: r, v: v})
+			}
+			i = j
 		}
 	}
-	slices.Sort(cands)
-	cands = slices.Compact(cands)
-	s.cands = cands
+	s.obs = obs
 
-	for _, l := range cands {
-		need := 1
-		for _, x := range leaves {
-			if x == l {
-				need++
+	// Frequent ranks in ascending order, each given its span of one host
+	// block; infrequent ones are dropped here (cnt back to 0).
+	ranks := s.ranks[:0]
+	var total int32
+	for w := lastRank >> 6; w <= hiRank>>6; w++ {
+		for word := s.seen[w]; word != 0; word &= word - 1 {
+			r := w<<6 | int32(bits.TrailingZeros64(word))
+			if int(s.cnt[r]) < sigma {
+				s.cnt[r] = 0
+				continue
 			}
+			s.pos[r] = total
+			total += s.cnt[r]
+			ranks = append(ranks, r)
 		}
-		hosts := s.hosts[:0]
-		for _, v := range ms.Hosts {
-			if sm.countLabel(v, l) >= need {
-				hosts = append(hosts, v)
-			}
+		s.seen[w] = 0
+	}
+	s.ranks = ranks
+	if len(ranks) == 0 {
+		return
+	}
+
+	// Place: obs is in host order, so every span fills ascending.
+	block := s.hostArena.alloc(int(total))
+	for _, o := range obs {
+		if s.cnt[o.r] != 0 {
+			block[s.pos[o.r]] = o.v
+			s.pos[o.r]++
 		}
-		s.hosts = hosts
-		if len(hosts) < sigma {
-			continue
-		}
-		hcopy := s.hostArena.alloc(len(hosts))
-		copy(hcopy, hosts)
+	}
+	for _, r := range ranks {
+		hi := s.pos[r]
+		lo := hi - s.cnt[r]
+		s.cnt[r] = 0
 		lcopy := s.leafArena.alloc(len(leaves) + 1)
 		copy(lcopy, leaves)
-		lcopy[len(lcopy)-1] = l
-		slices.Sort(lcopy)
+		lcopy[len(leaves)] = sm.labels[r]
 		nms := &s.stars.alloc(1)[0]
-		*nms = MinedStar{Star: Star{Head: ms.Star.Head, Leaves: lcopy}, Hosts: hcopy}
+		*nms = MinedStar{Star: Star{Head: ms.Star.Head, Leaves: lcopy}, Hosts: block[lo:hi:hi]}
 		s.out = append(s.out, nms)
 	}
 }

@@ -1,0 +1,228 @@
+package spider
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+// mineStarsReference is the level-wise star enumeration StarMiner
+// replaced, kept as the oracle: sorted neighbor labels per vertex, level-1
+// (head, leaf, host) triples, and per parent star a sorted, compacted
+// candidate list whose hosts are re-counted by binary search (countLabel).
+// Runs of equal labels are walked with a first-iteration flag, not a
+// label sentinel, so every int32 label is a label. Never optimize it.
+func mineStarsReference(g *graph.Graph, opt Options) []*MinedStar {
+	sigma := max(opt.MinSupport, 1)
+	maxLeaves := opt.MaxLeaves
+	if maxLeaves <= 0 {
+		maxLeaves = g.MaxDegree()
+	}
+	nbr := make([][]graph.Label, g.N())
+	for v := range nbr {
+		for _, w := range g.Neighbors(graph.V(v)) {
+			nbr[v] = append(nbr[v], g.Label(w))
+		}
+		slices.Sort(nbr[v])
+	}
+	countLabel := func(v graph.V, l graph.Label) int {
+		lo, _ := slices.BinarySearch(nbr[v], l)
+		hi := lo
+		for hi < len(nbr[v]) && nbr[v][hi] == l {
+			hi++
+		}
+		return hi - lo
+	}
+
+	var triples []pairTriple // head and leaf hold labels here, not ranks
+	for v := range nbr {
+		first, prev := true, graph.Label(0)
+		for _, l := range nbr[v] {
+			if first || l != prev {
+				triples = append(triples, pairTriple{head: int32(g.Label(graph.V(v))), leaf: int32(l), v: graph.V(v)})
+			}
+			first, prev = false, l
+		}
+	}
+	slices.SortFunc(triples, cmpTriple)
+	var frontier []*MinedStar
+	for i := 0; i < len(triples); {
+		j := i + 1
+		for j < len(triples) && triples[j].head == triples[i].head && triples[j].leaf == triples[i].leaf {
+			j++
+		}
+		if j-i >= sigma {
+			var hosts []graph.V
+			for k := i; k < j; k++ {
+				hosts = append(hosts, triples[k].v)
+			}
+			frontier = append(frontier, &MinedStar{
+				Star:  Star{Head: graph.Label(triples[i].head), Leaves: []graph.Label{graph.Label(triples[i].leaf)}},
+				Hosts: hosts,
+			})
+		}
+		i = j
+	}
+
+	expand := func(ms *MinedStar) []*MinedStar {
+		leaves := ms.Star.Leaves
+		last := leaves[len(leaves)-1]
+		var cands []graph.Label
+		for _, v := range ms.Hosts {
+			lo, _ := slices.BinarySearch(nbr[v], last)
+			first, prev := true, graph.Label(0)
+			for _, l := range nbr[v][lo:] {
+				if first || l != prev {
+					cands = append(cands, l)
+				}
+				first, prev = false, l
+			}
+		}
+		slices.Sort(cands)
+		cands = slices.Compact(cands)
+		var out []*MinedStar
+		for _, l := range cands {
+			need := 1
+			for _, x := range leaves {
+				if x == l {
+					need++
+				}
+			}
+			var hosts []graph.V
+			for _, v := range ms.Hosts {
+				if countLabel(v, l) >= need {
+					hosts = append(hosts, v)
+				}
+			}
+			if len(hosts) < sigma {
+				continue
+			}
+			lcopy := append(slices.Clone(leaves), l)
+			slices.Sort(lcopy)
+			out = append(out, &MinedStar{Star: Star{Head: ms.Star.Head, Leaves: lcopy}, Hosts: hosts})
+		}
+		return out
+	}
+
+	all := slices.Clone(frontier)
+	cur := frontier
+	for level := 1; level < maxLeaves && len(cur) > 0; level++ {
+		if opt.MaxSpiders > 0 && len(all) >= opt.MaxSpiders {
+			break
+		}
+		var next []*MinedStar
+		for _, ms := range cur {
+			next = append(next, expand(ms)...)
+		}
+		sortMined(next)
+		all = append(all, next...)
+		cur = next
+	}
+	if opt.MaxSpiders > 0 && len(all) > opt.MaxSpiders {
+		all = all[:opt.MaxSpiders]
+	}
+	return all
+}
+
+// relabeled returns g with every label replaced by f(label).
+func relabeled(g *graph.Graph, f func(graph.Label) graph.Label) *graph.Graph {
+	labels := make([]graph.Label, g.N())
+	for v := range labels {
+		labels[v] = f(g.Label(graph.V(v)))
+	}
+	return graph.FromEdges(labels, g.Edges())
+}
+
+// TestStarMinerMatchesReference compares every star, its host list and
+// the order of both against the reference enumeration, at 1 and 2
+// workers, on random hosts, hub-heavy BA hosts, and hosts whose labels are
+// negative, sparse (multiples of 10^6) or at the ends of int32. One
+// StarMiner is reused across all of them, so stale per-rank tallies would
+// show too.
+func TestStarMinerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	type host struct {
+		name string
+		g    *graph.Graph
+		opt  Options
+	}
+	var hosts []host
+	add := func(name string, g *graph.Graph, opt Options) {
+		hosts = append(hosts, host{name, g, opt})
+		hosts = append(hosts, host{name + "/neg", relabeled(g, func(l graph.Label) graph.Label { return -l - 1 }), opt})
+		hosts = append(hosts, host{name + "/sparse", relabeled(g, func(l graph.Label) graph.Label { return (l - 5) * 1_000_000 }), opt})
+		hosts = append(hosts, host{name + "/extreme", relabeled(g, func(l graph.Label) graph.Label {
+			switch l % 4 {
+			case 0:
+				return math.MinInt32 + l/4
+			case 1:
+				return math.MaxInt32 - l/4
+			case 2:
+				return -1 - l/4
+			}
+			return l / 4
+		}), opt})
+	}
+	rounds := 6
+	if testing.Short() {
+		rounds = 2
+	}
+	for i := 0; i < rounds; i++ {
+		add(fmt.Sprintf("er%d", i), gen.ErdosRenyi(60+40*i, 3+float64(i%3), 2+i, rng), Options{MinSupport: 2})
+		add(fmt.Sprintf("ba%d", i), gen.BarabasiAlbert(150+100*i, 2+i%2, 3+2*i, rng), Options{MinSupport: 2 + i%3, MaxLeaves: 5})
+	}
+	add("ba-capped", gen.BarabasiAlbert(800, 2, 6, rng), Options{MinSupport: 3, MaxLeaves: 6, MaxSpiders: 3000})
+	gid, _ := gen.Synthetic(gen.GIDConfig(1, 1))
+	add("gid1", gid, Options{MinSupport: 2})
+
+	ctx := context.Background()
+	var sm StarMiner
+	for _, h := range hosts {
+		want := mineStarsReference(h.g, h.opt)
+		for _, workers := range []int{1, 2} {
+			opt := h.opt
+			opt.Workers = workers
+			got, err := sm.Mine(ctx, h.g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s workers=%d: %d stars, reference %d", h.name, workers, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Star.Head != want[i].Star.Head || !slices.Equal(got[i].Star.Leaves, want[i].Star.Leaves) ||
+					!slices.Equal(got[i].Hosts, want[i].Hosts) {
+					t.Fatalf("%s workers=%d: star %d is %v hosts %v, reference %v hosts %v",
+						h.name, workers, i, got[i].Star, got[i].Hosts, want[i].Star, want[i].Hosts)
+				}
+			}
+		}
+	}
+}
+
+// TestMineStarsNegativeLeafLabel: a leaf label of -1 is a label like any
+// other. Three copies of a star with head 5 and two leaves labelled L hold
+// the stars 5:[L], 5:[L,L] and L:[5] at σ=3, whatever L is.
+func TestMineStarsNegativeLeafLabel(t *testing.T) {
+	for _, leaf := range []graph.Label{0, -1, -2, math.MinInt32, math.MaxInt32} {
+		b := graph.NewBuilder(9, 6)
+		for c := 0; c < 3; c++ {
+			h := b.AddVertex(5)
+			b.AddEdge(h, b.AddVertex(leaf))
+			b.AddEdge(h, b.AddVertex(leaf))
+		}
+		stars := MineStars(b.Build(), Options{MinSupport: 3})
+		if len(stars) != 3 {
+			t.Errorf("leaf label %d: %d stars, want 3", leaf, len(stars))
+			for _, ms := range stars {
+				t.Logf("  %s hosts %v", ms.Star.Key(), ms.Hosts)
+			}
+		}
+	}
+}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
 	"repro/internal/pattern"
+	"repro/internal/spider"
 )
 
 // TestRunContextUncancelledEqualsRun: the cancellation plumbing must be
@@ -157,4 +159,70 @@ func TestDeadlineSurfacesDeadlineExceeded(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
+}
+
+// TestMergeGroupsCancelAnywhere: the merge-candidate scan observes
+// cancellation mid-round. Wherever the cancel lands, the scan either
+// finishes with the full candidate list or returns context.Canceled with
+// no groups, and either way it leaves the usage index empty, so the same
+// Miner's next uncancelled round finds exactly the same candidates. The
+// first try is cancelled before the call, so its scan stops at the first
+// touched vertex with the whole usage index filled.
+func TestMergeGroupsCancelAnywhere(t *testing.T) {
+	g, _ := gen.Synthetic(gen.GIDConfig(1, 42))
+	m, M := stagedMiner(t, g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 3})
+	var ws []*grown
+	for _, p := range spider.RandomSeed(g, &m.catalog, M, m.cfg.PerHostCap, m.rng, 0) {
+		p.DedupeEmbeddings()
+		if m.supFn(p.G, p.Emb) >= m.cfg.MinSupport {
+			ws = append(ws, &grown{p: p, radius: 1})
+		}
+	}
+	if _, err := m.growAll(ws); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	groups, err := m.mergeGroups(ws)
+	took := time.Since(t0)
+	if err != nil || len(groups) == 0 {
+		t.Fatalf("uncancelled scan: %d groups, err %v", len(groups), err)
+	}
+	want := slices.Clone(m.mergeCands)
+
+	const tries = 40
+	aborted := 0
+	for i := range tries {
+		ctx, cancel := context.WithCancel(context.Background())
+		m.ctx, m.done = ctx, ctx.Done()
+		if i == 0 {
+			cancel()
+		}
+		timer := time.AfterFunc(took*time.Duration(i)/tries, cancel)
+		groups, err := m.mergeGroups(ws)
+		timer.Stop()
+		cancel()
+		switch {
+		case err == nil:
+			if !slices.Equal(m.mergeCands, want) {
+				t.Fatalf("try %d: a scan that finished found other candidates", i)
+			}
+		case errors.Is(err, context.Canceled):
+			aborted++
+			if groups != nil {
+				t.Fatalf("try %d: a cancelled scan returned %d groups", i, len(groups))
+			}
+		default:
+			t.Fatalf("try %d: err = %v", i, err)
+		}
+		for hv, u := range m.mergeUsage {
+			if len(u) != 0 {
+				t.Fatalf("try %d: host vertex %d keeps %d usage slots", i, hv, len(u))
+			}
+		}
+	}
+	m.ctx, m.done = context.Background(), nil
+	if _, err := m.mergeGroups(ws); err != nil || !slices.Equal(m.mergeCands, want) {
+		t.Fatalf("the round after the cancelled ones differs from the first (err %v)", err)
+	}
+	t.Logf("%d of %d scans observed their cancel", aborted, tries)
 }

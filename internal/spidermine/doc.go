@@ -23,12 +23,12 @@
 //   - Frequent-pair index (freqPairs): the Stage I single-leaf stars as a
 //     flat (head, leaf) list sorted by cmpLabelPair, replacing the
 //     historical per-run map[[2]Label]bool. Lookups are binary searches
-//     (freqLeavesOf returns the contiguous run for a head; hasLeaf
+//     (freqLeavesOf returns the contiguous run for a head; leafIndex
 //     searches within it). Rebuilt in place at the start of every run;
 //     read-only — and therefore safely shared across workers — once
 //     mining starts.
 //   - Stage I tables: the spider.StarMiner is held by value and owns its
-//     CSR neighbor-label table, level frontiers, and output arenas; its
+//     CSR neighbor-rank table, level frontiers, and output arenas; its
 //     stars are carved from those arenas and are invalidated by the next
 //     run, so the Miner rebuilds its spider.Catalog (also pooled, also
 //     flat) from each run's output before touching the next.
@@ -39,6 +39,19 @@
 //     may be referenced by retained output — anything that survives the
 //     call is copied out (e.g. merge winners copy their embedding lists
 //     out of the pooled buckets).
+//   - Grow scratch (growScratch, one per worker): the greedy leaf tally is
+//     two []int32 indexed by a label's position in the head's
+//     frequent-leaf run (freqLeavesOf; leafIndex finds it by the binary
+//     search that tests membership), never by label value, and ties go to
+//     the lowest position, which is the smallest label. The eccentricity
+//     guard keeps per-vertex lower bounds (eccLB) scoped to one
+//     growPattern pass: zeroed when the pass starts, raised by every guard
+//     BFS, and dropped when it ends. Within a pass extensions only append
+//     leaves, so eccentricities only grow and a bound that reaches Dmax
+//     rejects without a BFS; bounds never accept, and never outlive the
+//     pass, because a merge may replace the graph before the next one.
+//     Extended images are deduped by the set hash canon.ImageHash, so no
+//     image is sorted.
 //   - Merge scratch (mergeScratch, one per worker): building a candidate
 //     union sorts nothing. Each parent image is prepared once per distinct
 //     embedding per tryMerge call — its edges sorted and its endpoints

@@ -56,6 +56,7 @@ func (m *Miner) growAll(ws []*grown) (bool, error) {
 func (m *Miner) growPattern(w *grown, sc *growScratch) bool {
 	p := w.p
 	sc.boundary = p.AppendBoundary(&sc.bfs, sc.boundary[:0], w.radius)
+	sc.eccLB = fitZero(sc.eccLB, p.NV())
 	grewAny := false
 	for _, b := range sc.boundary {
 		if int(b) >= p.NV() {
@@ -65,6 +66,7 @@ func (m *Miner) growPattern(w *grown, sc *growScratch) bool {
 			grewAny = true
 		}
 	}
+	sc.eccLB = sc.eccLB[:0]
 	if grewAny {
 		// Growth adds one ring of leaves per pass regardless of the seed
 		// radius (stars are the growth unit; cfg.Radius only shapes the
@@ -75,46 +77,21 @@ func (m *Miner) growPattern(w *grown, sc *growScratch) bool {
 }
 
 // labVert is one candidate (leaf label, host vertex) observation during
-// the per-embedding availability scan.
+// the per-embedding availability scan; the label is its position in the
+// head's frequent-leaf run.
 type labVert struct {
-	l graph.Label
-	v graph.V
+	idx int32
+	v   graph.V
 }
 
 // labRange is one label group of an embedding's candidate table: the host
-// vertices sc.vbuf[lo:hi] (ascending) can supply leaf label `label` at the
-// boundary image. Ranges into the flat buffer replace the historical
-// per-embedding []labCand slices-of-slices, so the whole availability
-// table is three reused flat allocations however many embeddings a
-// pattern carries.
+// vertices sc.vbuf[lo:hi] (ascending) can supply the leaf label at position
+// idx of the head's frequent-leaf run. Ranges into the flat buffer replace
+// the historical per-embedding []labCand slices-of-slices, so the whole
+// availability table is three reused flat allocations however many
+// embeddings a pattern carries.
 type labRange struct {
-	label  graph.Label
-	lo, hi int32
-}
-
-// labCount is a (label, count) pair used for the greedy multiset state.
-type labCount struct {
-	label graph.Label
-	n     int
-}
-
-func countOf(lcs []labCount, l graph.Label) int {
-	for i := range lcs {
-		if lcs[i].label == l {
-			return lcs[i].n
-		}
-	}
-	return 0
-}
-
-func incrCount(lcs []labCount, l graph.Label) []labCount {
-	for i := range lcs {
-		if lcs[i].label == l {
-			lcs[i].n++
-			return lcs
-		}
-	}
-	return append(lcs, labCount{l, 1})
+	idx, lo, hi int32
 }
 
 // growScratch is per-worker extension state, owned by exactly one worker
@@ -124,6 +101,10 @@ func incrCount(lcs []labCount, l graph.Label) []labCount {
 // warm growth pass allocates only what the grown pattern retains (its new
 // graph and embedding storage). The boundary search, the eccentricity
 // guard and the diameter check all run in bfs, never in pooled scratch.
+//
+// Labels are indexed by their position in the head's frequent-leaf run
+// (freqLeavesOf), never by value: labels are arbitrary int32s, and the run
+// is sorted, so ascending positions are ascending labels.
 type growScratch struct {
 	mark  []int32
 	epoch int32
@@ -139,32 +120,70 @@ type growScratch struct {
 	gOff   []int32
 	vbuf   []graph.V
 
-	// Greedy multiset state: chosen/counts label tallies, surv/keep
-	// ping-pong embedding index lists, subEmbs the support-probe slice.
-	chosen  []labCount
-	counts  []labCount
+	// Greedy multiset state: chosen[i] leaves of run label i picked so far
+	// and counts[i] the surviving embeddings that can take one more, both
+	// of the run's length; surv/keep ping-pong embedding index lists,
+	// subEmbs the support-probe slice.
+	chosen  []int32
+	counts  []int32
 	surv    []int32
 	keep    []int32
 	subEmbs []pattern.Embedding
 
-	// Image-dedupe set and edge buffer (128-bit image hashes stand in for
-	// ImageKey strings, the accepted collision trade-off), plus the pooled
-	// graph builder for the extended pattern.
-	seen   map[[2]uint64]struct{}
-	imgBuf []graph.Edge
-	b      graph.Builder
+	// eccLB holds lower bounds on the eccentricities of the pattern's
+	// vertices, raised by every guard BFS (graph.BFS.EccentricityRaising).
+	// It is sized and zeroed at the start of a growPattern pass and empty
+	// outside one: never carried to the next pass, because a merge between
+	// passes may replace the pattern's graph, and never consulted by a
+	// direct extendAt call.
+	eccLB []int32
+	// guardSeen, when set (tests only), observes every eccentricity-guard
+	// decision: whether b was rejected, and whether the bounds decided it
+	// without a BFS.
+	guardSeen func(g *graph.Graph, b graph.V, reject, byBound bool)
+
+	// Image-dedupe set (128-bit image hashes stand in for ImageKey strings,
+	// the accepted collision trade-off, see canon.ImageHash), plus the
+	// pooled graph builder for the extended pattern.
+	seen map[[2]uint64]struct{}
+	b    graph.Builder
 }
 
-// groupOf returns the candidate vertices for label l at embedding ei, or
-// nil (the linear scan mirrors the historical candOf: label counts per
-// head are small).
-func (sc *growScratch) groupOf(ei int32, l graph.Label) []graph.V {
+// groupOf returns the candidate vertices for run label idx at embedding
+// ei, or nil (the linear scan mirrors the historical candOf: label counts
+// per head are small).
+func (sc *growScratch) groupOf(ei, idx int32) []graph.V {
 	for _, lr := range sc.groups[sc.gOff[ei]:sc.gOff[ei+1]] {
-		if lr.label == l {
+		if lr.idx == idx {
 			return sc.vbuf[lr.lo:lr.hi]
 		}
 	}
 	return nil
+}
+
+// leafPastDmax is extendAt's diameter guard: appending a leaf at b yields
+// diameter max(diam, ecc(b)+1, 2), so b may not grow once ecc(b)+1 > Dmax
+// (Definition 2 demands diam(P) <= Dmax, so growth in that direction
+// cannot lead to a valid result pattern). Inside a growPattern pass a
+// lower bound from an earlier guard BFS that already reaches Dmax rejects
+// b without a BFS of its own: ecc(b) is at least the bound, so the BFS
+// would reject too. Bounds never accept.
+func (m *Miner) leafPastDmax(g *graph.Graph, b graph.V, sc *growScratch) bool {
+	byBound := int(b) < len(sc.eccLB) && int(sc.eccLB[b]) >= m.cfg.Dmax
+	reject := byBound || sc.bfs.EccentricityRaising(g, b, sc.eccLB)+1 > m.cfg.Dmax
+	if sc.guardSeen != nil {
+		sc.guardSeen(g, b, reject, byBound)
+	}
+	return reject
+}
+
+// fitZero returns buf resized to n zeroed entries, reusing its storage.
+// It grows the slice and then clears it: appending a fresh zero slice
+// would allocate under -race, where the compiler cannot elide it.
+func fitZero(buf []int32, n int) []int32 {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
 }
 
 // extendAt grows pattern p at boundary vertex b by the maximal frequent
@@ -174,12 +193,7 @@ func (m *Miner) extendAt(p *pattern.Pattern, b graph.V, sc *growScratch) bool {
 	if len(p.Emb) == 0 {
 		return false
 	}
-	// Diameter guard: appending a leaf at b yields diameter
-	// max(diam, ecc(b)+1, 2); never grow past Dmax (Definition 2 demands
-	// diam(P) <= Dmax, so growth in that direction cannot lead to a valid
-	// result pattern).
-	eccB := sc.bfs.Eccentricity(p.G, b)
-	if eccB+1 > m.cfg.Dmax {
+	if m.leafPastDmax(p.G, b, sc) {
 		return false
 	}
 	headLabel := p.G.Label(b)
@@ -193,8 +207,8 @@ func (m *Miner) extendAt(p *pattern.Pattern, b graph.V, sc *growScratch) bool {
 	// Availability: per embedding, the candidate new-leaf host vertices
 	// grouped by label — host neighbors of the image of b that are outside
 	// the embedding image and form a frequent (head,leaf) spider pair.
-	// Vertex lists inherit the host CSR's ascending order (the (l, v) sort
-	// below is within-label stable on an already v-ascending scan).
+	// Vertex lists inherit the host CSR's ascending order (the (idx, v)
+	// sort below is within-label stable on an already v-ascending scan).
 	if cap(sc.mark) < m.g.N() {
 		sc.mark = make([]int32, m.g.N())
 		sc.epoch = 0
@@ -225,15 +239,15 @@ func (m *Miner) extendAt(p *pattern.Pattern, b graph.V, sc *growScratch) bool {
 			if sc.mark[nb] == sc.epoch {
 				continue
 			}
-			l := m.g.Label(nb)
-			if !hasLeaf(run, l) {
+			idx, ok := leafIndex(run, m.g.Label(nb))
+			if !ok {
 				continue
 			}
-			lv = append(lv, labVert{l, nb})
+			lv = append(lv, labVert{int32(idx), nb})
 		}
 		slices.SortFunc(lv, func(x, y labVert) int {
-			if x.l != y.l {
-				return int(x.l) - int(y.l)
+			if x.idx != y.idx {
+				return int(x.idx) - int(y.idx)
 			}
 			return int(x.v) - int(y.v)
 		})
@@ -241,11 +255,11 @@ func (m *Miner) extendAt(p *pattern.Pattern, b graph.V, sc *growScratch) bool {
 		for j := 0; j < len(lv); {
 			k := j
 			lo := int32(len(sc.vbuf))
-			for k < len(lv) && lv[k].l == lv[j].l {
+			for k < len(lv) && lv[k].idx == lv[j].idx {
 				sc.vbuf = append(sc.vbuf, lv[k].v)
 				k++
 			}
-			sc.groups = append(sc.groups, labRange{label: lv[j].l, lo: lo, hi: int32(len(sc.vbuf))})
+			sc.groups = append(sc.groups, labRange{idx: lv[j].idx, lo: lo, hi: int32(len(sc.vbuf))})
 			j = k
 		}
 	}
@@ -254,56 +268,10 @@ func (m *Miner) extendAt(p *pattern.Pattern, b graph.V, sc *growScratch) bool {
 	// Greedy maximal frequent multiset: repeatedly add the label that the
 	// most surviving embeddings can still host; stop when no label keeps
 	// support >= σ.
-	chosen := sc.chosen[:0]
-	surv := sc.surv[:0]
-	for i := 0; i < nEmb; i++ {
-		surv = append(surv, int32(i))
-	}
-	keep := sc.keep
-	total := 0
-	for {
-		// Candidate labels: anything available beyond its chosen count.
-		counts := sc.counts[:0]
-		for _, ei := range surv {
-			for _, lr := range sc.groups[sc.gOff[ei]:sc.gOff[ei+1]] {
-				if int(lr.hi-lr.lo) > countOf(chosen, lr.label) {
-					counts = incrCount(counts, lr.label)
-				}
-			}
-		}
-		sc.counts = counts
-		// Best label: highest embedding count, ties toward the smallest
-		// label (order-independent however the counts list is arranged).
-		var bestLabel graph.Label = -1
-		bestCount := 0
-		for _, c := range counts {
-			if c.n > bestCount || (c.n == bestCount && bestLabel >= 0 && c.label < bestLabel) {
-				bestCount = c.n
-				bestLabel = c.label
-			}
-		}
-		if bestLabel < 0 {
-			break
-		}
-		// Which embeddings survive if we add bestLabel?
-		keep = keep[:0]
-		for _, ei := range surv {
-			if len(sc.groupOf(ei, bestLabel)) > countOf(chosen, bestLabel) {
-				keep = append(keep, ei)
-			}
-		}
-		if m.embSupportIdx(p, keep, sc) < m.cfg.MinSupport {
-			break
-		}
-		chosen = incrCount(chosen, bestLabel)
-		total++
-		surv, keep = keep, surv
-	}
-	sc.chosen, sc.surv, sc.keep = chosen, surv, keep
+	total := m.chooseLeaves(p, len(run), sc)
 	if total == 0 {
 		return false
 	}
-	slices.SortFunc(chosen, func(a, b labCount) int { return int(a.label) - int(b.label) })
 
 	// Build the extended pattern graph through the pooled builder: new
 	// vertices appended after existing ones, one per chosen leaf, edges
@@ -320,9 +288,9 @@ func (m *Miner) extendAt(p *pattern.Pattern, b graph.V, sc *growScratch) bool {
 			}
 		}
 	}
-	for _, lc := range chosen {
-		for c := 0; c < lc.n; c++ {
-			leaf := sc.b.AddVertex(lc.label)
+	for i, n := range sc.chosen {
+		for c := int32(0); c < n; c++ {
+			leaf := sc.b.AddVertex(run[i].l)
 			sc.b.AddEdge(b, leaf)
 		}
 	}
@@ -335,30 +303,27 @@ func (m *Miner) extendAt(p *pattern.Pattern, b graph.V, sc *growScratch) bool {
 		return false
 	}
 
-	// Extend surviving embeddings: per label, take the first chosen[l]
+	// Extend surviving embeddings: per label, take the first chosen[i]
 	// available neighbors in host-id order (labels with equal value are
 	// interchangeable positions, so this is canonical; candidate ranges
-	// are already host-id ascending). The extended embeddings are carved
-	// out of one flat retained buffer — the appends below can never exceed
-	// its pre-sized capacity, so the carved sub-slices stay stable.
+	// are already host-id ascending). An embedding's label groups ascend by
+	// run position, the order the leaves were added in. The extended
+	// embeddings are carved out of one flat retained buffer — the appends
+	// below can never exceed its pre-sized capacity, so the carved
+	// sub-slices stay stable.
 	lenE := p.NV()
-	flat := make([]graph.V, 0, len(surv)*(lenE+total))
-	newEmbs := make([]pattern.Embedding, 0, len(surv))
-	for _, ei := range surv {
-		e := p.Emb[ei]
+	flat := make([]graph.V, 0, len(sc.surv)*(lenE+total))
+	newEmbs := make([]pattern.Embedding, 0, len(sc.surv))
+	for _, ei := range sc.surv {
 		lo := len(flat)
-		flat = append(flat, e...)
-		ok := true
-		for _, lc := range chosen {
-			vs := sc.groupOf(ei, lc.label)
-			if len(vs) < lc.n {
-				ok = false
-				break
+		flat = append(flat, p.Emb[ei]...)
+		for _, lr := range sc.groups[sc.gOff[ei]:sc.gOff[ei+1]] {
+			if n := sc.chosen[lr.idx]; n > 0 && lr.hi-lr.lo >= n {
+				flat = append(flat, sc.vbuf[lr.lo:lr.lo+n]...)
 			}
-			flat = append(flat, vs[:lc.n]...)
 		}
-		if !ok {
-			flat = flat[:lo]
+		if len(flat)-lo != lenE+total {
+			flat = flat[:lo] // lacks a chosen label (defensive: survivors never do)
 			continue
 		}
 		newEmbs = append(newEmbs, pattern.Embedding(flat[lo:len(flat):len(flat)]))
@@ -372,8 +337,7 @@ func (m *Miner) extendAt(p *pattern.Pattern, b graph.V, sc *growScratch) bool {
 	}
 	deduped := newEmbs[:0]
 	for _, e := range newEmbs {
-		var h [2]uint64
-		h, sc.imgBuf = canon.ImageHash(sc.imgBuf, newG, canon.Mapping(e))
+		h := canon.ImageHash(newG, canon.Mapping(e))
 		if _, dup := sc.seen[h]; dup {
 			continue
 		}
@@ -390,6 +354,60 @@ func (m *Miner) extendAt(p *pattern.Pattern, b graph.V, sc *growScratch) bool {
 	p.Emb = deduped
 	p.InvalidateCaches()
 	return true
+}
+
+// chooseLeaves runs extendAt's greedy over the availability table in sc
+// for a head whose frequent-leaf run has nRun labels: it repeatedly adds
+// the run label that the most surviving embeddings can still host, ties
+// toward the smallest label, while the survivors keep support >= σ. It
+// leaves the multiset in sc.chosen (a count per run position) and the
+// surviving embedding indices in sc.surv, and returns the leaves chosen.
+func (m *Miner) chooseLeaves(p *pattern.Pattern, nRun int, sc *growScratch) int {
+	sc.chosen = fitZero(sc.chosen, nRun)
+	sc.counts = fitZero(sc.counts, nRun)
+	chosen, counts := sc.chosen, sc.counts
+	surv := sc.surv[:0]
+	for i := range p.Emb {
+		surv = append(surv, int32(i))
+	}
+	keep := sc.keep
+	total := 0
+	for {
+		clear(counts)
+		for _, ei := range surv {
+			for _, lr := range sc.groups[sc.gOff[ei]:sc.gOff[ei+1]] {
+				if lr.hi-lr.lo > chosen[lr.idx] {
+					counts[lr.idx]++
+				}
+			}
+		}
+		// Best label: the highest count, and on a tie the smallest label,
+		// which is the first run position to reach that count.
+		best, bestCount := -1, int32(0)
+		for i, c := range counts {
+			if c > bestCount {
+				best, bestCount = i, c
+			}
+		}
+		if best < 0 {
+			break
+		}
+		// Which embeddings survive if we add it?
+		keep = keep[:0]
+		for _, ei := range surv {
+			if int32(len(sc.groupOf(ei, int32(best)))) > chosen[best] {
+				keep = append(keep, ei)
+			}
+		}
+		if m.embSupportIdx(p, keep, sc) < m.cfg.MinSupport {
+			break
+		}
+		chosen[best]++
+		total++
+		surv, keep = keep, surv
+	}
+	sc.surv, sc.keep = surv, keep
+	return total
 }
 
 // embSupportIdx computes σ-comparable support of the subset of p's

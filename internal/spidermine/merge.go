@@ -26,9 +26,9 @@ func (m *Miner) checkMerges(ws []*grown) ([]*grown, error) {
 	if len(ws) < 2 {
 		return ws, nil
 	}
-	groups := m.mergeGroups(ws)
-	if len(groups) == 0 {
-		return ws, nil
+	groups, err := m.mergeGroups(ws)
+	if err != nil || len(groups) == 0 {
+		return ws, err
 	}
 	cands := m.mergeCands
 
@@ -84,7 +84,14 @@ func (m *Miner) checkMerges(ws []*grown) ([]*grown, error) {
 // (pattern pair, embedding pair) combinations of ws — into m.mergeCands,
 // sorted by (a, b, ea, eb), and returns them cut into per-pattern-pair
 // groups (also kept in m.pairGroups); nil when nothing overlaps.
-func (m *Miner) mergeGroups(ws []*grown) []pairGroup {
+//
+// The pair scan checks for cancellation once per touched host vertex; on
+// cancellation mergeGroups returns ctx.Err() with no groups and the usage
+// index emptied, as a finished round leaves it. A fresh Miner's first
+// round grows the candidate set from empty: on a small host that is the
+// largest allocation of the mine and several milliseconds of work, which
+// a cancel arriving meanwhile should not have to wait out.
+func (m *Miner) mergeGroups(ws []*grown) ([]pairGroup, error) {
 	// Overlap detection samples at most mergeScanEmb embeddings per pattern:
 	// merging only needs *one* overlapping pair per site, and the usage
 	// index otherwise grows as patterns × embeddings × pattern size.
@@ -126,7 +133,15 @@ func (m *Miner) mergeGroups(ws []*grown) []pairGroup {
 		clear(m.pairCount)
 	}
 	cands := m.mergeCands[:0]
-	for _, hv := range touched {
+	for ti, hv := range touched {
+		if m.done != nil {
+			if err := m.cancelled(); err != nil {
+				for _, v := range touched[ti:] {
+					usage[v] = usage[v][:0]
+				}
+				return nil, err
+			}
+		}
 		slots := usage[hv]
 		usage[hv] = usage[hv][:0]
 		if len(slots) < 2 {
@@ -157,7 +172,7 @@ func (m *Miner) mergeGroups(ws []*grown) []pairGroup {
 	}
 	if len(cands) == 0 {
 		m.mergeCands = cands
-		return nil
+		return nil, nil
 	}
 	// Deterministic evaluation order: sort the flat list by
 	// (a, b, ea, eb) and cut it into per-pattern-pair groups — the same
@@ -186,7 +201,7 @@ func (m *Miner) mergeGroups(ws []*grown) []pairGroup {
 		i = j
 	}
 	m.pairGroups = groups
-	return groups
+	return groups, nil
 }
 
 // usageSlot names one embedding of one working pattern during overlap

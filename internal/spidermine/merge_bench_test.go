@@ -1,11 +1,9 @@
 package spidermine
 
 import (
-	"math/rand"
-	"slices"
 	"testing"
 
-	"repro/internal/gen"
+	"repro/internal/pattern"
 	"repro/internal/spider"
 )
 
@@ -15,18 +13,8 @@ import (
 // pass: the state the first merge round of a BA mine sees.
 func baMergeSet(tb testing.TB) (*Miner, []*grown) {
 	tb.Helper()
-	g := gen.BarabasiAlbert(2000, 2, 50, rand.New(rand.NewSource(1)))
-	m := New(g, Config{MinSupport: 3, K: 3, Dmax: 4, MaxLeavesPerStar: 6, MaxSpiders: 500000, Seed: 1})
-	stars := spider.MineStars(g, spider.Options{MinSupport: 3, MaxLeaves: 6, Radius: 1, MaxSpiders: 500000})
-	m.catalog.Rebuild(stars)
-	m.freqPairs = m.freqPairs[:0]
-	for _, ms := range stars {
-		if len(ms.Star.Leaves) == 1 {
-			m.freqPairs = append(m.freqPairs, labelPair{h: ms.Star.Head, l: ms.Star.Leaves[0]})
-		}
-	}
-	slices.SortFunc(m.freqPairs, cmpLabelPair)
-	M := spider.ComputeM(g.N(), m.cfg.Vmin, m.cfg.K, m.cfg.Epsilon)
+	g := baHost(2000)
+	m, M := stagedMiner(tb, g, baRecipe)
 	var ws []*grown
 	for _, p := range spider.RandomSeed(g, &m.catalog, M, m.cfg.PerHostCap, m.rng, 0) {
 		p.DedupeEmbeddings()
@@ -47,7 +35,7 @@ func baMergeSet(tb testing.TB) (*Miner, []*grown) {
 // unions that found or join a bucket.
 func BenchmarkTryMerge(b *testing.B) {
 	m, ws := baMergeSet(b)
-	groups := m.mergeGroups(ws)
+	groups, _ := m.mergeGroups(ws)
 	if len(groups) == 0 {
 		b.Fatal("working set has no merge candidates")
 	}
@@ -61,4 +49,58 @@ func BenchmarkTryMerge(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(m.mergeCands)), "cands")
+}
+
+// BenchmarkExtendAt times one sequential SpiderGrow pass over a fixed BA
+// working set: baMergeSet's after its merge round, the state the second
+// growth pass of a BA mine sees, merged patterns (whose boundary is every
+// vertex) included. Each op grows fresh shallow copies of the set, so the
+// work per op is fixed.
+func BenchmarkExtendAt(b *testing.B) {
+	m, ws := baMergeSet(b)
+	ws, err := m.checkMerges(ws)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := make([]pattern.Pattern, len(ws))
+	for i, w := range ws {
+		snap[i] = *w.p
+	}
+	sc := m.growWS.For(1)[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, w := range ws {
+			p := snap[j]
+			m.growPattern(&grown{p: &p, radius: w.radius}, sc)
+		}
+	}
+	b.ReportMetric(float64(len(ws)), "patterns")
+}
+
+// BenchmarkSelectTopK times top-K selection over what a BA mine's Stages
+// II and III hand it (BarabasiAlbert(2000, 2, 50), the BA recipe): the σ
+// and Dmax filters, the structural dedupe and the sort. Each op selects
+// from fresh copies of the patterns with their cached codes cleared.
+func BenchmarkSelectTopK(b *testing.B) {
+	m, M := stagedMiner(b, baHost(2000), baRecipe)
+	ps, err := m.runOnce(0, M)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pats := make([]pattern.Pattern, len(ps))
+	sel := make([]*pattern.Pattern, len(ps))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, p := range ps {
+			pats[j] = *p
+			pats[j].InvalidateCaches()
+			sel[j] = &pats[j]
+		}
+		if len(m.selectTopK(sel)) == 0 {
+			b.Fatal("selection kept nothing")
+		}
+	}
+	b.ReportMetric(float64(len(ps)), "patterns")
 }

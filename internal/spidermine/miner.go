@@ -228,6 +228,9 @@ type Miner struct {
 	sd spider.Seeder
 	// trees holds the r-spider seed population when cfg.Radius >= 2.
 	trees []*spider.MinedTree
+	// selBFS is the coordinator's BFS scratch for selection's diameter
+	// filter.
+	selBFS graph.BFS
 	// mergeUsage is checkMerges' per-host-vertex overlap index, reused
 	// across rounds (truncated, never reallocated). Overlap detection runs
 	// sequentially; only pair evaluation is sharded.
@@ -275,10 +278,10 @@ func (m *Miner) freqLeavesOf(h graph.Label) []labelPair {
 	return m.freqPairs[lo:hi]
 }
 
-// hasLeaf reports whether leaf label l occurs in a head's run.
-func hasLeaf(run []labelPair, l graph.Label) bool {
-	_, ok := slices.BinarySearchFunc(run, labelPair{l: l}, func(a, b labelPair) int { return int(a.l) - int(b.l) })
-	return ok
+// leafIndex returns the position of leaf label l in a head's run and
+// whether it occurs there.
+func leafIndex(run []labelPair, l graph.Label) (int, bool) {
+	return slices.BinarySearchFunc(run, labelPair{l: l}, func(a, b labelPair) int { return int(a.l) - int(b.l) })
 }
 
 const minInt32 = -1 << 31
@@ -398,16 +401,7 @@ func (m *Miner) RunContext(ctx context.Context) (*Result, error) {
 		m.stats.StageI = time.Since(t0)
 		return &Result{Stats: m.stats}, starErr
 	}
-	m.catalog.Rebuild(stars)
-	// Flat frequent-pair index from the single-leaf stars; sorted so lookup
-	// order is independent of the star list's order.
-	m.freqPairs = m.freqPairs[:0]
-	for _, ms := range stars {
-		if len(ms.Star.Leaves) == 1 {
-			m.freqPairs = append(m.freqPairs, labelPair{h: ms.Star.Head, l: ms.Star.Leaves[0]})
-		}
-	}
-	slices.SortFunc(m.freqPairs, cmpLabelPair)
+	m.indexStars(stars)
 	m.stats.NumSpiders = len(stars)
 	if m.cfg.Radius >= 2 {
 		maxSpiders := m.cfg.MaxSpiders
@@ -448,6 +442,20 @@ func (m *Miner) RunContext(ctx context.Context) (*Result, error) {
 	top := m.selectTopK(finals)
 	m.progress(StageEvent{Stage: StageDone, Patterns: len(top), Merges: m.stats.Merges})
 	return &Result{Patterns: top, Stats: m.stats}, nil
+}
+
+// indexStars rebuilds the spider catalog and the flat frequent-pair index
+// from Stage I's stars. The index is built from the single-leaf stars and
+// sorted, so lookup order is independent of the star list's order.
+func (m *Miner) indexStars(stars []*spider.MinedStar) {
+	m.catalog.Rebuild(stars)
+	m.freqPairs = m.freqPairs[:0]
+	for _, ms := range stars {
+		if len(ms.Star.Leaves) == 1 {
+			m.freqPairs = append(m.freqPairs, labelPair{h: ms.Star.Head, l: ms.Star.Leaves[0]})
+		}
+	}
+	slices.SortFunc(m.freqPairs, cmpLabelPair)
 }
 
 // runOnce performs Stages II and III for one random restart. On
@@ -608,13 +616,19 @@ func (m *Miner) selectPartial(ps []*pattern.Pattern) []*pattern.Pattern {
 	return m.selectPatterns(ps, !m.cfg.DisablePartialDedupe)
 }
 
+// selectPatterns filters σ and Dmax, optionally dedupes, and keeps the K
+// largest. The Dmax filter is the threshold test DiameterAtMost, which
+// agrees with Diameter() <= Dmax on connected graphs, and every pattern
+// reaching selection is connected: seeds are spiders, growth appends
+// leaves and merges accept connected unions only
+// (TestSelectedPatternsConnected).
 func (m *Miner) selectPatterns(ps []*pattern.Pattern, dedupe bool) []*pattern.Pattern {
 	var kept []*pattern.Pattern
 	for _, p := range ps {
 		if m.supFn(p.G, p.Emb) < m.cfg.MinSupport {
 			continue
 		}
-		if p.G.Diameter() > m.cfg.Dmax {
+		if !m.selBFS.DiameterAtMost(p.G, m.cfg.Dmax) {
 			continue
 		}
 		if dedupe {

@@ -224,7 +224,7 @@ func refineCorpus(t *testing.T) []namedGraph {
 // SubgraphOfEdges.
 func baMergeUnions(t *testing.T) []namedGraph {
 	m, ws := baMergeSet(t)
-	groups := m.mergeGroups(ws)
+	groups, _ := m.mergeGroups(ws)
 	if len(groups) == 0 {
 		t.Fatal("working set has no merge candidates")
 	}
