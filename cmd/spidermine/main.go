@@ -52,7 +52,7 @@ func run() int {
 		epsilon    = flag.Float64("epsilon", 0.1, "error bound ε (success probability 1-ε)")
 		vmin       = flag.Int("vmin", 0, "minimum large-pattern vertex count Vmin (default |V|/10)")
 		seed       = flag.Int64("seed", 1, "random seed")
-		workers    = flag.Int("workers", 0, "mining parallelism: 0/1 sequential, N goroutines, -1 all CPUs (mined patterns are identical across settings; -stats work counters may differ)")
+		workers    = flag.Int("workers", 0, "mining parallelism: 0/1 sequential, N goroutines, -1 all CPUs (mined patterns and -stats work counters are identical across settings)")
 		maxLeaves  = flag.Int("max-leaves", 0, "cap star-spider leaves in Stage I (0 = unlimited; bound this on scale-free graphs)")
 		maxSpiders = flag.Int("max-spiders", 0, "cap Stage I spider enumeration (0 = unlimited; bound this on scale-free graphs)")
 		maxPat     = flag.Int("max-patterns", 0, "cap reported patterns (0 = unlimited)")

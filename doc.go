@@ -158,8 +158,9 @@
 // net/http/pprof behind -debug-addr. cmd/spiderload generates mixed
 // traffic (uploads, fresh/repeat submits, cancels, event streamers) and
 // records client-observed latency quantiles per endpoint class plus the
-// cache hit rate; SLO_PR7.json is the committed baseline scaling work
-// is measured against.
+// cache hit rate; SLO_PR7.json is a committed historical run. The
+// baseline to measure against is the repository benchmark
+// (bash bench/run.sh), whose serve-mixed workload replays those rates.
 //
 // # Cancellation architecture
 //
@@ -170,10 +171,10 @@
 //     ctx.Done() != nil, so a Background run executes the exact
 //     pre-context code path — byte-identical results, no hot-path cost
 //     (the matcher stays 0 allocs/op; sequential stage benchmarks are
-//     unchanged). Checks are amortized: internal/par polls every
-//     seqCheckStride items sequentially and reads one watcher-set atomic
-//     flag per item claim in parallel mode; the mining stages check at
-//     pattern / merge-key / iteration granularity.
+//     unchanged). Checks stay cheap: internal/par makes one non-blocking
+//     receive before every item sequentially and reads one watcher-set
+//     atomic flag per item claim in parallel mode, so the mining stages
+//     see a cancel at the next pattern, merge group or iteration.
 //   - Deterministic partials when cancelled: SpiderMine commits its
 //     reduced working set at every grow+merge and recovery iteration
 //     boundary (shallow pattern snapshots, taken only when the context is
@@ -181,9 +182,8 @@
 //     and the run returns ctx.Err() plus the committed patterns (σ- and
 //     Dmax-filtered, size-ordered, and — since the automorphism-pruned
 //     Canonizer made identity checks cheap even on unpruned hub patterns
-//     — structurally deduped like a completed run's, gated by
-//     Config.DisablePartialDedupe). Cancellation observed at a given
-//     boundary therefore
+//     — structurally deduped like a completed run's). Cancellation
+//     observed at a given boundary therefore
 //     yields byte-identical partial results; progress callbacks run
 //     synchronously between parallel sections, so a callback-pinned
 //     cancel is deterministic end to end (TestCancelDeterministic,
@@ -285,12 +285,15 @@
 //     slots (par.Map) and all cross-worker combination — concatenating
 //     Stage I expansions, accepting Stage II merges, assigning pattern
 //     IDs — happens afterwards in item order (pattern/vertex id order),
-//     never completion order and never map-iteration order. Merge rounds
-//     evaluate candidate pairs in bounded waves and re-apply the
-//     sequential consumed-pair filter during the reduction, so accepted
-//     merges are bit-identical to the sequential engine's.
+//     never completion order and never map-iteration order. One code
+//     path serves every worker count: growth and merge rounds run on
+//     par.Do, inline at one worker. A merge round runs in waves, each
+//     holding only pattern-pair groups whose fate the key-order walk of
+//     Algorithm 4 has already decided, so it evaluates exactly the
+//     walk's groups, none speculatively; accepted merges are numbered in
+//     key order once the round ends.
 //
-// Consequence: for a fixed Config (including Seed), the Result is
-// byte-for-byte identical for every Workers setting; only wall-clock and
-// the speculative-work counter Stats.IsoRun vary.
+// Consequence: for a fixed Config (including Seed), the Result and every
+// Stats work counter are identical for every Workers setting; only
+// wall-clock varies.
 package repro

@@ -221,16 +221,6 @@ func (b *Builder) AddVertex(l Label) V {
 	return V(len(b.labels) - 1)
 }
 
-// AddVertices appends k vertices all carrying label l and returns the id of
-// the first.
-func (b *Builder) AddVertices(k int, l Label) V {
-	first := V(len(b.labels))
-	for i := 0; i < k; i++ {
-		b.labels = append(b.labels, l)
-	}
-	return first
-}
-
 // N returns the number of vertices added so far.
 func (b *Builder) N() int { return len(b.labels) }
 

@@ -152,8 +152,7 @@ func (s *BFS) EccentricityRaising(g *Graph, v V, lb []int32) int {
 // Diameter returns the diameter of the graph: the maximum eccentricity over
 // all vertices. Disconnected graphs report the maximum diameter over
 // components (distances across components are ignored). O(N·(N+M)); meant
-// for patterns and test graphs, not massive inputs — use
-// EffectiveDiameter for those.
+// for patterns and test graphs, not massive inputs.
 func (g *Graph) Diameter() int {
 	s := bfsPool.Get().(*BFS)
 	var diam int32
@@ -164,104 +163,6 @@ func (g *Graph) Diameter() int {
 	}
 	bfsPool.Put(s)
 	return int(diam)
-}
-
-// RadiusFrom reports whether every vertex of the graph is within distance r
-// of v, i.e. whether the graph is "r-bounded from v" in the paper's sense.
-// Disconnected graphs are never r-bounded.
-func (g *Graph) RadiusFrom(v V, r int) bool {
-	if g.N() == 0 {
-		return true
-	}
-	if int(v) >= g.N() || v < 0 {
-		return false
-	}
-	s := bfsPool.Get().(*BFS)
-	ecc := g.bfs(s, v)
-	reached := len(s.queue)
-	bfsPool.Put(s)
-	return reached == g.N() && int(ecc) <= r
-}
-
-// EffectiveDiameter estimates the q-quantile (e.g. 0.9 for the "90th
-// percentile distance" the paper cites for DBLP) of pairwise distances by
-// sampling BFS from up to sample source vertices, visiting sources in a
-// fixed stride so the estimate is deterministic.
-func (g *Graph) EffectiveDiameter(q float64, sample int) int {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	if sample <= 0 || sample > n {
-		sample = n
-	}
-	stride := n / sample
-	if stride == 0 {
-		stride = 1
-	}
-	var dists []int
-	for v := 0; v < n; v += stride {
-		for _, d := range g.BFSFrom(V(v)) {
-			if d > 0 {
-				dists = append(dists, d)
-			}
-		}
-	}
-	if len(dists) == 0 {
-		return 0
-	}
-	// Counting sort: distances are small integers.
-	maxD := 0
-	for _, d := range dists {
-		if d > maxD {
-			maxD = d
-		}
-	}
-	counts := make([]int, maxD+1)
-	for _, d := range dists {
-		counts[d]++
-	}
-	target := int(q * float64(len(dists)))
-	if target >= len(dists) {
-		target = len(dists) - 1
-	}
-	cum := 0
-	for d, c := range counts {
-		cum += c
-		if cum > target {
-			return d
-		}
-	}
-	return maxD
-}
-
-// ConnectedComponents returns a component id per vertex and the number of
-// components. Component ids are assigned in order of lowest contained
-// vertex.
-func (g *Graph) ConnectedComponents() (comp []int, count int) {
-	comp = make([]int, g.N())
-	for i := range comp {
-		comp[i] = -1
-	}
-	for v := 0; v < g.N(); v++ {
-		if comp[v] >= 0 {
-			continue
-		}
-		comp[v] = count
-		queue := []V{V(v)}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, w := range g.Neighbors(u) {
-				if comp[w] < 0 {
-					comp[w] = count
-					queue = append(queue, w)
-				}
-			}
-		}
-		count++
-	}
-	return comp, count
 }
 
 // IsConnected reports whether the graph has exactly one connected component

@@ -87,17 +87,11 @@ func MineContext(ctx context.Context, db *txdb.DB, cfg Config) ([]Result, error)
 	return mineOn(ctx, union, supFn, cfg)
 }
 
-// MineGraph runs the ORIGAMI sampler in the single-graph setting: walks
-// sample maximal frequent patterns of g directly, and support is the raw
+// MineGraphContext runs the ORIGAMI sampler in the single-graph setting,
+// under the same partial-result contract as MineContext: walks sample
+// maximal frequent patterns of g directly, and support is the raw
 // distinct-embedding count (the transaction measure degenerates to 0/1 on
 // one graph).
-func MineGraph(g *graph.Graph, cfg Config) []Result {
-	out, _ := MineGraphContext(context.Background(), g, cfg)
-	return out
-}
-
-// MineGraphContext is MineGraph with cooperative cancellation, under the
-// same partial-result contract as MineContext.
 func MineGraphContext(ctx context.Context, g *graph.Graph, cfg Config) ([]Result, error) {
 	supFn := func(embs []pattern.Embedding) int { return len(embs) }
 	return mineOn(ctx, g, supFn, cfg)

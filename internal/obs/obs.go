@@ -224,16 +224,6 @@ func DurationBuckets() []int64 {
 	}
 }
 
-// ByteBuckets is the default size layout: 256B to 256MiB in powers of
-// four. Raw unit: bytes.
-func ByteBuckets() []int64 {
-	out := make([]int64, 0, 11)
-	for b := int64(256); b <= 256<<20; b *= 4 {
-		out = append(out, b)
-	}
-	return out
-}
-
 // SecondsScale converts nanosecond observations to Prometheus-convention
 // seconds at exposition time.
 const SecondsScale = 1e-9

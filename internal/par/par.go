@@ -14,12 +14,12 @@
 // progress" flags) must be worker-indexed and reduced after the join.
 //
 // Cancellation: Do and Map observe ctx cooperatively at item granularity
-// and return ctx.Err() once it fires. The checks are amortized off the hot
-// path — an uncancellable context (ctx.Done() == nil, e.g.
+// and return ctx.Err() once it fires. The checks stay off the hot path —
+// an uncancellable context (ctx.Done() == nil, e.g.
 // context.Background()) takes the exact pre-context code path with zero
-// added work, the sequential path polls once every seqCheckStride items,
-// and the parallel path reads one atomic flag per item claim (set by a
-// watcher goroutine, never a select per item). A cancelled Do abandons
+// added work, the sequential path makes one non-blocking receive before
+// every item, and the parallel path reads one atomic flag per item claim
+// (set by a watcher goroutine, never a select per item). A cancelled Do abandons
 // unclaimed items and stops claiming new ones, but items already running
 // complete; callers must treat all item slots of a cancelled call as
 // poisoned and fall back to their last reduced state — which slots
@@ -63,12 +63,6 @@ func Bound(n, workers int) int {
 	return workers
 }
 
-// seqCheckStride is how many sequential items run between cancellation
-// polls. Mining items are pattern- or vertex-granular (micro- to
-// milliseconds each), so a 32-item stride keeps the poll cost invisible
-// while bounding cancellation latency well under the promptness budget.
-const seqCheckStride = 32
-
 // Do runs fn(worker, item) for every item in [0, n), spread over at most
 // `workers` goroutines (after Resolve; never more than n). Items are handed
 // out by an atomic counter, so assignment of items to workers is
@@ -92,12 +86,10 @@ func Do(ctx context.Context, n, workers int, fn func(worker, item int)) error {
 			return nil
 		}
 		for i := 0; i < n; i++ {
-			if i%seqCheckStride == 0 {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
 			}
 			fn(0, i)
 		}
@@ -174,17 +166,13 @@ func Map[T any](ctx context.Context, n, workers int, fn func(worker, item int) T
 	return out, err
 }
 
-// Chunks splits [0, n) into at most `workers` contiguous near-equal
-// [lo, hi) ranges, for stages that shard a vertex or head range rather
-// than a work list (Stage I partitions spider heads this way). The ranges
-// cover [0, n) exactly, in ascending order, so concatenating per-chunk
-// results in chunk order preserves the sequential item order.
-func Chunks(n, workers int) [][2]int {
-	return AppendChunks(nil, n, workers)
-}
-
-// AppendChunks is Chunks appending into dst, for callers that keep a
-// pooled chunk list across runs (pass dst[:0] to reuse the backing).
+// AppendChunks appends to dst a split of [0, n) into at most `workers`
+// contiguous near-equal [lo, hi) ranges, for stages that shard a vertex
+// or head range rather than a work list (Stage I partitions spider heads
+// this way). The ranges cover [0, n) exactly, in ascending order, so
+// concatenating per-chunk results in chunk order preserves the sequential
+// item order. Callers keep a pooled chunk list across runs by passing
+// dst[:0].
 func AppendChunks(dst [][2]int, n, workers int) [][2]int {
 	if n <= 0 {
 		return dst

@@ -144,6 +144,27 @@ func TestDoCancelPrompt(t *testing.T) {
 	}
 }
 
+// TestDoSequentialCancelNextItem: with one worker, Do polls before every
+// item, so a cancel raised inside item k leaves every later item unrun.
+func TestDoSequentialCancelNextItem(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const k = 3
+	ran := 0
+	err := Do(ctx, 100, 1, func(_, i int) {
+		ran++
+		if i == k {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ran != k+1 {
+		t.Fatalf("%d items ran, want %d: items after the cancel still ran", ran, k+1)
+	}
+}
+
 // TestDoDeadline: a deadline context surfaces context.DeadlineExceeded.
 func TestDoDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
@@ -158,7 +179,7 @@ func TestChunks(t *testing.T) {
 	for _, tc := range []struct {
 		n, workers int
 	}{{0, 4}, {1, 4}, {7, 3}, {100, 8}, {5, 5}, {3, 16}} {
-		chunks := Chunks(tc.n, tc.workers)
+		chunks := AppendChunks(nil, tc.n, tc.workers)
 		next := 0
 		for _, c := range chunks {
 			if c[0] != next {

@@ -20,16 +20,6 @@ type Embedding []graph.V
 // Clone returns a copy of the embedding.
 func (e Embedding) Clone() Embedding { return append(Embedding(nil), e...) }
 
-// Contains reports whether the embedding's image includes host vertex hv.
-func (e Embedding) Contains(hv graph.V) bool {
-	for _, x := range e {
-		if x == hv {
-			return true
-		}
-	}
-	return false
-}
-
 // ImageKey returns a canonical key identifying the embedded subgraph:
 // sorted (host) edge list of the pattern's image. Two embeddings with the
 // same key denote the same subgraph of the host.
@@ -170,17 +160,6 @@ func (p *Pattern) AppendBoundary(s *graph.BFS, dst []graph.V, radius int) []grap
 		return dst
 	}
 	return s.AppendAtDistance(p.G, dst, p.Origin, radius)
-}
-
-// UsesHostVertex reports whether any embedding of p covers hv, and returns
-// the index of the first such embedding.
-func (p *Pattern) UsesHostVertex(hv graph.V) (int, bool) {
-	for i, e := range p.Emb {
-		if e.Contains(hv) {
-			return i, true
-		}
-	}
-	return -1, false
 }
 
 // SameStructure reports whether two patterns have isomorphic pattern

@@ -208,15 +208,3 @@ func (c *Catalog) AtHead(v graph.V) []int32 {
 	}
 	return c.headIdx[c.headOff[v]:c.headOff[v+1]]
 }
-
-// MaximalAtHead returns the index of the spider with the most leaves
-// hostable at v (ties broken by key order), or -1.
-func (c *Catalog) MaximalAtHead(v graph.V) int {
-	best := -1
-	for _, i := range c.AtHead(v) {
-		if best < 0 || len(c.Stars[i].Star.Leaves) > len(c.Stars[best].Star.Leaves) {
-			best = int(i)
-		}
-	}
-	return best
-}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/spider"
 )
@@ -38,7 +39,7 @@ func TestRunContextUncancelledEqualsRun(t *testing.T) {
 // Stage II grow+merge iteration boundary (delivered synchronously by the
 // progress callback), returning the partial result, the run error, and
 // how long the miner took to return after cancel() was called.
-func cancelledRun(t *testing.T, workers int, mutate ...func(*Config)) (*Result, error, time.Duration) {
+func cancelledRun(t *testing.T, workers int) (*Result, error, time.Duration) {
 	t.Helper()
 	g := gen.BarabasiAlbert(500, 3, 25, rand.New(rand.NewSource(11)))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -54,9 +55,6 @@ func cancelledRun(t *testing.T, workers int, mutate ...func(*Config)) (*Result, 
 				cancel()
 			}
 		},
-	}
-	for _, f := range mutate {
-		f(&cfg)
 	}
 	res, err := MineContext(ctx, g, cfg)
 	ret := time.Now()
@@ -95,10 +93,9 @@ func TestCancelDeterministic(t *testing.T) {
 }
 
 // TestCancelPartialDedupe: a cancelled run's partial selection applies
-// the exact structural dedupe by default — safe now that the
+// the same exact structural dedupe as a completed run — safe since the
 // automorphism-pruned Canonizer codes unpruned hub patterns in
-// microseconds — and stays deterministic; DisablePartialDedupe restores
-// the historical duplicate-tolerant path, also deterministically.
+// microseconds.
 func TestCancelPartialDedupe(t *testing.T) {
 	res, err, _ := cancelledRun(t, 1)
 	if !errors.Is(err, context.Canceled) {
@@ -113,19 +110,6 @@ func TestCancelPartialDedupe(t *testing.T) {
 	}
 	if res.Stats.CanonRun == 0 {
 		t.Fatal("partial dedupe ran but Stats.CanonRun is zero")
-	}
-	disable := func(c *Config) { c.DisablePartialDedupe = true }
-	raw1, err1, _ := cancelledRun(t, 1, disable)
-	raw2, err2, _ := cancelledRun(t, 1, disable)
-	if !errors.Is(err1, context.Canceled) || !errors.Is(err2, context.Canceled) {
-		t.Fatalf("gated runs errs = %v, %v, want context.Canceled", err1, err2)
-	}
-	if fingerprint(t, raw1) != fingerprint(t, raw2) {
-		t.Error("DisablePartialDedupe partials differ between identical runs")
-	}
-	if len(raw1.Patterns) < len(res.Patterns) {
-		t.Errorf("dedupe kept %d patterns but the raw selection only had %d",
-			len(res.Patterns), len(raw1.Patterns))
 	}
 }
 
@@ -225,4 +209,81 @@ func TestMergeGroupsCancelAnywhere(t *testing.T) {
 		t.Fatalf("the round after the cancelled ones differs from the first (err %v)", err)
 	}
 	t.Logf("%d of %d scans observed their cancel", aborted, tries)
+}
+
+// TestGrowCancelSeenAtNextPattern: at one worker a growth pass checks for
+// cancellation before every pattern, so a cancel raised while pattern k
+// grows leaves every later pattern ungrown and unmarked.
+func TestGrowCancelSeenAtNextPattern(t *testing.T) {
+	g, _ := gen.Synthetic(gen.GIDConfig(1, 42))
+	m, ws := seedSet(t, g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 3})
+	const k = 3
+	if len(ws) < 40 {
+		t.Fatalf("only %d seeds", len(ws))
+	}
+	before := make([]*graph.Graph, len(ws))
+	for i, w := range ws {
+		before[i] = w.p.G
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.ctx, m.done = ctx, ctx.Done()
+	m.growWS.For(1)[0].guardSeen = func(pg *graph.Graph, _ graph.V, _, _ bool) {
+		if pg == before[k] {
+			cancel()
+		}
+	}
+	if _, err := m.growAll(ws); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for i := k + 1; i < len(ws); i++ {
+		if w := ws[i]; w.p.G != before[i] || w.radius != 1 || w.done {
+			t.Fatalf("pattern %d was grown after the cancel raised while pattern %d grew", i, k)
+		}
+	}
+}
+
+// TestMergeCancelSeenAtNextGroup: at one worker a merge round checks for
+// cancellation before every group it evaluates. The working set pairs up
+// into disjoint overlapping groups, one wave of them; a cancel raised
+// while the first group's union is judged leaves every later group
+// unevaluated, and the round returns the input set.
+func TestMergeCancelSeenAtNextGroup(t *testing.T) {
+	const sites = 8
+	b := graph.NewBuilder(3*sites, 2*sites)
+	for range sites {
+		h := b.AddVertex(9)
+		b.AddEdge(h, b.AddVertex(1))
+		b.AddEdge(h, b.AddVertex(2))
+	}
+	g := b.Build()
+	m := minerFor(g, Config{MinSupport: 1, Dmax: 4})
+	pgA := graph.FromEdges([]graph.Label{9, 1}, []graph.Edge{{U: 0, W: 1}})
+	pgB := graph.FromEdges([]graph.Label{9, 2}, []graph.Edge{{U: 0, W: 1}})
+	var ws []*grown
+	for s := range sites {
+		h := graph.V(3 * s)
+		ws = append(ws,
+			&grown{p: pattern.New(pgA, []pattern.Embedding{{h, h + 1}}), radius: 1},
+			&grown{p: pattern.New(pgB, []pattern.Embedding{{h, h + 2}}), radius: 1})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m.ctx, m.done = ctx, ctx.Done()
+	sup, judged := m.supFn, 0
+	m.supFn = func(pg *graph.Graph, embs []pattern.Embedding) int {
+		judged++
+		cancel()
+		return sup(pg, embs)
+	}
+	out, err := m.checkMerges(ws)
+	if judged != 1 {
+		t.Fatalf("%d groups judged, want 1: groups after the cancel were evaluated", judged)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(out) != len(ws) || m.stats.Merges != 0 {
+		t.Fatalf("cancelled round returned %d patterns and %d merges, want the %d inputs and none", len(out), m.stats.Merges, len(ws))
+	}
 }

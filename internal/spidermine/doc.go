@@ -71,10 +71,14 @@
 //     A warm tryMerge whose unions all repeat or fail Dmax allocates
 //     nothing (TestMergeScratchWarmNoAlloc), under -race as well: warm
 //     growth and merge never borrow from a sync.Pool.
-//   - Worker-indexed accumulators (par.Slots): progress flags, iso-run
-//     counters, and item-indexed merge results, zero-filled on For and
-//     reduced in item order after each join, preserving the PR 2
-//     determinism contract (bit-identical results for any worker count).
+//   - Worker-indexed accumulators (par.Slots): progress flags and iso-run
+//     counters, zero-filled on For and reduced after each join, plus the
+//     merge waves' per-pattern consumed flags and wave stamps. Growth and
+//     merging run on par.Do at every worker count (inline at one worker);
+//     a merge wave holds only groups whose fate is decided, its results
+//     sit in slots indexed by wave position, and accepted merges are
+//     numbered in key order once the round ends (mergeWaves), so results
+//     and every work counter are the same for any worker count.
 //   - Retained embeddings are carved from exact-capacity flat backing
 //     ([]graph.V sized before the append loop), so growing one pattern's
 //     embedding list can never reallocate under a neighbor's sub-slice.
@@ -84,6 +88,6 @@
 // TestStarMinerWarmNoAlloc (internal/spider), TestGrowScratchWarm* and
 // TestMergeScratchWarmNoAlloc (this package), and the cross-run reuse
 // contract by TestMinerResetReuse
-// and TestStarMinerWarmAcrossHosts. BENCH_PR8.json records the measured
-// steady state.
+// and TestStarMinerWarmAcrossHosts. The measured baseline is the
+// repository benchmark, `bash bench/run.sh` (see bench/README.md).
 package spidermine

@@ -6,40 +6,38 @@ import (
 
 	"repro/internal/canon"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/pattern"
 )
 
-// growAll runs one SpiderGrow iteration over every working pattern,
-// reporting whether any pattern was extended. With cfg.Workers > 1 (or
-// < 0 for GOMAXPROCS) patterns grow concurrently; results are identical
-// because each pattern is grown independently against shared-immutable
-// state (host graph, frequent-pair index) with worker-owned scratch.
+// growAll runs one SpiderGrow iteration over every working pattern on
+// par.Do (inline at one worker), reporting whether any pattern was
+// extended. Each pattern is grown independently against shared-immutable
+// state (host graph, frequent-pair index) with worker-owned scratch, so
+// the result is the same for any worker count; progress flags are
+// worker-indexed and reduced after the join.
 //
 // On cancellation growAll returns ctx.Err() with the pass partially
-// applied; the caller rolls back to its last committed snapshot. The
-// per-pattern check is skipped entirely for uncancellable runs.
+// applied; the caller rolls back to its last committed snapshot. par.Do
+// checks before every pattern, and not at all for uncancellable runs.
 func (m *Miner) growAll(ws []*grown) (bool, error) {
-	if workers := m.workerCount(len(ws)); workers > 1 {
-		return m.growAllParallel(ws, workers)
-	}
-	sc := m.growWS.For(1)[0]
-	any := false
-	for _, w := range ws {
-		if m.done != nil {
-			if err := m.cancelled(); err != nil {
-				return any, err
-			}
-		}
+	workers := m.workerCount(len(ws))
+	scs := m.growWS.For(workers)
+	grew := m.anyFlag.For(workers)
+	if err := par.Do(m.ctx, len(ws), workers, func(wk, i int) {
+		w := ws[i]
 		if w.done {
-			continue
+			return
 		}
-		if m.growPattern(w, sc) {
-			any = true
+		if m.growPattern(w, scs[wk]) {
+			grew[wk] = true
 		} else {
 			w.done = true
 		}
+	}); err != nil {
+		return false, err
 	}
-	return any, nil
+	return slices.Contains(grew, true), nil
 }
 
 // growPattern performs one radius-increasing growth step (Algorithm 2 +

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/canon"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/pattern"
 )
 
@@ -16,12 +17,14 @@ import (
 //
 // A successful merge removes both parents from the working set and adds the
 // merged pattern, marked Merged for Stage II pruning. The merged pattern's
-// embeddings are the iso-consistent union images.
+// embeddings are the iso-consistent union images. Merges are accepted
+// exactly as a walk over the groups in key order accepts them, skipping a
+// group once an earlier merge has consumed either of its patterns (see
+// mergeWaves), and are numbered and appended in key order.
 //
 // On cancellation checkMerges returns the input set unchanged together
-// with ctx.Err() (merges already applied this round stay on ws's
-// patterns' wrappers only via the returned slice, which the caller then
-// discards in favor of its committed snapshot).
+// with ctx.Err(); the caller discards the round in favor of its committed
+// snapshot.
 func (m *Miner) checkMerges(ws []*grown) ([]*grown, error) {
 	if len(ws) < 2 {
 		return ws, nil
@@ -30,54 +33,106 @@ func (m *Miner) checkMerges(ws []*grown) ([]*grown, error) {
 	if err != nil || len(groups) == 0 {
 		return ws, err
 	}
-	cands := m.mergeCands
-
 	consumed := m.consumed.For(len(ws))
-	var merged []*grown
-	// apply is the ordered reduction step shared by the sequential and
-	// parallel paths: accept a merge, number it, and retire its parents.
-	apply := func(pk pairKey, mp *pattern.Pattern) {
-		mp.ID = m.newID()
-		consumed[pk.a] = true
-		consumed[pk.b] = true
-		m.stats.Merges++
-		radius := ws[pk.a].radius
-		if r := ws[pk.b].radius; r > radius {
-			radius = r
-		}
-		merged = append(merged, &grown{p: mp, radius: radius})
+	accepted, err := m.mergeWaves(ws, groups, consumed)
+	if err != nil || len(accepted) == 0 {
+		return ws, err
 	}
-	if workers := m.workerCount(len(groups)); workers > 1 {
-		if err := m.mergeParallel(ws, groups, workers, consumed, apply); err != nil {
-			return ws, err
+	// A later wave can hold a group that precedes, in key order, a group of
+	// an earlier wave, so the merges are numbered only now.
+	slices.SortFunc(accepted, func(x, y waveItem) int {
+		if x.gp.pk.a != y.gp.pk.a {
+			return x.gp.pk.a - y.gp.pk.a
 		}
-	} else {
-		sc := m.mergeWS.For(1)[0]
-		for _, gp := range groups {
-			if m.done != nil {
-				if err := m.cancelled(); err != nil {
-					return ws, err
-				}
-			}
-			if consumed[gp.pk.a] || consumed[gp.pk.b] {
-				continue
-			}
-			mp := m.tryMerge(ws[gp.pk.a].p, ws[gp.pk.b].p, cands[gp.lo:gp.hi], sc, &m.stats.IsoRun)
-			if mp != nil {
-				apply(gp.pk, mp)
-			}
-		}
-	}
-	if len(merged) == 0 {
-		return ws, nil
-	}
+		return x.gp.pk.b - y.gp.pk.b
+	})
 	out := make([]*grown, 0, len(ws))
 	for i, w := range ws {
 		if !consumed[i] {
 			out = append(out, w)
 		}
 	}
-	return append(out, merged...), nil
+	for _, it := range accepted {
+		it.mp.ID = m.newID()
+		m.stats.Merges++
+		out = append(out, &grown{p: it.mp, radius: max(ws[it.gp.pk.a].radius, ws[it.gp.pk.b].radius)})
+	}
+	return out, nil
+}
+
+// mergeWaves evaluates the round's merge groups — sorted by pair key, as
+// mergeGroups returns them — and returns the accepted merges, in no
+// particular order, each with its group, in a buffer the next round
+// reuses; the merged patterns' IDs are unassigned. consumed (zeroed, one
+// flag per pattern of ws) ends up marking the patterns the accepted
+// merges consumed.
+//
+// The key-order walk of Algorithm 4 skips a group exactly when an earlier
+// group that shares a pattern with it has merged. So once every earlier
+// group sharing a pattern with a group is resolved, the group's fate is
+// fixed: skipped if either pattern is consumed, evaluated otherwise. Each
+// wave takes every group in that state, and its groups share no pattern,
+// so no wave-mate can change another's fate. The waves therefore evaluate
+// exactly the walk's groups and accept exactly its merges, for any worker
+// count.
+//
+// A wave's gather scans the pending groups in key order: a group with a
+// consumed pattern is resolved as skipped and dropped, a group with a
+// pattern stamped in this wave stays pending, and any other group is
+// ready; every group that is ready or stays pending stamps both its
+// patterns. The first unresolved group is always ready, so every wave
+// makes progress. The ready groups run through tryMerge on par.Do (inline
+// at one worker, which checks for cancellation before every group), and
+// then the patterns of the wave's merges are marked consumed. Pending
+// groups are compacted in place in groups.
+//
+// On cancellation mergeWaves returns ctx.Err(); the round is discarded.
+func (m *Miner) mergeWaves(ws []*grown, groups []pairGroup, consumed []bool) ([]waveItem, error) {
+	workers := m.workerCount(len(groups))
+	scs := m.mergeWS.For(workers)
+	isoRuns := m.isoRuns.For(workers)
+	stamp := m.waveStamp.For(len(ws))
+	wave := m.wave[:0]
+	eval := func(wk, i int) {
+		gp := wave[i].gp
+		wave[i].mp = m.tryMerge(ws[gp.pk.a].p, ws[gp.pk.b].p, m.mergeCands[gp.lo:gp.hi], scs[wk], &isoRuns[wk])
+	}
+	accepted := m.accepted[:0]
+	var err error
+	for n := int32(1); len(groups) > 0; n++ {
+		wave = wave[:0]
+		pending := groups[:0]
+		for _, gp := range groups {
+			a, b := gp.pk.a, gp.pk.b
+			switch {
+			case consumed[a] || consumed[b]:
+				continue
+			case stamp[a] == n || stamp[b] == n:
+				pending = append(pending, gp)
+			default:
+				wave = append(wave, waveItem{gp: gp})
+			}
+			stamp[a], stamp[b] = n, n
+		}
+		groups = pending
+		if err = par.Do(m.ctx, len(wave), m.workerCount(len(wave)), eval); err != nil {
+			break
+		}
+		if m.waveSeen != nil {
+			m.waveSeen(wave)
+		}
+		for _, it := range wave {
+			if it.mp != nil {
+				consumed[it.gp.pk.a], consumed[it.gp.pk.b] = true, true
+				accepted = append(accepted, it)
+			}
+		}
+	}
+	m.wave, m.accepted = wave[:0], accepted[:0]
+	for _, n := range isoRuns {
+		m.stats.IsoRun += n
+	}
+	return accepted, err
 }
 
 // mergeGroups collects the round's merge candidates — overlapping
@@ -96,6 +151,9 @@ func (m *Miner) mergeGroups(ws []*grown) ([]pairGroup, error) {
 	// merging only needs *one* overlapping pair per site, and the usage
 	// index otherwise grows as patterns × embeddings × pattern size.
 	const mergeScanEmb = 256
+	// mergePairCap bounds the overlapping embedding pairs examined per
+	// pattern pair each round.
+	const mergePairCap = 4096
 	// usage is indexed by host vertex id and kept on the Miner across
 	// rounds (checkMerges runs sequentially); only the touched entries are
 	// filled and they are truncated again before the pair scan returns, so
@@ -121,7 +179,7 @@ func (m *Miner) mergeGroups(ws []*grown) ([]pairGroup, error) {
 	}
 	m.touched = touched
 	// Collect overlapping (pattern pair, embedding pair) candidates into
-	// the flat reused list, deduplicated, with MergePairCap applied per
+	// the flat reused list, deduplicated, with mergePairCap applied per
 	// pattern pair in discovery order — exactly the set the historical
 	// map-of-maps kept (first cap distinct embedding pairs per pattern
 	// pair, in the order the usage scan surfaces them).
@@ -161,7 +219,7 @@ func (m *Miner) mergeGroups(ws []*grown) ([]pairGroup, error) {
 					continue
 				}
 				pk := pairKey{a.w, b.w}
-				if m.pairCount[pk] >= m.cfg.MergePairCap {
+				if m.pairCount[pk] >= mergePairCap {
 					continue
 				}
 				m.candSeen[c] = struct{}{}
@@ -225,6 +283,13 @@ type mergeCand struct{ a, b, ea, eb int32 }
 type pairGroup struct {
 	pk     pairKey
 	lo, hi int32
+}
+
+// waveItem is one group of a merge wave and, once evaluated, its merged
+// pattern (nil when no frequent union exists).
+type waveItem struct {
+	gp pairGroup
+	mp *pattern.Pattern
 }
 
 // mbucket is one structure class of union subgraphs during tryMerge:
@@ -303,8 +368,8 @@ func appendImage(edges []graph.Edge, verts []graph.V, p *graph.Graph, e pattern.
 //
 // tryMerge is read-only on pa, pb, and the Miner, and confines its
 // mutable state to sc, so merge rounds may evaluate many pairs
-// concurrently; isoRun is the caller-owned (per-worker when parallel)
-// isomorphism-test counter.
+// concurrently; isoRun is the caller-owned, per-worker isomorphism-test
+// counter.
 func (m *Miner) tryMerge(pa, pb *pattern.Pattern, eps []mergeCand, sc *mergeScratch, isoRun *int64) *pattern.Pattern {
 	if sc.seenUnions == nil {
 		sc.seenUnions = make(map[[2]uint64]struct{})

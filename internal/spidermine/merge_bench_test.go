@@ -3,18 +3,16 @@ package spidermine
 import (
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/pattern"
 	"repro/internal/spider"
 )
 
-// baMergeSet returns a Miner and its working set on a fixed scale-free
-// host (BarabasiAlbert(2000, 2, 50), the BA recipe's σ=3, Dmax=4, 6
-// leaves per star and spider cap) after the seeds' first SpiderGrow
-// pass: the state the first merge round of a BA mine sees.
-func baMergeSet(tb testing.TB) (*Miner, []*grown) {
+// seedSet returns a Miner for g and cfg and its working set of frequent
+// seeds, before any growth.
+func seedSet(tb testing.TB, g *graph.Graph, cfg Config) (*Miner, []*grown) {
 	tb.Helper()
-	g := baHost(2000)
-	m, M := stagedMiner(tb, g, baRecipe)
+	m, M := stagedMiner(tb, g, cfg)
 	var ws []*grown
 	for _, p := range spider.RandomSeed(g, &m.catalog, M, m.cfg.PerHostCap, m.rng, 0) {
 		p.DedupeEmbeddings()
@@ -22,10 +20,25 @@ func baMergeSet(tb testing.TB) (*Miner, []*grown) {
 			ws = append(ws, &grown{p: p, radius: 1})
 		}
 	}
+	return m, ws
+}
+
+// mergeSet is seedSet after the seeds' first SpiderGrow pass: the state
+// the first merge round of a mine sees.
+func mergeSet(tb testing.TB, g *graph.Graph, cfg Config) (*Miner, []*grown) {
+	tb.Helper()
+	m, ws := seedSet(tb, g, cfg)
 	if _, err := m.growAll(ws); err != nil {
 		tb.Fatal(err)
 	}
 	return m, ws
+}
+
+// baMergeSet is mergeSet on a fixed scale-free host
+// (BarabasiAlbert(2000, 2, 50)) under the BA recipe (σ=3, Dmax=4, 6
+// leaves per star, the spider cap).
+func baMergeSet(tb testing.TB) (*Miner, []*grown) {
+	return mergeSet(tb, baHost(2000), baRecipe)
 }
 
 // BenchmarkTryMerge times one sequential merge round's candidate
@@ -98,7 +111,7 @@ func BenchmarkSelectTopK(b *testing.B) {
 			pats[j].InvalidateCaches()
 			sel[j] = &pats[j]
 		}
-		if len(m.selectTopK(sel)) == 0 {
+		if len(m.selectPatterns(sel)) == 0 {
 			b.Fatal("selection kept nothing")
 		}
 	}

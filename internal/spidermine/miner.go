@@ -46,33 +46,18 @@ type Config struct {
 	MaxLeavesPerStar int
 	// Seed seeds all randomness; runs are deterministic per seed.
 	Seed int64
-	// MaxGrowIters caps Stage III iterations (safety valve; default 64).
-	MaxGrowIters int
 	// Restarts reruns the randomized Stages II–III this many times and
 	// unions the results (§4.2.1 notes spider mining is a one-time cost
 	// that multiple randomized runs can amortize). Default 1.
 	Restarts int
-	// MOverride, if > 0, forces the seed draw size instead of Lemma 2's M.
-	MOverride int
 	// DisableSpiderSetPruning turns off the spider-set signature filter
 	// (ablation; every identity check falls through to the exact check).
 	DisableSpiderSetPruning bool
-	// DisablePartialDedupe turns off the exact structural dedupe when
-	// assembling a cancelled run's partial result. The dedupe is on by
-	// default: the automorphism-pruned Canonizer codes even unpruned hub
-	// patterns ("monsters" with hundreds of interchangeable legs) in
-	// microseconds, so a cancelled caller gets duplicate-free partials
-	// without the historical exponential-blowup risk. The gate remains as
-	// an escape hatch and for A/B measurement.
-	DisablePartialDedupe bool
 	// KeepUnmerged disables Stage II pruning (ablation: all grown seeds
 	// survive to Stage III).
 	KeepUnmerged bool
 	// MaxSpiders caps Stage I enumeration (0 = unlimited).
 	MaxSpiders int
-	// MergePairCap bounds overlapping-embedding pairs examined per pattern
-	// pair each iteration (default 4096).
-	MergePairCap int
 	// MaxEmbPerPattern caps the embedding list carried per pattern
 	// (default 1024). On dense low-label graphs raw embedding lists grow
 	// combinatorially; trimming makes counted support a lower bound, which
@@ -83,10 +68,9 @@ type Config struct {
 	// partitions spider heads across workers, Stage II parallelizes seed
 	// materialization and merge-pair evaluation, Stage III shards pattern
 	// growth; every stage reduces its per-worker results in a fixed item
-	// order, so the Result is bit-identical for any setting (see
-	// TestParallelEqualsSequential). Only Stats counters that track work
-	// performed (IsoRun) may differ, because parallel merge rounds evaluate
-	// candidate pairs speculatively.
+	// order, so the Result and every Stats counter except the stage
+	// durations are the same for any setting (see
+	// TestParallelEqualsSequential).
 	Workers int
 	// OnProgress, when non-nil, receives streaming stage events: Stage I
 	// completion, each restart's seed draw, and every grow+merge /
@@ -145,14 +129,8 @@ func (c Config) withDefaults(g *graph.Graph) Config {
 	if c.PerHostCap <= 0 {
 		c.PerHostCap = spider.DefaultPerHostCap
 	}
-	if c.MaxGrowIters <= 0 {
-		c.MaxGrowIters = 64
-	}
 	if c.Restarts <= 0 {
 		c.Restarts = 1
-	}
-	if c.MergePairCap <= 0 {
-		c.MergePairCap = 4096
 	}
 	if c.MaxEmbPerPattern <= 0 {
 		c.MaxEmbPerPattern = 1024
@@ -167,7 +145,7 @@ type Stats struct {
 	GrowIterations int           // total SpiderGrow iterations
 	Merges         int           // successful CheckMerge events
 	IsoSkipped     int64         // isomorphism tests skipped by spider-set pruning
-	IsoRun         int64         // exact isomorphism tests executed (work counter; may grow with Workers > 1 — parallel merge rounds evaluate pairs speculatively)
+	IsoRun         int64         // exact isomorphism tests executed (work counter)
 	CanonRun       int64         // canonical-code computations by the miner's Canonizer (spider-set signatures + exact identity checks)
 	CanonNodes     int64         // individualization–refinement search nodes across those runs; CanonNodes/CanonRun quantifies the orbit/trace pruning
 	StageI         time.Duration // spider mining time
@@ -243,7 +221,16 @@ type Miner struct {
 	pairCount  map[pairKey]int
 	touched    []graph.V
 	pairGroups []pairGroup
-	consumed   par.Slots[bool]
+	// Merge-wave state (mergeWaves): per-pattern consumed flags and wave
+	// stamps, the current wave's groups with their results, and the
+	// round's accepted merges.
+	consumed  par.Slots[bool]
+	waveStamp par.Slots[int32]
+	wave      []waveItem
+	accepted  []waveItem
+	// waveSeen, when set (tests only), observes every evaluated merge wave
+	// on the coordinator, before its merges consume their patterns.
+	waveSeen func(wave []waveItem)
 	// Per-worker scratch arenas: worker i owns slot i for the duration of
 	// one parallel pass (the par.Do ownership contract). Allocated
 	// per-worker-once, reused across iterations, runs, and restarts.
@@ -252,8 +239,6 @@ type Miner struct {
 	matcherWS par.Workspace[canon.Matcher]
 	anyFlag   par.Slots[bool]
 	isoRuns   par.Slots[int64]
-	results   par.Slots[*pattern.Pattern]
-	batch     []pairGroup
 }
 
 // labelPair is one frequent (head, leaf) spider-edge entry of the flat
@@ -424,11 +409,8 @@ func (m *Miner) RunContext(ctx context.Context) (*Result, error) {
 	m.stats.StageI = time.Since(t0)
 	m.progress(StageEvent{Stage: StageSpiders, Spiders: m.stats.NumSpiders})
 
-	// M from Lemma 2 (or override).
-	M := m.cfg.MOverride
-	if M <= 0 {
-		M = spider.ComputeM(m.g.N(), m.cfg.Vmin, m.cfg.K, m.cfg.Epsilon)
-	}
+	// M from Lemma 2.
+	M := spider.ComputeM(m.g.N(), m.cfg.Vmin, m.cfg.K, m.cfg.Epsilon)
 	m.stats.M = M
 
 	var finals []*pattern.Pattern
@@ -436,10 +418,10 @@ func (m *Miner) RunContext(ctx context.Context) (*Result, error) {
 		ps, err := m.runOnce(restart, M)
 		finals = append(finals, ps...)
 		if err != nil {
-			return &Result{Patterns: m.selectPartial(finals), Stats: m.stats}, err
+			return &Result{Patterns: m.selectPatterns(finals), Stats: m.stats}, err
 		}
 	}
-	top := m.selectTopK(finals)
+	top := m.selectPatterns(finals)
 	m.progress(StageEvent{Stage: StageDone, Patterns: len(top), Merges: m.stats.Merges})
 	return &Result{Patterns: top, Stats: m.stats}, nil
 }
@@ -457,6 +439,9 @@ func (m *Miner) indexStars(stars []*spider.MinedStar) {
 	}
 	slices.SortFunc(m.freqPairs, cmpLabelPair)
 }
+
+// maxGrowIters caps Stage III iterations (a safety valve).
+const maxGrowIters = 64
 
 // runOnce performs Stages II and III for one random restart. On
 // cancellation it returns the patterns of the last committed iteration
@@ -517,7 +502,7 @@ func (m *Miner) runOnce(restart, M int) ([]*pattern.Pattern, error) {
 	// Stage III: grow to maximality.
 	t2 := time.Now()
 	committed = m.commit(survivors)
-	for iter := 0; iter < m.cfg.MaxGrowIters; iter++ {
+	for iter := 0; iter < maxGrowIters; iter++ {
 		if err := m.cancelled(); err != nil {
 			m.stats.StageIII += time.Since(t2)
 			return patternsOf(committed), err
@@ -596,33 +581,16 @@ func fallbackLargest(ws []*grown, k int) []*grown {
 	return sorted
 }
 
-// selectTopK dedupes structurally equal patterns, filters σ and Dmax, and
-// returns the K largest by edge count (ties: more vertices, then higher
-// support, then stable by ID).
-func (m *Miner) selectTopK(ps []*pattern.Pattern) []*pattern.Pattern {
-	return m.selectPatterns(ps, true)
-}
-
-// selectPartial assembles a cancelled run's result: selectTopK's σ and
-// Dmax filters, size ordering and — unless cfg.DisablePartialDedupe —
-// the same exact structural dedupe. Historically the dedupe had to be
-// skipped here (the pre-v2 CanonicalCode search went factorial on the
-// unpruned hub patterns a cancelled run can hold, hanging the post-cancel
-// path for minutes); the automorphism-pruned Canonizer codes those
-// monsters in microseconds, so cancelled callers now get duplicate-free
-// partials by default. Either way the result is deterministic for a
-// fixed cancellation boundary (TestCancelDeterministic).
-func (m *Miner) selectPartial(ps []*pattern.Pattern) []*pattern.Pattern {
-	return m.selectPatterns(ps, !m.cfg.DisablePartialDedupe)
-}
-
-// selectPatterns filters σ and Dmax, optionally dedupes, and keeps the K
-// largest. The Dmax filter is the threshold test DiameterAtMost, which
-// agrees with Diameter() <= Dmax on connected graphs, and every pattern
-// reaching selection is connected: seeds are spiders, growth appends
-// leaves and merges accept connected unions only
-// (TestSelectedPatternsConnected).
-func (m *Miner) selectPatterns(ps []*pattern.Pattern, dedupe bool) []*pattern.Pattern {
+// selectPatterns dedupes structurally equal patterns, filters σ and Dmax,
+// and returns the K largest by edge count (ties: more vertices, then
+// higher support, then stable by ID). A cancelled run's partial result is
+// selected the same way, so it is deterministic for a fixed cancellation
+// boundary (TestCancelDeterministic) and free of duplicates. The Dmax
+// filter is the threshold test DiameterAtMost, which agrees with
+// Diameter() <= Dmax on connected graphs, and every pattern reaching
+// selection is connected: seeds are spiders, growth appends leaves and
+// merges accept connected unions only (TestSelectedPatternsConnected).
+func (m *Miner) selectPatterns(ps []*pattern.Pattern) []*pattern.Pattern {
 	var kept []*pattern.Pattern
 	for _, p := range ps {
 		if m.supFn(p.G, p.Emb) < m.cfg.MinSupport {
@@ -631,23 +599,20 @@ func (m *Miner) selectPatterns(ps []*pattern.Pattern, dedupe bool) []*pattern.Pa
 		if !m.selBFS.DiameterAtMost(p.G, m.cfg.Dmax) {
 			continue
 		}
-		if dedupe {
-			dup := false
-			for _, q := range kept {
-				if m.sameStructure(p, q) {
-					dup = true
-					// Keep the one with more embeddings.
-					if len(p.Emb) > len(q.Emb) {
-						*q = *p
-					}
-					break
+		dup := false
+		for _, q := range kept {
+			if m.sameStructure(p, q) {
+				dup = true
+				// Keep the one with more embeddings.
+				if len(p.Emb) > len(q.Emb) {
+					*q = *p
 				}
-			}
-			if dup {
-				continue
+				break
 			}
 		}
-		kept = append(kept, p)
+		if !dup {
+			kept = append(kept, p)
+		}
 	}
 	sortBySize(kept)
 	if len(kept) > m.cfg.K {

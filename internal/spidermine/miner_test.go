@@ -104,14 +104,6 @@ func TestRecoversInjectedPatterns(t *testing.T) {
 	}
 }
 
-func TestMOverride(t *testing.T) {
-	g, _ := gid1()
-	res := Mine(g, Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 7, MOverride: 10})
-	if res.Stats.M != 10 {
-		t.Fatalf("M=%d, want override 10", res.Stats.M)
-	}
-}
-
 func TestRestartsAccumulate(t *testing.T) {
 	g, _ := gid1()
 	r1 := Mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7, Restarts: 1})

@@ -51,11 +51,19 @@ func parallelTestCases() []struct {
 	}
 }
 
+// workStats is s without the stage durations: the counters of the work a
+// run did.
+func workStats(s Stats) Stats {
+	s.StageI, s.StageII, s.StageIII = 0, 0, 0
+	return s
+}
+
 // TestParallelEqualsSequential is the differential harness for the
 // parallel mining engine: for every generator graph and seed, the full
 // pipeline result must be bit-identical at every worker count — pattern
 // set, sizes, supports, embeddings, and report order all fingerprint the
-// same. Run with -race to also make it a race harness over Stages I–III.
+// same — and so must every Stats counter but the stage durations. Run with
+// -race to also make it a race harness over Stages I–III.
 func TestParallelEqualsSequential(t *testing.T) {
 	workerCounts := []int{1, 2, 4, runtime.NumCPU()}
 	cases := parallelTestCases()
@@ -70,14 +78,19 @@ func TestParallelEqualsSequential(t *testing.T) {
 		for _, seed := range seeds {
 			cfg := tc.cfg
 			cfg.Seed = seed
-			want := fingerprint(t, Mine(tc.g, cfg))
+			seq := Mine(tc.g, cfg)
+			want, wantStats := fingerprint(t, seq), workStats(seq.Stats)
 			for _, w := range workerCounts {
 				t.Run(fmt.Sprintf("%s/seed=%d/workers=%d", tc.name, seed, w), func(t *testing.T) {
 					cfgW := cfg
 					cfgW.Workers = w
-					got := fingerprint(t, Mine(tc.g, cfgW))
+					res := Mine(tc.g, cfgW)
+					got := fingerprint(t, res)
 					if got != want {
 						t.Errorf("workers=%d result differs from sequential run\nseq: %.200s...\npar: %.200s...", w, want, got)
+					}
+					if s := workStats(res.Stats); s != wantStats {
+						t.Errorf("workers=%d stats %v, sequential run's %v", w, s, wantStats)
 					}
 				})
 			}
