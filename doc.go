@@ -270,8 +270,8 @@
 //
 //   - Shared-immutable: the host graph (whose label index builds lazily
 //     behind a sync.Once, so first use may happen on any worker), the
-//     frequent-pair table, the spider catalog, and the run Config are only
-//     read by workers. Randomness is drawn on the coordinating goroutine
+//     frequent-pair table, Stage I's star list, and the run Config are
+//     only read by workers. Randomness is drawn on the coordinating goroutine
 //     before any fan-out — workers never touch the rng (and rng streams
 //     are consumed in full before any cancellable section, so a cancelled
 //     run leaves the stream where an uncancelled one would).

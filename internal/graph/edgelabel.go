@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Edge-labeled graphs. The paper notes (§3) that SpiderMine "can also be
 // applied to graphs with edge labels". This file provides the standard
@@ -21,7 +24,9 @@ const EdgeLabelOffset Label = 1 << 20
 // labels, edges and per-edge labels (parallel to edges). Midpoint vertices
 // are appended after the original vertices in edge order, labeled
 // offset + edgeLabel. It returns an error if any vertex label reaches the
-// offset (the two ranges must not collide).
+// offset (the two ranges must not collide), or if an edge label is
+// negative or so large that its midpoint label would pass math.MaxInt32;
+// either would give a midpoint DecodeEdgeLabels reads as something else.
 func EncodeEdgeLabels(labels []Label, edges []Edge, edgeLabels []Label, offset Label) (*Graph, error) {
 	if len(edges) != len(edgeLabels) {
 		return nil, fmt.Errorf("graph: %d edges but %d edge labels", len(edges), len(edgeLabels))
@@ -41,6 +46,9 @@ func EncodeEdgeLabels(labels []Label, edges []Edge, edgeLabels []Label, offset L
 	for i, e := range edges {
 		if int(e.U) >= len(labels) || int(e.W) >= len(labels) || e.U < 0 || e.W < 0 {
 			return nil, fmt.Errorf("graph: edge %v out of range", e)
+		}
+		if el := edgeLabels[i]; el < 0 || el > math.MaxInt32-offset {
+			return nil, fmt.Errorf("graph: edge %d label %d outside [0, %d] for edge-label offset %d", i, el, math.MaxInt32-offset, offset)
 		}
 		mid := b.AddVertex(offset + edgeLabels[i])
 		b.AddEdge(e.U, mid)

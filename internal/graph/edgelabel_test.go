@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"math"
+	"strings"
+	"testing"
+)
 
 func TestEncodeDecodeEdgeLabels(t *testing.T) {
 	labels := []Label{1, 2, 3}
@@ -43,6 +47,18 @@ func TestEncodeEdgeLabelsErrors(t *testing.T) {
 	}
 	if _, err := EncodeEdgeLabels([]Label{EdgeLabelOffset + 1}, nil, nil, 0); err == nil {
 		t.Fatal("colliding vertex label accepted")
+	}
+	// An edge label below 0 or past MaxInt32-offset gives a midpoint the
+	// decoder cannot read back; the error names the edge.
+	edges := []Edge{{0, 1}, {2, 3}}
+	for _, bad := range []Label{-1, math.MaxInt32 - EdgeLabelOffset + 1} {
+		_, err := EncodeEdgeLabels([]Label{0, 1, 2, 3}, edges, []Label{0, bad}, 0)
+		if err == nil || !strings.Contains(err.Error(), "edge 1 ") {
+			t.Fatalf("edge label %d: err = %v, want one naming edge 1", bad, err)
+		}
+	}
+	if _, err := EncodeEdgeLabels([]Label{0, 1, 2, 3}, edges, []Label{0, math.MaxInt32 - EdgeLabelOffset}, 0); err != nil {
+		t.Fatalf("largest edge label rejected: %v", err)
 	}
 }
 

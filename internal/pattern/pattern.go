@@ -161,22 +161,3 @@ func (p *Pattern) AppendBoundary(s *graph.BFS, dst []graph.V, radius int) []grap
 	}
 	return s.AppendAtDistance(p.G, dst, p.Origin, radius)
 }
-
-// SameStructure reports whether two patterns have isomorphic pattern
-// graphs, using the tiered check: invariant hash, then spider-set
-// signature, then exact identity via cached canonical codes (each
-// pattern canonicalizes once, however many pairs it is compared in).
-func SameStructure(a, b *Pattern, r int) bool {
-	if a.G.N() != b.G.N() || a.G.M() != b.G.M() {
-		return false
-	}
-	if a.Invariant() != b.Invariant() {
-		return false
-	}
-	cz := canon.GetCanonizer()
-	defer canon.PutCanonizer(cz)
-	if a.SpiderSetSignatureWith(cz, r) != b.SpiderSetSignatureWith(cz, r) {
-		return false
-	}
-	return a.CanonicalCodeWith(cz) == b.CanonicalCodeWith(cz)
-}

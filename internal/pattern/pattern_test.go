@@ -2,9 +2,11 @@ package pattern
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/canon"
 	"repro/internal/graph"
 )
 
@@ -66,12 +68,20 @@ func TestBoundaryNoOrigin(t *testing.T) {
 	}
 }
 
+// spiderSetEqual compares the exact spider-set representations of two
+// pattern graphs (not just the hashes).
+func spiderSetEqual(a, b *graph.Graph, r int) bool {
+	cz := canon.NewCanonizer()
+	return slices.Equal(SpiderSetWith(cz, a, r), SpiderSetWith(cz, b, r))
+}
+
 func TestRootedSpiderCodeDistinguishesHead(t *testing.T) {
 	// P3 with labels 1-1-2: the two label-1 vertices have different
 	// neighborhoods at r=1 (one sees {1}, the other {1,2}).
 	g := path(1, 1, 2)
-	c0 := RootedSpiderCode(g, 0, 1)
-	c1 := RootedSpiderCode(g, 1, 1)
+	cz := canon.NewCanonizer()
+	c0 := RootedSpiderCodeWith(cz, g, 0, 1)
+	c1 := RootedSpiderCodeWith(cz, g, 1, 1)
 	if c0 == c1 {
 		t.Fatal("distinct neighborhoods share a rooted code")
 	}
@@ -80,9 +90,10 @@ func TestRootedSpiderCodeDistinguishesHead(t *testing.T) {
 func TestRootedSpiderCodeHeadMatters(t *testing.T) {
 	// Symmetric P3 0-0-0: ends are equivalent, center is not.
 	g := path(0, 0, 0)
-	e0 := RootedSpiderCode(g, 0, 1)
-	e2 := RootedSpiderCode(g, 2, 1)
-	c := RootedSpiderCode(g, 1, 1)
+	cz := canon.NewCanonizer()
+	e0 := RootedSpiderCodeWith(cz, g, 0, 1)
+	e2 := RootedSpiderCodeWith(cz, g, 2, 1)
+	c := RootedSpiderCodeWith(cz, g, 1, 1)
 	if e0 != e2 {
 		t.Fatal("symmetric ends should share a code")
 	}
@@ -97,10 +108,11 @@ func TestSpiderSetTheorem2(t *testing.T) {
 	g := star(1, 2, 2, 3)
 	h := graph.FromEdges([]graph.Label{3, 1, 2, 2}, // same star, different vertex order
 		[]graph.Edge{{U: 1, W: 0}, {U: 1, W: 2}, {U: 1, W: 3}})
-	if !SpiderSetEqual(g, h, 1) {
+	if !spiderSetEqual(g, h, 1) {
 		t.Fatal("isomorphic graphs with different vertex order must share spider-sets")
 	}
-	if HashSpiderSet(SpiderSet(g, 1)) != HashSpiderSet(SpiderSet(h, 1)) {
+	cz := canon.NewCanonizer()
+	if HashSpiderSet(SpiderSetWith(cz, g, 1)) != HashSpiderSet(SpiderSetWith(cz, h, 1)) {
 		t.Fatal("spider-set hashes differ")
 	}
 }
@@ -110,7 +122,7 @@ func TestSpiderSetPrunesNonIsomorphic(t *testing.T) {
 	s4 := star(0, 0, 0, 0) // K1,3 plus... star(0,0,0,0) has 4 leaves; build K1,3
 	k13 := star(0, 0, 0)
 	_ = s4
-	if SpiderSetEqual(p4, k13, 1) {
+	if spiderSetEqual(p4, k13, 1) {
 		t.Fatal("P4 and K1,3 share spider-sets at r=1")
 	}
 }
@@ -135,25 +147,26 @@ func TestSpiderSetRadiusPower(t *testing.T) {
 	labels := make([]graph.Label, 8)
 	c8 := graph.FromEdges(labels, cycle([]graph.V{0}, 8))
 	c44 := graph.FromEdges(labels, append(cycle([]graph.V{0}, 4), cycle([]graph.V{4}, 4)...))
-	if !SpiderSetEqual(c8, c44, 1) {
+	if !spiderSetEqual(c8, c44, 1) {
 		t.Fatal("C8 and 2xC4 should share r=1 spider-sets (the pruning blind spot)")
 	}
-	if SpiderSetEqual(c8, c44, 2) {
+	if spiderSetEqual(c8, c44, 2) {
 		t.Fatal("r=2 spider-sets must separate C8 from 2xC4")
 	}
 }
 
 func TestSpiderSetSignatureCache(t *testing.T) {
 	p := New(path(0, 1, 0), nil)
-	s1 := p.SpiderSetSignature(1)
-	s2 := p.SpiderSetSignature(1)
+	cz := canon.NewCanonizer()
+	s1 := p.SpiderSetSignatureWith(cz, 1)
+	s2 := p.SpiderSetSignatureWith(cz, 1)
 	if s1 != s2 {
 		t.Fatal("cached signature changed")
 	}
 	// different radius recomputes
-	s3 := p.SpiderSetSignature(2)
+	s3 := p.SpiderSetSignatureWith(cz, 2)
 	_ = s3
-	if p.SpiderSetSignature(1) != s1 {
+	if p.SpiderSetSignatureWith(cz, 1) != s1 {
 		t.Fatal("signature at r=1 not stable after r=2 query")
 	}
 }
@@ -162,10 +175,11 @@ func TestSameStructure(t *testing.T) {
 	a := New(path(1, 2, 3), nil)
 	b := New(path(3, 2, 1), nil) // reversed: isomorphic
 	c := New(path(1, 3, 2), nil) // different adjacency of labels
-	if !SameStructure(a, b, 1) {
+	cz := canon.NewCanonizer()
+	if a.CanonicalCodeWith(cz) != b.CanonicalCodeWith(cz) {
 		t.Fatal("reversed path should match")
 	}
-	if SameStructure(a, c, 1) {
+	if a.CanonicalCodeWith(cz) == c.CanonicalCodeWith(cz) {
 		t.Fatal("different label arrangement should not match")
 	}
 }
@@ -198,7 +212,7 @@ func TestQuickTheorem2(t *testing.T) {
 			pb.AddEdge(inv[e.U], inv[e.W])
 		}
 		h := pb.Build()
-		return SpiderSetEqual(g, h, 1) && SpiderSetEqual(g, h, 2)
+		return spiderSetEqual(g, h, 1) && spiderSetEqual(g, h, 2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -12,19 +12,11 @@ import (
 // Pattern labels in practice are tiny integers, so no collision arises.
 const headMarker graph.Label = 1 << 24
 
-// RootedSpiderCode returns a canonical code for the r-neighborhood of v
-// inside p, rooted at v: the code of s_h[v] in the paper's notation. Two
+// RootedSpiderCodeWith returns a canonical code for the r-neighborhood of
+// v inside p, rooted at v: the code of s_h[v] in the paper's notation. Two
 // vertices get equal codes iff their r-neighborhood subgraphs are
-// isomorphic by a head-preserving isomorphism.
-func RootedSpiderCode(p *graph.Graph, v graph.V, r int) string {
-	cz := canon.GetCanonizer()
-	code := RootedSpiderCodeWith(cz, p, v, r)
-	canon.PutCanonizer(cz)
-	return code
-}
-
-// RootedSpiderCodeWith is RootedSpiderCode canonicalizing through the
-// caller's Canonizer; hot paths that code many spiders reuse one
+// isomorphic by a head-preserving isomorphism. It canonicalizes through
+// the caller's Canonizer, so hot paths that code many spiders reuse one
 // Canonizer's scratch (and its Runs/Nodes counters) across all of them.
 func RootedSpiderCodeWith(cz *canon.Canonizer, p *graph.Graph, v graph.V, r int) string {
 	sub, orig := p.Neighborhood(v, r)
@@ -43,19 +35,10 @@ func RootedSpiderCodeWith(cz *canon.Canonizer, p *graph.Graph, v graph.V, r int)
 	return cz.Code(b.Build())
 }
 
-// SpiderSet returns the spider-set representation S[P]: the multiset of
-// rooted r-neighborhood spider codes, one per pattern vertex, sorted.
-// (Figure 3 of the paper; Theorem 2: isomorphic patterns have equal
-// spider-sets.)
-func SpiderSet(p *graph.Graph, r int) []string {
-	cz := canon.GetCanonizer()
-	codes := SpiderSetWith(cz, p, r)
-	canon.PutCanonizer(cz)
-	return codes
-}
-
-// SpiderSetWith is SpiderSet canonicalizing every rooted spider through
-// the caller's Canonizer.
+// SpiderSetWith returns the spider-set representation S[P]: the multiset
+// of rooted r-neighborhood spider codes, one per pattern vertex, sorted,
+// each canonicalized through the caller's Canonizer. (Figure 3 of the
+// paper; Theorem 2: isomorphic patterns have equal spider-sets.)
 func SpiderSetWith(cz *canon.Canonizer, p *graph.Graph, r int) []string {
 	codes := make([]string, p.N())
 	for v := 0; v < p.N(); v++ {
@@ -65,23 +48,12 @@ func SpiderSetWith(cz *canon.Canonizer, p *graph.Graph, r int) []string {
 	return codes
 }
 
-// SpiderSetSignature returns a 64-bit hash of the spider-set
+// SpiderSetSignatureWith returns a 64-bit hash of the spider-set
 // representation at radius r, cached on the pattern. Patterns with unequal
 // signatures cannot be isomorphic (spider-set pruning); equal signatures
-// require an exact check.
-func (p *Pattern) SpiderSetSignature(r int) uint64 {
-	if p.sigOK && p.sigRadius == r {
-		return p.spiderSig
-	}
-	cz := canon.GetCanonizer()
-	sig := p.SpiderSetSignatureWith(cz, r)
-	canon.PutCanonizer(cz)
-	return sig
-}
-
-// SpiderSetSignatureWith is SpiderSetSignature computing a signature miss
-// through the caller's Canonizer. The cache itself is unsynchronized:
-// concurrent calls are only safe on distinct patterns.
+// require an exact check. A cache miss is computed through the caller's
+// Canonizer. The cache itself is unsynchronized: concurrent calls are only
+// safe on distinct patterns.
 func (p *Pattern) SpiderSetSignatureWith(cz *canon.Canonizer, r int) uint64 {
 	if p.sigOK && p.sigRadius == r {
 		return p.spiderSig
@@ -105,20 +77,4 @@ func HashSpiderSet(codes []string) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// SpiderSetEqual compares the exact spider-set representations of two
-// pattern graphs (not just the hashes).
-func SpiderSetEqual(a, b *graph.Graph, r int) bool {
-	sa := SpiderSet(a, r)
-	sb := SpiderSet(b, r)
-	if len(sa) != len(sb) {
-		return false
-	}
-	for i := range sa {
-		if sa[i] != sb[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -36,7 +36,9 @@ func TestSpiderSetSignatureConcurrent(t *testing.T) {
 	want := make([]uint64, nPatterns)
 	for i := range graphs {
 		graphs[i] = randomConnected(4+rng.Intn(10), 3, rng)
-		want[i] = New(graphs[i], nil).SpiderSetSignature(1)
+		cz := canon.GetCanonizer()
+		want[i] = New(graphs[i], nil).SpiderSetSignatureWith(cz, 1)
+		canon.PutCanonizer(cz)
 	}
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -45,14 +47,16 @@ func TestSpiderSetSignatureConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			cz := canon.GetCanonizer()
+			defer canon.PutCanonizer(cz)
 			for i, g := range graphs {
 				p := New(g, nil)
-				if got := p.SpiderSetSignature(1); got != want[i] {
+				if got := p.SpiderSetSignatureWith(cz, 1); got != want[i] {
 					errs <- "concurrent signature mismatch"
 					return
 				}
 				// Second read hits the per-pattern cache.
-				if got := p.SpiderSetSignature(1); got != want[i] {
+				if got := p.SpiderSetSignatureWith(cz, 1); got != want[i] {
 					errs <- "cached signature mismatch"
 					return
 				}

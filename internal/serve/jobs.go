@@ -577,16 +577,6 @@ func (s *Scheduler) Retries() int64 { return s.totalRetries.Load() }
 // boundary since startup.
 func (s *Scheduler) Panics() int64 { return s.totalPanics.Load() }
 
-// Cancel requests cancellation of a job by id (see Job.RequestCancel).
-func (s *Scheduler) Cancel(id string) error {
-	j, ok := s.Get(id)
-	if !ok {
-		return fmt.Errorf("serve: unknown job %q", id)
-	}
-	j.RequestCancel()
-	return nil
-}
-
 // Shutdown drains the scheduler: no new submissions are accepted, queued
 // jobs keep running until the queue is empty, and the call returns when
 // every runner has exited. If ctx fires first, the drain hardens —

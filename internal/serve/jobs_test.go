@@ -65,18 +65,14 @@ func TestSchedulerFIFOBackpressureAndCancel(t *testing.T) {
 
 	// Cancel the queued job: it must terminate as canceled without the
 	// stub ever seeing it.
-	if err := s.Cancel(j2.ID); err != nil {
-		t.Fatal(err)
-	}
+	j2.RequestCancel()
 	if snap := waitTerminal(t, j2); snap.Status != StatusCanceled {
 		t.Errorf("queued-then-cancelled job status %q, want %q", snap.Status, StatusCanceled)
 	}
 
 	// Cancel the running job: ctx fires, the run returns its partial
 	// result with the context error.
-	if err := s.Cancel(j1.ID); err != nil {
-		t.Fatal(err)
-	}
+	j1.RequestCancel()
 	snap := waitTerminal(t, j1)
 	if snap.Status != StatusCanceled || snap.Error == "" {
 		t.Errorf("running-then-cancelled job snapshot %+v, want canceled with error", snap)

@@ -177,25 +177,6 @@ func decodeStoredMeta(id string, blob []byte) (name string, uploaded time.Time, 
 	return name, time.Unix(0, nanos).UTC(), p[w:], nil
 }
 
-// decodeStoredGraph is encodeStoredGraph's inverse; id is the blob's
-// backend key (the content fingerprint it was stored under).
-func decodeStoredGraph(id string, blob []byte) (*StoredGraph, error) {
-	name, uploaded, spg1, err := decodeStoredMeta(id, blob)
-	if err != nil {
-		return nil, err
-	}
-	g, err := graph.DecodeBinary(spg1)
-	if err != nil {
-		return nil, fmt.Errorf("serve: graph blob %s: %w", id, err)
-	}
-	return &StoredGraph{
-		ID: id, Name: name,
-		Vertices: g.N(), Edges: g.M(),
-		Uploaded: uploaded,
-		G:        g,
-	}, nil
-}
-
 // Add registers a graph under its content fingerprint and returns the
 // stored record. If a graph with the same content is already registered,
 // the existing record is returned (its original name kept) and existed

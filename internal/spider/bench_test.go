@@ -41,12 +41,15 @@ func BenchmarkMineTreesR2(b *testing.B) {
 
 func BenchmarkRandomSeed(b *testing.B) {
 	g := gen.ErdosRenyi(2000, 4, 50, rand.New(rand.NewSource(4)))
-	c := NewCatalog(MineStars(g, Options{MinSupport: 2}))
+	stars := MineStars(g, Options{MinSupport: 2})
 	rng := rand.New(rand.NewSource(5))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RandomSeed(g, c, 86, 8, rng, 0)
+		var sd Seeder
+		if _, err := sd.Draw(context.Background(), g, stars, 86, rng, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 //
 // With ε=0.1, K=10, Vmin=|V|/10 this yields M≈85–86, matching the paper's
 // worked example. MaxM caps the search (the draw can never exceed the
-// spider catalog anyway).
+// mined star list anyway).
 func ComputeM(numVertices, vmin, k int, epsilon float64) int {
 	if numVertices <= 0 || vmin <= 0 || k <= 0 {
 		return 1
@@ -53,28 +53,6 @@ func PSuccess(numVertices, vmin, k, m int) float64 {
 	return math.Pow(1-pfail, float64(k))
 }
 
-// RandomSeed is RandomSeedContext without cancellation.
-func RandomSeed(g *graph.Graph, c *Catalog, m int, perHostCap int, rng *rand.Rand, workers int) []*pattern.Pattern {
-	seeds, _ := RandomSeedContext(context.Background(), g, c, m, perHostCap, rng, workers)
-	return seeds
-}
-
-// RandomSeedContext draws up to m distinct spiders uniformly at random
-// from the catalog and materializes each as a seed Pattern with its
-// embeddings in g (up to perHostCap embeddings per hosting head; 0 means
-// DefaultPerHostCap). IDs are assigned 0..len-1 in draw order.
-//
-// The draw consumes rng sequentially; materialization shards across
-// workers (0/1 sequential, < 0 GOMAXPROCS), each worker owning one
-// Materializer. Results land in draw-order slots, so the seed list is
-// identical for any worker count. The rng is consumed in full before any
-// cancellable work, so a cancelled draw (nil result + ctx.Err()) leaves
-// the caller's rng stream exactly where an uncancelled draw would.
-func RandomSeedContext(ctx context.Context, g *graph.Graph, c *Catalog, m int, perHostCap int, rng *rand.Rand, workers int) ([]*pattern.Pattern, error) {
-	var sd Seeder
-	return sd.Draw(ctx, g, c, m, perHostCap, rng, workers)
-}
-
 // Seeder owns the random-draw scratch — the permutation buffer and the
 // per-worker Materializers — so repeated draws (one per restart, every
 // run) stop allocating per-call tables. The zero value is ready to use;
@@ -84,17 +62,26 @@ type Seeder struct {
 	ws   par.Workspace[Materializer]
 }
 
-// Draw implements RandomSeedContext on reusable scratch; see
-// RandomSeedContext for the semantics and determinism contract.
-func (sd *Seeder) Draw(ctx context.Context, g *graph.Graph, c *Catalog, m int, perHostCap int, rng *rand.Rand, workers int) ([]*pattern.Pattern, error) {
-	if m > c.Len() {
-		m = c.Len()
+// Draw draws up to m distinct stars uniformly at random from stars (S_all,
+// in the order Stage I returned it) and materializes each as a seed
+// Pattern with its embeddings in g, up to MaxEmbPerHost per hosting head.
+// IDs are assigned 0..len-1 in draw order.
+//
+// The draw consumes rng sequentially; materialization shards across
+// workers (0/1 sequential, < 0 GOMAXPROCS), each worker owning one
+// Materializer. Results land in draw-order slots, so the seed list is
+// identical for any worker count. The rng is consumed in full before any
+// cancellable work, so a cancelled draw (nil result + ctx.Err()) leaves
+// the caller's rng stream exactly where an uncancelled draw would.
+func (sd *Seeder) Draw(ctx context.Context, g *graph.Graph, stars []*MinedStar, m int, rng *rand.Rand, workers int) ([]*pattern.Pattern, error) {
+	n := len(stars)
+	if m > n {
+		m = n
 	}
 	// In-place replica of rand.Perm: identical rng consumption (one
 	// Intn(i+1) per i in [0, n) — the i=0 draw is a no-op swap but rand.Perm
 	// performs it for Go 1 stream compatibility, so we must too) and
 	// identical output, into a reused buffer.
-	n := c.Len()
 	if cap(sd.perm) < n {
 		sd.perm = make([]int, n)
 	}
@@ -108,7 +95,7 @@ func (sd *Seeder) Draw(ctx context.Context, g *graph.Graph, c *Catalog, m int, p
 	wk := par.Bound(len(idx), workers)
 	mats := sd.ws.For(wk) // per-worker enumeration scratch
 	seeds, err := par.Map(ctx, len(idx), wk, func(w, i int) *pattern.Pattern {
-		p := mats[w].Materialize(g, c.Stars[idx[i]], perHostCap)
+		p := mats[w].Materialize(g, stars[idx[i]])
 		p.ID = i
 		return p
 	})
@@ -118,10 +105,10 @@ func (sd *Seeder) Draw(ctx context.Context, g *graph.Graph, c *Catalog, m int, p
 	return seeds, nil
 }
 
-// DefaultPerHostCap bounds how many embeddings are enumerated per hosting
-// head vertex when materializing a star (leaf-choice combinations can be
-// C(degree, leaves) otherwise).
-const DefaultPerHostCap = 8
+// MaxEmbPerHost bounds how many embeddings are enumerated per hosting
+// head vertex when materializing a seed spider (leaf-choice combinations
+// can be C(degree, leaves) otherwise).
+const MaxEmbPerHost = 8
 
 // Materializer materializes mined stars as seed Patterns, reusing the
 // per-head enumeration scratch (label groups, candidate lists, assignment
@@ -144,11 +131,8 @@ type leafGroup struct {
 
 // Materialize turns a mined star into a Pattern whose graph has the head
 // at vertex 0 and whose embeddings enumerate, per hosting head, up to
-// perHostCap distinct leaf assignments.
-func (mz *Materializer) Materialize(g *graph.Graph, ms *MinedStar, perHostCap int) *pattern.Pattern {
-	if perHostCap <= 0 {
-		perHostCap = DefaultPerHostCap
-	}
+// MaxEmbPerHost distinct leaf assignments.
+func (mz *Materializer) Materialize(g *graph.Graph, ms *MinedStar) *pattern.Pattern {
 	// Star.Graph() through the reused builder (the Graph it returns is
 	// fresh and retained by the pattern; only builder churn is pooled).
 	mz.b.Reset(1+len(ms.Star.Leaves), len(ms.Star.Leaves))
@@ -160,27 +144,20 @@ func (mz *Materializer) Materialize(g *graph.Graph, ms *MinedStar, perHostCap in
 	pg := mz.b.Build()
 	var embs []pattern.Embedding
 	for _, h := range ms.Hosts {
-		embs = mz.appendStarEmbeddings(embs, g, ms.Star, h, perHostCap)
+		embs = mz.appendStarEmbeddings(embs, g, ms.Star, h)
 	}
 	p := pattern.New(pg, embs)
 	p.Origin = 0
 	return p
 }
 
-// Materialize is the single-shot convenience form; loops should hold a
-// Materializer instead.
-func Materialize(g *graph.Graph, ms *MinedStar, perHostCap int) *pattern.Pattern {
-	var mz Materializer
-	return mz.Materialize(g, ms, perHostCap)
-}
-
-// appendStarEmbeddings appends up to capPerHost distinct leaf assignments
+// appendStarEmbeddings appends up to MaxEmbPerHost distinct leaf assignments
 // of the star at the given head to embs. Leaves with equal labels are
 // interchangeable, so assignments are enumerated as combinations per label
 // group (host neighbors in sorted order), which both avoids duplicate
 // subgraphs and keeps enumeration deterministic. The only per-embedding
 // allocation is the retained embedding itself.
-func (mz *Materializer) appendStarEmbeddings(embs []pattern.Embedding, g *graph.Graph, s Star, head graph.V, capPerHost int) []pattern.Embedding {
+func (mz *Materializer) appendStarEmbeddings(embs []pattern.Embedding, g *graph.Graph, s Star, head graph.V) []pattern.Embedding {
 	// Group leaf labels with multiplicities (Leaves is sorted).
 	mz.groups = mz.groups[:0]
 	for _, l := range s.Leaves {
@@ -217,7 +194,7 @@ func (mz *Materializer) appendStarEmbeddings(embs []pattern.Embedding, g *graph.
 	assignment := mz.assign[:len(groups)]
 	var rec func(gi int)
 	rec = func(gi int) {
-		if len(embs)-base >= capPerHost {
+		if len(embs)-base >= MaxEmbPerHost {
 			return
 		}
 		if gi == len(groups) {
@@ -232,19 +209,11 @@ func (mz *Materializer) appendStarEmbeddings(embs []pattern.Embedding, g *graph.
 		combinationsInto(cand[gi], groups[gi].count, &mz.cidx[gi], &mz.cbuf[gi], func(chosen []graph.V) bool {
 			assignment[gi] = chosen
 			rec(gi + 1)
-			return len(embs)-base < capPerHost
+			return len(embs)-base < MaxEmbPerHost
 		})
 	}
 	rec(0)
 	return embs
-}
-
-// combinations is combinationsInto with throwaway scratch (one-shot
-// callers and tests).
-func combinations(xs []graph.V, k int, fn func([]graph.V) bool) {
-	var idx []int
-	var buf []graph.V
-	combinationsInto(xs, k, &idx, &buf, fn)
 }
 
 // combinationsInto enumerates k-subsets of xs in lexicographic order,

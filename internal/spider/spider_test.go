@@ -1,6 +1,7 @@
 package spider
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -99,23 +100,6 @@ func TestMineStarsMaxLeaves(t *testing.T) {
 	}
 }
 
-func TestCatalog(t *testing.T) {
-	g := twoStarsGraph()
-	stars := MineStars(g, Options{MinSupport: 2})
-	c := NewCatalog(stars)
-	if c.Len() != len(stars) {
-		t.Fatal("catalog length mismatch")
-	}
-	// head vertex 0 (label 9) hosts several stars
-	if len(c.AtHead(0)) == 0 {
-		t.Fatal("Spider(v) empty for a star head")
-	}
-	// vertex 8 (label 5, isolated) hosts nothing
-	if len(c.AtHead(8)) != 0 {
-		t.Fatal("isolated vertex hosts spiders")
-	}
-}
-
 func TestComputeMPaperExample(t *testing.T) {
 	// Paper §4.1: ε=0.1, K=10, Vmin=|V|/10 ⇒ M=85 (the paper rounds; the
 	// minimal integer satisfying Lemma 2 is 86).
@@ -161,9 +145,10 @@ func TestQuickComputeMMonotone(t *testing.T) {
 
 func TestRandomSeedDeterminism(t *testing.T) {
 	g := twoStarsGraph()
-	c := NewCatalog(MineStars(g, Options{MinSupport: 2}))
-	a := RandomSeed(g, c, 3, 4, rand.New(rand.NewSource(1)), 0)
-	b := RandomSeed(g, c, 3, 4, rand.New(rand.NewSource(1)), 0)
+	stars := MineStars(g, Options{MinSupport: 2})
+	var sd Seeder
+	a, _ := sd.Draw(context.Background(), g, stars, 3, rand.New(rand.NewSource(1)), 0)
+	b, _ := sd.Draw(context.Background(), g, stars, 3, rand.New(rand.NewSource(1)), 0)
 	if len(a) != len(b) {
 		t.Fatal("draw size differs")
 	}
@@ -177,7 +162,8 @@ func TestRandomSeedDeterminism(t *testing.T) {
 func TestMaterializeEmbeddings(t *testing.T) {
 	g := twoStarsGraph()
 	ms := &MinedStar{Star: Star{Head: 9, Leaves: []graph.Label{1, 2}}, Hosts: []graph.V{0, 4}}
-	p := Materialize(g, ms, 8)
+	var mz Materializer
+	p := mz.Materialize(g, ms)
 	if p.G.N() != 3 {
 		t.Fatalf("pattern vertices %d", p.G.N())
 	}
@@ -199,16 +185,40 @@ func TestMaterializeEmbeddings(t *testing.T) {
 	}
 }
 
+// TestMaterializePerHostCap: a head with five label-1 neighbors has
+// C(5,2) = 10 ways to host the star 9:[1,1], but at most MaxEmbPerHost
+// (8) of them are enumerated, per head.
 func TestMaterializePerHostCap(t *testing.T) {
-	g := twoStarsGraph()
-	ms := &MinedStar{Star: Star{Head: 9, Leaves: []graph.Label{1}}, Hosts: []graph.V{0}}
-	p := Materialize(g, ms, 1)
-	if len(p.Emb) != 1 {
-		t.Fatalf("cap violated: %d embeddings", len(p.Emb))
+	b := graph.NewBuilder(12, 10)
+	var heads []graph.V
+	for range 2 {
+		h := b.AddVertex(9)
+		for range 5 {
+			b.AddEdge(h, b.AddVertex(1))
+		}
+		heads = append(heads, h)
+	}
+	g := b.Build()
+	ms := &MinedStar{Star: Star{Head: 9, Leaves: []graph.Label{1, 1}}, Hosts: heads}
+	var mz Materializer
+	p := mz.Materialize(g, ms)
+	perHead := map[graph.V]int{}
+	for _, e := range p.Emb {
+		perHead[e[0]]++
+	}
+	for _, h := range heads {
+		if perHead[h] != 8 {
+			t.Fatalf("head %d: %d embeddings, want the cap 8 of 10 leaf choices", h, perHead[h])
+		}
 	}
 }
 
 func TestCombinations(t *testing.T) {
+	var idx []int
+	var buf []graph.V
+	combinations := func(xs []graph.V, k int, fn func([]graph.V) bool) {
+		combinationsInto(xs, k, &idx, &buf, fn)
+	}
 	var got [][]graph.V
 	combinations([]graph.V{1, 2, 3}, 2, func(c []graph.V) bool {
 		got = append(got, append([]graph.V(nil), c...))

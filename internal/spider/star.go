@@ -1,7 +1,6 @@
 // Package spider implements Stage I of SpiderMine: mining all frequent
-// r-spiders of the host graph, the per-head spider index Spider(v), the
-// seed-count computation M(K, ε, Vmin) of Lemma 2, and the random seed
-// draw.
+// r-spiders of the host graph, the seed-count computation M(K, ε, Vmin) of
+// Lemma 2, and the random seed draw.
 //
 // For the default radius r=1 a spider is a star: a head label plus a
 // multiset of leaf labels. Stars are enumerated level-wise over the leaf
@@ -12,7 +11,6 @@ package spider
 
 import (
 	"context"
-	"slices"
 	"strconv"
 
 	"repro/internal/graph"
@@ -37,23 +35,6 @@ func (s Star) Key() string {
 		b = strconv.AppendInt(b, int64(l), 10)
 	}
 	return string(b)
-}
-
-// cmpStars orders mined stars by head label, then leaf multiset
-// (lexicographic, shorter first on common prefix). Equivalent to ordering
-// by Key() up to the digit-string vs numeric distinction; used by
-// sortMined so the comparator never formats strings.
-func cmpStars(a, b *MinedStar) int {
-	if a.Star.Head != b.Star.Head {
-		return int(a.Star.Head) - int(b.Star.Head)
-	}
-	al, bl := a.Star.Leaves, b.Star.Leaves
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return int(al[i]) - int(bl[i])
-		}
-	}
-	return len(al) - len(bl)
 }
 
 // Graph materializes the star as a pattern graph: vertex 0 is the head.
@@ -117,10 +98,19 @@ func MineStars(g *graph.Graph, opt Options) []*MinedStar {
 // generation order, no duplicates), re-verifying hosts. Hosts are carried
 // level to level so each extension only scans its parent's host list.
 //
+// The stars come out level by level, and each level is ordered by head
+// label, then leaf multiset (lexicographic, shorter first on a common
+// prefix). Level 1 is sorted; no later level needs a sort, because each
+// parent's extensions come out in ascending new-leaf order with the
+// parent's leaves as a prefix, concatenated in parent order. MaxSpiders
+// truncation keeps a prefix. The seed draw indexes the stars in this
+// order, so it is part of every result.
+//
 // Cancellation is observed between levels and inside each level's sharded
 // expansion; on ctx expiry the stars of every *completed* level are
 // returned alongside ctx.Err() — levels commit atomically, so the partial
-// catalog is deterministic for a cancellation observed at any given level.
+// star list is deterministic for a cancellation observed at any given
+// level.
 //
 // Each call runs on a throwaway StarMiner, so the returned stars are
 // caller-owned; loops that mine repeatedly should hold a StarMiner and
@@ -129,82 +119,4 @@ func MineStars(g *graph.Graph, opt Options) []*MinedStar {
 func MineStarsContext(ctx context.Context, g *graph.Graph, opt Options) ([]*MinedStar, error) {
 	var sm StarMiner
 	return sm.Mine(ctx, g, opt)
-}
-
-func sortMined(ms []*MinedStar) {
-	slices.SortFunc(ms, cmpStars)
-}
-
-// Catalog indexes mined spiders for the random draw and the per-head
-// Spider(v) lookup used by SpiderGrow and the Lemma 2 analysis. The
-// per-head index is a flat CSR-shaped table (headOff/headIdx) instead of
-// the historical map[graph.V][]int, rebuilt in place across runs by
-// Rebuild.
-type Catalog struct {
-	Stars []*MinedStar
-
-	nV      int
-	headOff []int32 // len nV+1; spider-index range of v is headIdx[headOff[v]:headOff[v+1]]
-	headIdx []int32
-	cursor  []int32 // Rebuild fill scratch
-}
-
-// NewCatalog builds a catalog over mined stars.
-func NewCatalog(stars []*MinedStar) *Catalog {
-	c := &Catalog{}
-	c.Rebuild(stars)
-	return c
-}
-
-// Rebuild re-indexes the catalog over a new star list, reusing the
-// catalog's backing tables. Per-head spider lists come out in ascending
-// spider-index order, exactly as the map-era appends produced them.
-func (c *Catalog) Rebuild(stars []*MinedStar) {
-	c.Stars = stars
-	maxV := -1
-	total := 0
-	for _, ms := range stars {
-		total += len(ms.Hosts)
-		for _, v := range ms.Hosts {
-			if int(v) > maxV {
-				maxV = int(v)
-			}
-		}
-	}
-	n := maxV + 1
-	c.nV = n
-	c.headOff = growI32(c.headOff, n+1)
-	for i := range c.headOff {
-		c.headOff[i] = 0
-	}
-	for _, ms := range stars {
-		for _, v := range ms.Hosts {
-			c.headOff[v+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		c.headOff[v+1] += c.headOff[v]
-	}
-	c.headIdx = growI32(c.headIdx, total)
-	c.cursor = growI32(c.cursor, n)
-	copy(c.cursor, c.headOff[:n])
-	for i, ms := range stars {
-		for _, v := range ms.Hosts {
-			c.headIdx[c.cursor[v]] = int32(i)
-			c.cursor[v]++
-		}
-	}
-}
-
-// Len returns the number of distinct frequent spiders |S_all|.
-func (c *Catalog) Len() int { return len(c.Stars) }
-
-// AtHead returns the indices of spiders hostable at head vertex v
-// (the paper's Spider(v)), ascending. The slice aliases the catalog's
-// index table; callers must not modify it.
-func (c *Catalog) AtHead(v graph.V) []int32 {
-	if v < 0 || int(v) >= c.nV {
-		return nil
-	}
-	return c.headIdx[c.headOff[v]:c.headOff[v+1]]
 }

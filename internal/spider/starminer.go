@@ -19,7 +19,7 @@ import (
 // INVALIDATED by the next Mine call on the same StarMiner. The package
 // function MineStarsContext uses a throwaway StarMiner, so its output is
 // caller-owned forever; the spidermine Miner holds a StarMiner across runs
-// and rebuilds its catalog from each run's output before the next.
+// and reads each run's stars only until its next Mine.
 //
 // Internals, replacing the historical map-based level tables:
 //
@@ -308,14 +308,13 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) ([]*
 		}
 		next, err := sm.expandLevel(ctx, cur, sigma, opt.Workers, spare[:0])
 		if err != nil {
-			// Return only fully committed levels: the partial catalog is
+			// Return only fully committed levels: the partial star list is
 			// then a deterministic function of how many levels completed.
 			sm.all = all
 			return all, err
 		}
-		// Canonical generation (extend only with labels >= last) guarantees
-		// uniqueness already; sort for determinism.
-		sortMined(next)
+		// Canonical generation (extend only with labels >= last) keeps the
+		// level unique and, concatenated in frontier order, sorted.
 		all = append(all, next...)
 		cur, spare = next, cur
 	}

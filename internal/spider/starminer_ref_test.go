@@ -120,7 +120,7 @@ func mineStarsReference(g *graph.Graph, opt Options) []*MinedStar {
 		for _, ms := range cur {
 			next = append(next, expand(ms)...)
 		}
-		sortMined(next)
+		slices.SortFunc(next, cmpStars)
 		all = append(all, next...)
 		cur = next
 	}
@@ -128,6 +128,22 @@ func mineStarsReference(g *graph.Graph, opt Options) []*MinedStar {
 		all = all[:opt.MaxSpiders]
 	}
 	return all
+}
+
+// cmpStars orders mined stars by head label, then leaf multiset
+// (lexicographic, shorter first on common prefix): the order of every
+// level StarMiner returns.
+func cmpStars(a, b *MinedStar) int {
+	if a.Star.Head != b.Star.Head {
+		return int(a.Star.Head) - int(b.Star.Head)
+	}
+	al, bl := a.Star.Leaves, b.Star.Leaves
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return int(al[i]) - int(bl[i])
+		}
+	}
+	return len(al) - len(bl)
 }
 
 // relabeled returns g with every label replaced by f(label).

@@ -3,6 +3,7 @@ package spider
 import (
 	"context"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/graph"
@@ -33,21 +34,11 @@ func (t *TreeNode) writeKey(b *strings.Builder) {
 	b.WriteByte(')')
 }
 
+// writeLabel writes l in base 36, a negative one with a leading '-', so
+// no two labels share a key.
 func writeLabel(b *strings.Builder, l graph.Label) {
-	// compact base-36-ish label encoding
-	const digits = "0123456789abcdefghijklmnopqrstuvwxyz"
-	if l == 0 {
-		b.WriteByte('0')
-		return
-	}
 	var tmp [8]byte
-	i := len(tmp)
-	for l > 0 {
-		i--
-		tmp[i] = digits[l%36]
-		l /= 36
-	}
-	b.Write(tmp[i:])
+	b.Write(strconv.AppendInt(tmp[:0], int64(l), 36))
 }
 
 // Size returns the number of edges of the tree spider.

@@ -1,8 +1,13 @@
 package spider
 
 import (
+	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -24,6 +29,62 @@ func TestTreeNodeKeyAndSize(t *testing.T) {
 	b := &TreeNode{Label: 1, Children: []*TreeNode{{Label: 2, Children: []*TreeNode{{Label: 2}}}}}
 	if a.Key() == b.Key() {
 		t.Fatal("distinct trees share key")
+	}
+	// Keys of non-negative labels are base 36; a negative label keeps its
+	// sign, so no two labels share a key.
+	if k := root.Key(); k != "(1(2)(3))" {
+		t.Fatalf("key %q", k)
+	}
+	labels := []graph.Label{0, 1, 35, 36, math.MaxInt32, -1, -2, -36, math.MinInt32}
+	keys := map[string]graph.Label{}
+	for _, l := range labels {
+		k := (&TreeNode{Label: l}).Key()
+		if prev, dup := keys[k]; dup {
+			t.Fatalf("labels %d and %d share key %q", prev, l, k)
+		}
+		keys[k] = l
+	}
+	if k := (&TreeNode{Label: math.MaxInt32}).Key(); k != "(zik0zj)" {
+		t.Fatalf("MaxInt32 key %q", k)
+	}
+	neg := &TreeNode{Label: -1, Children: []*TreeNode{{Label: -2}, {Label: math.MinInt32}}}
+	pos := &TreeNode{Label: 1, Children: []*TreeNode{{Label: 2}, {Label: 0}}}
+	if neg.Key() == pos.Key() || neg.Key() == (&TreeNode{Label: -1}).Key() {
+		t.Fatalf("negative-label tree key %q collides", neg.Key())
+	}
+}
+
+// shiftTree returns t with every label moved by d and the children
+// re-sorted by key, the canonical form MineTrees reports.
+func shiftTree(t *TreeNode, d graph.Label) *TreeNode {
+	n := &TreeNode{Label: t.Label + d}
+	for _, c := range t.Children {
+		n.Children = append(n.Children, shiftTree(c, d))
+	}
+	slices.SortFunc(n.Children, func(a, b *TreeNode) int { return strings.Compare(a.Key(), b.Key()) })
+	return n
+}
+
+// TestMineTreesNegativeLabels: labels are opaque, so mining a host whose
+// labels are all shifted by -1000 finds exactly the unshifted host's
+// trees, shifted, with the same hosts.
+func TestMineTreesNegativeLabels(t *testing.T) {
+	g := gen.ErdosRenyi(40, 3, 3, rand.New(rand.NewSource(7)))
+	opt := TreeOptions{MinSupport: 2, Radius: 2, MaxFanout: 2}
+	want := MineTrees(g, opt)
+	got := MineTrees(relabeled(g, func(l graph.Label) graph.Label { return l - 1000 }), opt)
+	if len(got) != len(want) {
+		t.Fatalf("shifted host: %d trees, unshifted %d", len(got), len(want))
+	}
+	hosts := make(map[string][]graph.V, len(got))
+	for _, mt := range got {
+		hosts[mt.Tree.Key()] = mt.Hosts
+	}
+	for _, mt := range want {
+		key := shiftTree(mt.Tree, -1000).Key()
+		if h, ok := hosts[key]; !ok || !slices.Equal(h, mt.Hosts) {
+			t.Fatalf("tree %s (shifted %s) hosts %v: shifted host has %v (found %v)", mt.Tree.Key(), key, mt.Hosts, h, ok)
+		}
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pattern"
-	"repro/internal/spider"
 )
 
 // TestRunContextUncancelledEqualsRun: the cancellation plumbing must be
@@ -101,9 +101,10 @@ func TestCancelPartialDedupe(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	cz := canon.NewCanonizer()
 	for i, p := range res.Patterns {
 		for _, q := range res.Patterns[i+1:] {
-			if pattern.SameStructure(p, q, 1) {
+			if p.CanonicalCodeWith(cz) == q.CanonicalCodeWith(cz) {
 				t.Fatalf("deduped partial result contains isomorphic duplicates (%v, %v)", p, q)
 			}
 		}
@@ -156,7 +157,7 @@ func TestMergeGroupsCancelAnywhere(t *testing.T) {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 42))
 	m, M := stagedMiner(t, g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 3})
 	var ws []*grown
-	for _, p := range spider.RandomSeed(g, &m.catalog, M, m.cfg.PerHostCap, m.rng, 0) {
+	for _, p := range drawSeeds(t, m, M) {
 		p.DedupeEmbeddings()
 		if m.supFn(p.G, p.Emb) >= m.cfg.MinSupport {
 			ws = append(ws, &grown{p: p, radius: 1})

@@ -30,8 +30,9 @@
 //   - Stage I tables: the spider.StarMiner is held by value and owns its
 //     CSR neighbor-rank table, level frontiers, and output arenas; its
 //     stars are carved from those arenas and are invalidated by the next
-//     run, so the Miner rebuilds its spider.Catalog (also pooled, also
-//     flat) from each run's output before touching the next.
+//     run. The Miner keeps the returned star list as is (level by level,
+//     each level in head-then-leaves order) and the seed draw indexes it
+//     directly, so that order is part of every result.
 //   - Per-worker scratch arenas (par.Workspace): one growScratch /
 //     mergeScratch / canon.Matcher per worker, allocated per-worker-once
 //     and reused across passes, runs, and restarts. Scratch contents are

@@ -36,6 +36,17 @@ func stagedMiner(tb testing.TB, g *graph.Graph, cfg Config) (*Miner, int) {
 	return m, spider.ComputeM(g.N(), m.cfg.Vmin, m.cfg.K, m.cfg.Epsilon)
 }
 
+// drawSeeds is Stage II's seed draw of M stars on a staged Miner, at one
+// worker.
+func drawSeeds(tb testing.TB, m *Miner, M int) []*pattern.Pattern {
+	tb.Helper()
+	seeds, err := m.sd.Draw(context.Background(), m.g, m.stars, M, m.rng, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return seeds
+}
+
 // baRecipe is the BA recipe's mining configuration (σ=3, K=3, Dmax=4, 6
 // leaves per star, the spider cap), seed 1.
 var baRecipe = Config{MinSupport: 3, K: 3, Dmax: 4, MaxLeavesPerStar: 6, MaxSpiders: 500000, Seed: 1}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pattern"
-	"repro/internal/spider"
 )
 
 // imageHashReference is the ImageHash the set hash replaced, kept as the
@@ -143,7 +142,7 @@ func imageHashCorpus(t *testing.T) []embSet {
 	for _, ws := range stageCases() {
 		m, M := stagedMiner(t, ws.g, ws.cfg)
 		var set []*grown
-		for i, p := range spider.RandomSeed(ws.g, &m.catalog, M, m.cfg.PerHostCap, m.rng, 0) {
+		for i, p := range drawSeeds(t, m, M) {
 			out = append(out, embSet{fmt.Sprintf("%s/seed%d", ws.name, i), p.G, slices.Clone(p.Emb)})
 			p.DedupeEmbeddings()
 			if m.supFn(p.G, p.Emb) >= m.cfg.MinSupport {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/pattern"
-	"repro/internal/spider"
 )
 
 // seedSet returns a Miner for g and cfg and its working set of frequent
@@ -14,7 +13,7 @@ func seedSet(tb testing.TB, g *graph.Graph, cfg Config) (*Miner, []*grown) {
 	tb.Helper()
 	m, M := stagedMiner(tb, g, cfg)
 	var ws []*grown
-	for _, p := range spider.RandomSeed(g, &m.catalog, M, m.cfg.PerHostCap, m.rng, 0) {
+	for _, p := range drawSeeds(tb, m, M) {
 		p.DedupeEmbeddings()
 		if m.supFn(p.G, p.Emb) >= m.cfg.MinSupport {
 			ws = append(ws, &grown{p: p, radius: 1})

@@ -40,8 +40,6 @@ type Config struct {
 	// is the Fiedler–Borgelt measure the paper adopts for graphs with few
 	// labels where raw embeddings overlap heavily (e.g. the DBLP data).
 	Measure support.Measure
-	// PerHostCap caps embeddings enumerated per spider host head.
-	PerHostCap int
 	// MaxLeavesPerStar caps star spider size in Stage I (0 = unlimited).
 	MaxLeavesPerStar int
 	// Seed seeds all randomness; runs are deterministic per seed.
@@ -126,9 +124,6 @@ func (c Config) withDefaults(g *graph.Graph) Config {
 			c.Vmin = 1
 		}
 	}
-	if c.PerHostCap <= 0 {
-		c.PerHostCap = spider.DefaultPerHostCap
-	}
 	if c.Restarts <= 0 {
 		c.Restarts = 1
 	}
@@ -197,10 +192,12 @@ type Miner struct {
 	// leaves within it. Rebuilt from the Stage I stars each run into the
 	// same backing array.
 	freqPairs []labelPair
-	// sm is the reusable Stage I engine; its output is scratch rebuilt into
-	// catalog each run (see spider.StarMiner's ownership contract).
-	sm      spider.StarMiner
-	catalog spider.Catalog
+	// sm is the reusable Stage I engine. stars is its output, S_all, as
+	// returned: level by level, each level in head-then-leaves order. It
+	// lives in sm's arenas, so it is valid until sm's next Mine (see
+	// spider.StarMiner's ownership contract).
+	sm    spider.StarMiner
+	stars []*spider.MinedStar
 	// sd owns the Stage II seed-draw scratch (permutation buffer,
 	// per-worker Materializers).
 	sd spider.Seeder
@@ -426,11 +423,12 @@ func (m *Miner) RunContext(ctx context.Context) (*Result, error) {
 	return &Result{Patterns: top, Stats: m.stats}, nil
 }
 
-// indexStars rebuilds the spider catalog and the flat frequent-pair index
-// from Stage I's stars. The index is built from the single-leaf stars and
-// sorted, so lookup order is independent of the star list's order.
+// indexStars keeps Stage I's stars for the seed draw and rebuilds the
+// flat frequent-pair index from them. The index is built from the
+// single-leaf stars and sorted, so lookup order is independent of the star
+// list's order.
 func (m *Miner) indexStars(stars []*spider.MinedStar) {
-	m.catalog.Rebuild(stars)
+	m.stars = stars
 	m.freqPairs = m.freqPairs[:0]
 	for _, ms := range stars {
 		if len(ms.Star.Leaves) == 1 {

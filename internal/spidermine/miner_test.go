@@ -143,7 +143,7 @@ func TestHarmfulOverlapMeasureRuns(t *testing.T) {
 	g, _ := gid1()
 	res := Mine(g, Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 7, Measure: support.HarmfulOverlap})
 	for _, p := range res.Patterns {
-		if support.OfPattern(p, support.HarmfulOverlap) < 2 {
+		if support.Of(p.G, p.Emb, support.HarmfulOverlap) < 2 {
 			t.Fatal("measure not honored in output")
 		}
 	}
@@ -180,7 +180,7 @@ func TestTransactionSetting(t *testing.T) {
 		Large: gen.InjectSpec{NV: 16, Count: 2, Support: 1},
 		Seed:  21,
 	})
-	res := MineTransactions(db, Config{MinSupport: 6, K: 5, Dmax: 6, Seed: 21})
+	res := mineTx(t, db, Config{MinSupport: 6, K: 5, Dmax: 6, Seed: 21})
 	if len(res.Patterns) == 0 {
 		t.Fatal("transaction mining returned nothing")
 	}

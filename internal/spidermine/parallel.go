@@ -7,7 +7,7 @@ import "repro/internal/par"
 // ownership discipline (documented in doc.go and ROADMAP.md):
 //
 //   - shared-immutable: the host graph (its label index builds lazily
-//     behind a sync.Once), the frequent-pair index, the spider catalog,
+//     behind a sync.Once), the frequent-pair index, Stage I's star list,
 //     and cfg — workers only read these;
 //   - per-worker scratch: one growScratch / mergeScratch / canon.Matcher
 //     slot from the Miner's par.Workspace arenas, plus worker-indexed

@@ -1,6 +1,7 @@
 package spidermine
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -133,6 +134,16 @@ func TestDeterminismRegressionFixedWorkers(t *testing.T) {
 	}
 }
 
+// mineTx runs the transaction adapter without cancellation.
+func mineTx(t *testing.T, db *txdb.DB, cfg Config) *Result {
+	t.Helper()
+	res, err := MineTransactionsContext(context.Background(), db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestDeterminismMineTransactions covers the transaction adapter: repeated
 // runs at a fixed worker count are byte-identical, and the result matches
 // the sequential engine at every worker count.
@@ -143,16 +154,16 @@ func TestDeterminismMineTransactions(t *testing.T) {
 		Seed:  21,
 	})
 	cfg := Config{MinSupport: 6, K: 5, Dmax: 6, Seed: 21}
-	want := fingerprint(t, MineTransactions(db, cfg))
+	want := fingerprint(t, mineTx(t, db, cfg))
 	for _, w := range []int{2, 4} {
 		cfgW := cfg
 		cfgW.Workers = w
-		got := fingerprint(t, MineTransactions(db, cfgW))
+		got := fingerprint(t, mineTx(t, db, cfgW))
 		if got != want {
 			t.Errorf("transaction mining workers=%d differs from sequential", w)
 		}
 		for run := 0; run < 2; run++ {
-			if again := fingerprint(t, MineTransactions(db, cfgW)); again != got {
+			if again := fingerprint(t, mineTx(t, db, cfgW)); again != got {
 				t.Fatalf("transaction mining workers=%d nondeterministic across runs", w)
 			}
 		}

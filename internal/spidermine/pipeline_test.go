@@ -16,7 +16,7 @@ func TestPipelineStages(t *testing.T) {
 	m.cfg = m.cfg.withDefaults(g)
 	stars := spider.MineStars(g, spider.Options{MinSupport: 2})
 	t.Logf("stars: %d", len(stars))
-	m.catalog.Rebuild(stars)
+	m.stars = stars
 	m.freqPairs = m.freqPairs[:0]
 	for _, ms := range stars {
 		if len(ms.Star.Leaves) == 1 {
@@ -26,7 +26,7 @@ func TestPipelineStages(t *testing.T) {
 	slices.SortFunc(m.freqPairs, cmpLabelPair)
 	M := spider.ComputeM(g.N(), g.N()/10, 10, 0.1)
 	t.Logf("M=%d", M)
-	seeds := spider.RandomSeed(g, &m.catalog, M, 8, m.rng, 0)
+	seeds := drawSeeds(t, m, M)
 	t.Logf("seeds=%d", len(seeds))
 	working := make([]*grown, 0, len(seeds))
 	for _, p := range seeds {

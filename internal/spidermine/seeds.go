@@ -11,7 +11,7 @@ import (
 )
 
 // seedPatterns draws M seed patterns according to the configured spider
-// radius: r=1 seeds come from the star catalog; r>=2 seeds are tree
+// radius: r=1 seeds come from Stage I's star list; r>=2 seeds are tree
 // spiders materialized by anchored subgraph matching. In both cases growth
 // afterwards proceeds in radius-1 steps (SpiderGrow with r=1 stars), so
 // the radius only affects Stage I cost and seed shape — mirroring the
@@ -25,7 +25,7 @@ import (
 // uncancelled draw would.
 func (m *Miner) seedPatterns(M int, trees []*spider.MinedTree, rng *rand.Rand) ([]*pattern.Pattern, error) {
 	if m.cfg.Radius <= 1 || len(trees) == 0 {
-		return m.sd.Draw(m.ctx, m.g, &m.catalog, M, m.cfg.PerHostCap, rng, m.cfg.Workers)
+		return m.sd.Draw(m.ctx, m.g, m.stars, M, rng, m.cfg.Workers)
 	}
 	if M > len(trees) {
 		M = len(trees)
@@ -34,7 +34,7 @@ func (m *Miner) seedPatterns(M int, trees []*spider.MinedTree, rng *rand.Rand) (
 	workers := m.workerCount(len(idx))
 	matchers := m.matcherWS.For(workers) // one search state per worker
 	drawn, err := par.Map(m.ctx, len(idx), workers, func(wk, i int) *pattern.Pattern {
-		return materializeTree(matchers[wk], m.g, trees[idx[i]], m.cfg.PerHostCap)
+		return materializeTree(matchers[wk], m.g, trees[idx[i]])
 	})
 	if err != nil {
 		return nil, err
@@ -49,17 +49,14 @@ func (m *Miner) seedPatterns(M int, trees []*spider.MinedTree, rng *rand.Rand) (
 }
 
 // materializeTree turns a mined tree spider into a Pattern by enumerating,
-// per hosting head, up to perHostCap anchored embeddings. The caller's
-// Matcher carries the search state across heads and trees.
-func materializeTree(matcher *canon.Matcher, g *graph.Graph, mt *spider.MinedTree, perHostCap int) *pattern.Pattern {
-	if perHostCap <= 0 {
-		perHostCap = spider.DefaultPerHostCap
-	}
+// per hosting head, up to spider.MaxEmbPerHost anchored embeddings. The
+// caller's Matcher carries the search state across heads and trees.
+func materializeTree(matcher *canon.Matcher, g *graph.Graph, mt *spider.MinedTree) *pattern.Pattern {
 	pg := mt.Tree.Graph()
 	var embs []pattern.Embedding
 	for _, head := range mt.Hosts {
 		matcher.Enumerate(pg, g, canon.MatchOptions{
-			Limit:          perHostCap,
+			Limit:          spider.MaxEmbPerHost,
 			Anchor:         head,
 			DistinctImages: true,
 		}, func(mm canon.Mapping) bool {

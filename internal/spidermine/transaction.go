@@ -9,19 +9,13 @@ import (
 	"repro/internal/txdb"
 )
 
-// MineTransactions adapts SpiderMine to the graph-transaction setting
-// (§5.1.2): the database is mined as its disjoint union graph and every
-// σ-comparison counts distinct containing transactions instead of raw
-// embeddings. Stage I spider support remains head-count support on the
+// MineTransactionsContext adapts SpiderMine to the graph-transaction
+// setting (§5.1.2): the database is mined as its disjoint union graph and
+// every σ-comparison counts distinct containing transactions instead of
+// raw embeddings. Stage I spider support remains head-count support on the
 // union graph, a safe upper bound on transaction support that the growth
-// stages re-verify.
-func MineTransactions(db *txdb.DB, cfg Config) *Result {
-	res, _ := MineTransactionsContext(context.Background(), db, cfg)
-	return res
-}
-
-// MineTransactionsContext is MineTransactions with cooperative
-// cancellation, under the same partial-result contract as RunContext.
+// stages re-verify. Cancellation follows RunContext's partial-result
+// contract.
 func MineTransactionsContext(ctx context.Context, db *txdb.DB, cfg Config) (*Result, error) {
 	union, txOf := db.Union()
 	m := New(union, cfg)

@@ -114,9 +114,6 @@ func vertexDisjoint(p *graph.Graph, embs []pattern.Embedding) int {
 	return count
 }
 
-// OfPattern computes the support of a Pattern.
-func OfPattern(p *pattern.Pattern, m Measure) int { return Of(p.G, p.Emb, m) }
-
 // edgeDisjoint greedily selects embeddings whose host edge sets are
 // pairwise disjoint. Embeddings are scanned in a deterministic order
 // (sorted by image key) so results are reproducible.

@@ -77,8 +77,8 @@ func TestHarmfulOverlapInequivalentPositions(t *testing.T) {
 
 func TestOfPattern(t *testing.T) {
 	p := pattern.New(edgePattern(), []pattern.Embedding{{0, 1}, {2, 3}})
-	if OfPattern(p, CountAll) != 2 {
-		t.Fatal("OfPattern wrong")
+	if Of(p.G, p.Emb, CountAll) != 2 {
+		t.Fatal("Of on a Pattern wrong")
 	}
 }
 

@@ -88,7 +88,7 @@ func NewDB(gs ...*Graph) *DB { return txdb.New(gs...) }
 // EncodeEdgeLabels encodes an edge-labeled graph for the vertex-labeled
 // miners by subdividing each edge with a midpoint vertex carrying the
 // edge label (offset by `offset` past the vertex-label space); §3's
-// edge-label remark.
+// edge-label remark. Edge labels must lie in [0, MaxInt32−offset].
 func EncodeEdgeLabels(labels []Label, edges []Edge, edgeLabels []Label, offset Label) (*Graph, error) {
 	return graph.EncodeEdgeLabels(labels, edges, edgeLabels, offset)
 }

@@ -123,7 +123,7 @@ func TestOutOfCoreMillionEdge(t *testing.T) {
 	}
 	cfg := spidermine.Config{
 		MinSupport: 2, K: 3, Dmax: 2, Seed: 1,
-		MaxLeavesPerStar: 2, MaxSpiders: 20000, PerHostCap: 4,
+		MaxLeavesPerStar: 2, MaxSpiders: 20000,
 	}
 	want := resultFingerprint(t, spidermine.Mine(g, cfg))
 	got := resultFingerprint(t, spidermine.Mine(mapped, cfg))
