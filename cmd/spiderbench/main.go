@@ -105,7 +105,7 @@ func main() {
 	}
 	defer cancel()
 	if *verify {
-		lines, failures := experiments.VerifyAll(params)
+		lines, failures := experiments.VerifyAll(ctx, params)
 		for _, l := range lines {
 			fmt.Println(l)
 		}

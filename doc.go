@@ -52,14 +52,15 @@
 // # Persistence
 //
 // internal/store is the durable storage engine under the serving layer:
-// a Backend interface — content-addressed blob namespaces plus a small
-// fsynced record journal — with two implementations. store.Memory keeps
-// everything in process maps (the default; serving behavior is
-// byte-identical to the pre-durability server), and store.Disk is a
-// pure-Go append-only segment log of CRC-framed records with a sidecar
-// index for O(1) clean reopen and a recovery scan that truncates torn
-// tails (a crashed write never poisons the log; it is cut at the last
-// intact frame and overwritten by the next append). Uploaded graphs
+// store.Disk, content-addressed blob namespaces plus a small fsynced
+// record journal in a pure-Go append-only segment log of CRC-framed
+// records, with a sidecar index for O(1) clean reopen and a recovery
+// scan that truncates torn tails (a crashed write never poisons the
+// log; it is cut at the last intact frame and overwritten by the next
+// append). The durable tier is a *store.Disk or nothing: without one
+// (the default) the server keeps graphs and results in its own maps
+// and writes nowhere, byte-identical in behavior to the pre-durability
+// server. Uploaded graphs
 // persist through a versioned binary CSR codec
 // (graph.AppendBinary/DecodeBinary — round-trips Builder.Build output
 // exactly, so the content fingerprint re-verifies on load), cacheable
@@ -98,8 +99,8 @@
 // Platforms without mmap fall back to a heap read transparently, and
 // Clone always deep-copies a mapped graph onto the heap. The serving
 // layer write-throughs an SPC1 image for hosts past
-// serve.DefaultImageEdgeThreshold into the store's file tier
-// (store.FileBackend, implemented by store.Disk) and recovery remaps it
+// serve.DefaultImageEdgeThreshold into the disk's file tier
+// (store.Disk.PutFile, one file per graph) and recovery remaps it
 // — fingerprint-re-verified, falling back to SPG1 decode and rebuilding
 // the image if it is missing or corrupt. The mine façade re-exports the
 // open functions (mine.OpenMapped); cmd/gengraph -format spc1 writes

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -295,16 +296,17 @@ func Claims() []Claim {
 	}
 }
 
-// VerifyAll regenerates each claimed artifact (caching reports shared by
-// multiple claims) and checks every claim. It returns one line per claim,
-// "PASS"/"FAIL"-prefixed, plus the failure count.
-func VerifyAll(p Params) (lines []string, failures int) {
+// VerifyAll regenerates each claimed artifact under ctx (caching reports
+// shared by multiple claims) and checks every claim. It returns one line
+// per claim, "PASS"/"FAIL"-prefixed, plus the failure count. Once ctx
+// fires, every claim not yet run fails with ctx's error, unmined.
+func VerifyAll(ctx context.Context, p Params) (lines []string, failures int) {
 	cache := map[string]*Report{}
 	for _, c := range Claims() {
 		rep, ok := cache[c.ID]
 		if !ok {
 			var err error
-			rep, err = Run(c.ID, p)
+			rep, err = RunContext(ctx, c.ID, p)
 			if err != nil {
 				lines = append(lines, fmt.Sprintf("FAIL %s: %v", c.ID, err))
 				failures++

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"strings"
 	"testing"
 	"time"
 )
@@ -74,6 +76,34 @@ func TestVerifyAllCheapSubset(t *testing.T) {
 	lines, _ := verifySubset(Params{Seed: 1, Quick: true}, map[string]bool{"lemma2": true})
 	if len(lines) == 0 {
 		t.Fatal("no lines")
+	}
+}
+
+// TestVerifyAllHonorsContext: VerifyAll runs its claims under the
+// caller's context, so a fired one fails every claim with its error and
+// mines nothing (spiderbench -verify -timeout relies on this).
+func TestVerifyAllHonorsContext(t *testing.T) {
+	var runs int
+	saved := Registry
+	Registry = make(map[string]Runner, len(saved))
+	for id, r := range saved {
+		Registry[id] = func(p Params) *Report { runs++; return r(p) }
+	}
+	defer func() { Registry = saved }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	lines, failures := VerifyAll(ctx, Params{Seed: 1, Quick: true})
+	if n := len(Claims()); failures != n || len(lines) != n {
+		t.Fatalf("%d failures in %d lines, want %d of each", failures, len(lines), n)
+	}
+	for _, l := range lines {
+		if !strings.HasPrefix(l, "FAIL ") || !strings.HasSuffix(l, ": context canceled") {
+			t.Errorf("line %q, want a context-canceled FAIL", l)
+		}
+	}
+	if runs != 0 {
+		t.Fatalf("%d experiments ran under a cancelled context, want 0", runs)
 	}
 }
 

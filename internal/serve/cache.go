@@ -40,17 +40,16 @@ func (k CacheKey) blobKey() string { return k.Host + "/" + k.Miner + "/" + k.Opt
 // landed, and MaxWallClock-truncated results on machine load, so both
 // must re-run (see Scheduler.runJob).
 //
-// With a backend (NewCacheWith), the LRU is the in-memory tier and
-// every Put writes through: an L1 miss consults the backend, decodes
-// the stored Result (mine.DecodeResult), and promotes it — so the
-// effective capacity is the backend's, with the LRU bounding only the
-// decoded working set.
+// With a disk, the LRU is the in-memory tier and every Put writes
+// through: an L1 miss consults the disk, decodes the stored Result
+// (mine.DecodeResult), and promotes it — so the effective capacity is
+// the disk's, with the LRU bounding only the decoded working set.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[CacheKey]*list.Element
 	lru     list.List // front = most recently used
-	backend store.Backend
+	disk    *store.Disk
 	hits    uint64
 	misses  uint64
 	// degraded counts lookups that failed in the backend and were served
@@ -74,20 +73,13 @@ type cacheEntry struct {
 	res *mine.Result
 }
 
-// NewCache returns a memory-only result cache bounded to capacity
-// entries; capacity <= 0 disables caching (every Get misses, Put is a
-// no-op).
-func NewCache(capacity int) *Cache {
-	c := &Cache{cap: capacity, entries: make(map[CacheKey]*list.Element)}
+// NewCache returns a result cache whose in-memory LRU tier is bounded
+// to capacity entries, writing through to disk, or memory-only when
+// disk is nil; capacity <= 0 disables caching (every Get misses, Put is
+// a no-op).
+func NewCache(capacity int, disk *store.Disk) *Cache {
+	c := &Cache{cap: capacity, entries: make(map[CacheKey]*list.Element), disk: disk}
 	c.lru.Init()
-	return c
-}
-
-// NewCacheWith returns a result cache with an in-memory LRU tier of
-// capacity entries over the given durable backend.
-func NewCacheWith(capacity int, b store.Backend) *Cache {
-	c := NewCache(capacity)
-	c.backend = b
 	return c
 }
 
@@ -115,7 +107,7 @@ func (c *Cache) Get(key CacheKey) (*mine.Result, bool) {
 		c.mu.Unlock()
 		return res, true
 	}
-	if c.backend == nil {
+	if c.disk == nil {
 		c.misses++
 		c.mu.Unlock()
 		return nil, false
@@ -125,7 +117,7 @@ func (c *Cache) Get(key CacheKey) (*mine.Result, bool) {
 	// disk read plus a full Result decode must not serialize the cache),
 	// then promote. A racing Put of the same key is benign — both sides
 	// hold an identical-by-determinism Result.
-	blob, err := c.backend.Get(kindResult, key.blobKey())
+	blob, err := c.disk.Get(kindResult, key.blobKey())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
@@ -165,14 +157,14 @@ func (c *Cache) Put(key CacheKey, res *mine.Result) {
 	c.mu.Lock()
 	c.putLocked(key, res)
 	c.mu.Unlock()
-	if c.backend == nil {
+	if c.disk == nil {
 		return
 	}
 	// Write through outside the lock; the encode is CPU-bound and the
 	// append fsyncs.
 	blob, err := mine.EncodeResult(res)
 	if err == nil {
-		err = c.backend.Put(kindResult, key.blobKey(), blob)
+		err = c.disk.Put(kindResult, key.blobKey(), blob)
 	}
 	if err != nil {
 		c.mu.Lock()

@@ -336,7 +336,7 @@ func TestSchedulerHardDrainDeepBacklog(t *testing.T) {
 	})
 	sg := tinyStoredGraph(t)
 	const runners, backlog = 2, 28
-	s := NewScheduler(NewCache(0), runners, runners+backlog)
+	s := NewScheduler(NewCache(0, nil), runners, runners+backlog)
 
 	var inflight, queued []*Job
 	for i := 0; i < runners; i++ {

@@ -71,7 +71,7 @@ func TestKeyTracksOptionsSemantics(t *testing.T) {
 }
 
 func TestStoreDedupesByContent(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	g1 := mine.FromEdges([]mine.Label{1, 2}, []mine.Edge{{U: 0, W: 1}})
 	g2 := mine.FromEdges([]mine.Label{1, 2}, []mine.Edge{{U: 0, W: 1}}) // same content, new allocation
 	a, existed, err := s.Add(g1, "first")
@@ -103,7 +103,7 @@ func TestStoreDedupesByContent(t *testing.T) {
 }
 
 func TestStoreReadLGRejectsGarbage(t *testing.T) {
-	s := NewStore()
+	s := NewStore(nil)
 	for _, bad := range []string{
 		"t # g\nv 0 1\nv 0 2\n",   // duplicate vertex id
 		"v 0 1\ne 0 9\n",          // undefined edge endpoint
@@ -120,7 +120,7 @@ func TestStoreReadLGRejectsGarbage(t *testing.T) {
 }
 
 func TestCacheLRU(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache(2, nil)
 	k := func(i byte) CacheKey { return CacheKey{Host: string([]byte{'h', i}), Miner: "m"} }
 	r1, r2, r3 := &mine.Result{Miner: "1"}, &mine.Result{Miner: "2"}, &mine.Result{Miner: "3"}
 	c.Put(k(1), r1)
@@ -145,7 +145,7 @@ func TestCacheLRU(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache(0, nil)
 	c.Put(CacheKey{Host: "h"}, &mine.Result{})
 	if _, ok := c.Get(CacheKey{Host: "h"}); ok {
 		t.Error("disabled cache returned a hit")

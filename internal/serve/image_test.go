@@ -28,7 +28,7 @@ func TestImagePersistAndMappedRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStoreWith(d)
+	s := NewStore(d)
 	s.imageEdges = 1 // every host is image-worthy in tests
 	sg, existed, err := s.Add(g, "hexring")
 	if err != nil || existed {
@@ -46,7 +46,7 @@ func TestImagePersistAndMappedRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	s2 := NewStoreWith(d2)
+	s2 := NewStore(d2)
 	s2.imageEdges = 1
 	recovered, mapped, err := s2.Recover()
 	if err != nil {
@@ -81,7 +81,7 @@ func TestImageCorruptionFallsBackToDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStoreWith(d)
+	s := NewStore(d)
 	s.imageEdges = 1
 	sg, _, err := s.Add(g, "h")
 	if err != nil {
@@ -108,7 +108,7 @@ func TestImageCorruptionFallsBackToDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	s2 := NewStoreWith(d2)
+	s2 := NewStore(d2)
 	s2.imageEdges = 1
 	recovered, mapped, err := s2.Recover()
 	if err != nil {
@@ -136,7 +136,7 @@ func TestImageCorruptionFallsBackToDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d3.Close()
-	s3 := NewStoreWith(d3)
+	s3 := NewStore(d3)
 	s3.imageEdges = 1
 	if _, mapped, err = s3.Recover(); err != nil || mapped != 1 {
 		t.Fatalf("after rebuild: mapped=%d err=%v, want 1/nil", mapped, err)
@@ -145,14 +145,14 @@ func TestImageCorruptionFallsBackToDecode(t *testing.T) {
 }
 
 // TestImageThreshold: hosts under the threshold never write images;
-// Memory backends have no file tier at all and uploads still work.
+// memory-only stores have no file tier at all and uploads still work.
 func TestImageThreshold(t *testing.T) {
 	d, err := store.OpenDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	s := NewStoreWith(d)
+	s := NewStore(d)
 	s.imageEdges = 1000 // host has 7 edges: under threshold
 	sg, _, err := s.Add(imageTestHost(), "small")
 	if err != nil {
@@ -162,7 +162,7 @@ func TestImageThreshold(t *testing.T) {
 		t.Fatalf("under-threshold host wrote an image (err %v)", err)
 	}
 
-	s2 := NewStoreWith(store.NewMemory()) // no file tier: threshold moot
+	s2 := NewStore(nil) // no file tier: threshold moot
 	s2.imageEdges = 1
 	if _, _, err := s2.Add(imageTestHost(), "mem"); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/store"
 	"repro/mine"
 )
 
@@ -229,12 +230,11 @@ type Scheduler struct {
 	// NewScheduler leaves it nil and every record site no-ops.
 	metrics *Metrics
 
-	// journal, when set (serve.New over a persistent backend), receives
-	// one appended record per terminal job transition, so /jobs survives
-	// restarts. Append failures are counted in journalErrs, never
-	// propagated: history durability is best-effort, job execution is
-	// not.
-	journal     journalWriter
+	// journal, when set (serve.New over a disk), receives one appended
+	// record per terminal job transition, so /jobs survives restarts.
+	// Append failures are counted in journalErrs, never propagated:
+	// history durability is best-effort, job execution is not.
+	journal     *store.Disk
 	journalErrs atomic.Int64
 
 	queue      chan *Job
@@ -267,10 +267,6 @@ type Scheduler struct {
 	// and event log forever). Live jobs are never evicted.
 	retain int
 }
-
-// journalWriter is the slice of store.Backend the scheduler needs;
-// narrowed to an interface so jobs.go stays backend-agnostic.
-type journalWriter interface{ Append(rec []byte) error }
 
 // jobRecordType versions the journal's job records: any change to the
 // record's field semantics must mint a new type string, and recovery

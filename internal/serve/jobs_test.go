@@ -43,7 +43,7 @@ func TestSchedulerFIFOBackpressureAndCancel(t *testing.T) {
 		}
 	})
 	sg := tinyStoredGraph(t)
-	s := NewScheduler(NewCache(0), 1, 1)
+	s := NewScheduler(NewCache(0, nil), 1, 1)
 	defer s.Shutdown(context.Background())
 
 	j1, err := s.Submit(sg, "testminer", mine.Options{Seed: 1})
@@ -101,7 +101,7 @@ func TestSchedulerCacheHit(t *testing.T) {
 		return &mine.Result{Miner: "testminer", Patterns: []*mine.Pattern{stubPattern()}}, nil
 	})
 	sg := tinyStoredGraph(t)
-	s := NewScheduler(NewCache(8), 1, 4)
+	s := NewScheduler(NewCache(8, nil), 1, 4)
 	defer s.Shutdown(context.Background())
 
 	opts := mine.Options{MinSupport: 2, K: 3, Seed: 1}
@@ -154,7 +154,7 @@ func TestSchedulerProgressEvents(t *testing.T) {
 		return &mine.Result{Miner: "testminer"}, nil
 	})
 	sg := tinyStoredGraph(t)
-	s := NewScheduler(NewCache(0), 1, 2)
+	s := NewScheduler(NewCache(0, nil), 1, 2)
 	defer s.Shutdown(context.Background())
 	j, err := s.Submit(sg, "testminer", mine.Options{})
 	if err != nil {
@@ -204,7 +204,7 @@ func TestSchedulerGracefulDrain(t *testing.T) {
 		return &mine.Result{Miner: "testminer"}, nil
 	})
 	sg := tinyStoredGraph(t)
-	s := NewScheduler(NewCache(0), 1, 4)
+	s := NewScheduler(NewCache(0, nil), 1, 4)
 	var jobs []*Job
 	for i := 0; i < 4; i++ {
 		j, err := s.Submit(sg, "testminer", mine.Options{Seed: int64(i)})
@@ -235,7 +235,7 @@ func TestSchedulerHardDrain(t *testing.T) {
 		return &mine.Result{Miner: "testminer", Truncated: mine.TruncatedCanceled, Patterns: []*mine.Pattern{stubPattern()}}, ctx.Err()
 	})
 	sg := tinyStoredGraph(t)
-	s := NewScheduler(NewCache(0), 1, 2)
+	s := NewScheduler(NewCache(0, nil), 1, 2)
 	j1, err := s.Submit(sg, "testminer", mine.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestSchedulerDoesNotCacheWallClockTruncation(t *testing.T) {
 		return &mine.Result{Miner: "testminer", Truncated: truncation}, nil
 	})
 	sg := tinyStoredGraph(t)
-	s := NewScheduler(NewCache(8), 1, 4)
+	s := NewScheduler(NewCache(8, nil), 1, 4)
 	defer s.Shutdown(context.Background())
 
 	opts := mine.Options{MaxWallClock: time.Millisecond, Seed: 1}
@@ -321,7 +321,7 @@ func TestSchedulerJobRetention(t *testing.T) {
 		return &mine.Result{Miner: "testminer"}, nil
 	})
 	sg := tinyStoredGraph(t)
-	s := NewScheduler(NewCache(0), 2, 8)
+	s := NewScheduler(NewCache(0, nil), 2, 8)
 	defer s.Shutdown(context.Background())
 	s.mu.Lock()
 	s.retain = 2
@@ -357,7 +357,7 @@ func TestSchedulerJobRetention(t *testing.T) {
 // TestSchedulerRejectsUnknownMiner: submission validates the miner name
 // up front.
 func TestSchedulerRejectsUnknownMiner(t *testing.T) {
-	s := NewScheduler(NewCache(0), 1, 1)
+	s := NewScheduler(NewCache(0, nil), 1, 1)
 	defer s.Shutdown(context.Background())
 	if _, err := s.Submit(tinyStoredGraph(t), "no-such-miner", mine.Options{}); err == nil {
 		t.Error("unknown miner accepted")
@@ -469,8 +469,12 @@ func TestTerminalPathsFinishOnce(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			journal := store.NewMemory()
-			s := NewScheduler(NewCache(8), 1, 4)
+			journal, err := store.OpenDisk(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer journal.Close()
+			s := NewScheduler(NewCache(8, nil), 1, 4)
 			s.metrics = newMetrics()
 			s.journal = journal
 			j := tc.run(t, s)

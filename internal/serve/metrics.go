@@ -130,22 +130,22 @@ func (m *Metrics) bind(s *Server) {
 	reg.GaugeFunc("spiderserved_store_graphs",
 		"registered host graphs", func() float64 { return float64(store.Len()) })
 
-	// Storage-engine families. Registered unconditionally — a memory
-	// backend reports zeros — so the /metrics schema does not depend on
-	// whether the daemon runs with -data-dir.
-	backend := s.backend
+	// Storage-engine families. Registered unconditionally — a nil disk
+	// reports zeros — so the /metrics schema does not depend on whether
+	// the daemon runs with -data-dir.
+	disk := s.disk
 	reg.CounterFunc("spiderserved_store_disk_bytes_written_total",
 		"bytes appended to the storage backend's log (headers + payloads)",
-		func() uint64 { return backend.Stats().BytesWritten })
+		func() uint64 { return disk.Stats().BytesWritten })
 	reg.CounterFunc("spiderserved_store_disk_bytes_read_total",
 		"payload bytes read back from the storage backend",
-		func() uint64 { return backend.Stats().BytesRead })
+		func() uint64 { return disk.Stats().BytesRead })
 	reg.CounterFunc("spiderserved_store_disk_fsyncs_total",
 		"fsyncs issued by the storage backend",
-		func() uint64 { return backend.Stats().Fsyncs })
+		func() uint64 { return disk.Stats().Fsyncs })
 	reg.CounterFunc("spiderserved_store_disk_recovery_truncations_total",
 		"torn log tails truncated by backend recovery scans",
-		func() uint64 { return backend.Stats().RecoveryTruncations })
+		func() uint64 { return disk.Stats().RecoveryTruncations })
 
 	reg.CounterFunc("spiderserved_cache_backend_hits_total",
 		"result-cache hits served from the durable tier (and promoted to L1)",

@@ -121,7 +121,7 @@ func TestSubmitNegativeOptionsRejected(t *testing.T) {
 // understate the hit rate exactly while the backend is sick.
 func TestCacheDegradeIsNotAMiss(t *testing.T) {
 	defer fault.DisarmAll()
-	c := NewCache(4)
+	c := NewCache(4, nil)
 	key := CacheKey{Host: "h", Miner: "m", Options: "o"}
 	c.Put(key, &mine.Result{Miner: "m"})
 
@@ -150,7 +150,7 @@ func TestCacheDegradeIsNotAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	dc := NewCacheWith(4, d)
+	dc := NewCache(4, d)
 	if _, ok := dc.Get(key); ok {
 		t.Fatal("cold disk-backed cache returned a hit")
 	}

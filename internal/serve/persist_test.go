@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -463,13 +464,61 @@ func TestPersistMetricsSchema(t *testing.T) {
 	})
 }
 
+// TestPersistNothingWithoutDisk: a server built without a durable tier
+// writes nowhere. An upload and a mined (and cached) job leave the disk
+// counters at zero on /metrics, and /stats says "persistent": false.
+func TestPersistNothingWithoutDisk(t *testing.T) {
+	srv := New(Config{Runners: 1, QueueCap: 2, CacheCap: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	resp := post(t, ts.URL+"/graphs", "text/plain", persistHostLG(t))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload status %d", resp.StatusCode)
+	}
+	sg := decodeJSON[StoredGraph](t, resp.Body)
+	resp.Body.Close()
+	snap, code := submitJob(t, ts.URL, sg.ID, persistOpts)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d", code)
+	}
+	if fin := pollTerminal(t, ts.URL, snap.ID); fin.Status != StatusDone {
+		t.Fatalf("job finished %q: %+v", fin.Status, fin)
+	}
+
+	resp = get(t, ts.URL+"/metrics")
+	expo, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"spiderserved_store_disk_bytes_written_total 0\n",
+		"spiderserved_store_disk_fsyncs_total 0\n",
+		"spiderserved_cache_persist_drops_total 0\n",
+		"spiderserved_sched_journal_errors_total 0\n",
+	} {
+		if !strings.Contains(string(expo), want) {
+			t.Errorf("memory-only /metrics lacks %q", strings.TrimSpace(want))
+		}
+	}
+	resp = get(t, ts.URL+"/stats")
+	stats := decodeJSON[map[string]any](t, resp.Body)
+	resp.Body.Close()
+	if p, ok := stats["persistent"].(bool); !ok || p {
+		t.Errorf(`/stats "persistent" = %v, want false`, stats["persistent"])
+	}
+}
+
 // TestRecoverRejectsTamperedGraph: recovery re-verifies every graph's
 // content fingerprint against its blob key and refuses to serve a
 // mismatch — corruption below the CRC layer (or a codec drift) must
 // fail loudly, not alias one graph as another.
 func TestRecoverRejectsTamperedGraph(t *testing.T) {
-	backend := store.NewMemory()
-	st := NewStoreWith(backend)
+	backend, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer backend.Close()
+	st := NewStore(backend)
 	g := mine.FromEdges([]mine.Label{1, 2, 1}, []mine.Edge{{U: 0, W: 1}, {U: 1, W: 2}})
 	sg, _, err := st.Add(g, "victim")
 	if err != nil {
@@ -486,7 +535,75 @@ func TestRecoverRejectsTamperedGraph(t *testing.T) {
 	if err := backend.Put("graphs", "0123456789abcdef0123456789abcdef", blob); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewStoreWith(backend).Recover(); err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+	if _, _, err := NewStore(backend).Recover(); err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
 		t.Fatalf("Recover accepted a tampered blob (err %v)", err)
 	}
+}
+
+// FuzzRecoverJournal feeds hostile journal records, one per line, to
+// recoverJournal. It must never panic; it registers exactly the IDs of
+// terminal job/v1 records with a non-empty ID, each serving the status
+// of its last such record; and the job-ID sequence resumes past the
+// highest recovered j<N>.
+func FuzzRecoverJournal(f *testing.F) {
+	rec := func(typ, id string, st Status) string {
+		raw, err := json.Marshal(jobRecord{Type: typ, Snap: JobSnapshot{ID: id, Miner: "spidermine", Status: st}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(raw)
+	}
+	f.Add(rec(jobRecordType, "j1", StatusDone) + "\n" + rec(jobRecordType, "j3", StatusFailed))
+	f.Add(rec(jobRecordType, "j2", StatusCanceled) + "\n" + rec(jobRecordType, "j2", StatusDone))
+	f.Add(rec(jobRecordType, "j7", StatusRunning) + "\n" + rec(jobRecordType, "", StatusDone))
+	f.Add(rec("job/v2", "j9", StatusDone) + "\n{not json\n\n" + rec(jobRecordType, "j4", StatusQueued))
+	f.Add(rec(jobRecordType, "j5x", StatusDone) + "\n" + rec(jobRecordType, "j99999999999999999999", StatusDone))
+	f.Add(`{"type":"job/v1","snapshot":{"id":"j12","status":"failed","error":"boom"},"key":{"Host":"h"}}`)
+	f.Add(`{"type":"job/v1","snapshot":{"id":"x","status":"done"}}` + "\nnull\n[]\n\"job/v1\"")
+
+	f.Fuzz(func(t *testing.T, journal string) {
+		var recs [][]byte
+		for _, line := range strings.Split(journal, "\n") {
+			recs = append(recs, []byte(line))
+		}
+		s := NewScheduler(NewCache(0, nil), 1, 1)
+		defer s.Shutdown(context.Background())
+		n := s.recoverJournal(recs)
+
+		want := map[string]Status{}
+		highest := 0
+		for _, raw := range recs {
+			var r jobRecord
+			if json.Unmarshal(raw, &r) != nil || r.Type != jobRecordType || r.Snap.ID == "" || !r.Snap.Status.terminal() {
+				continue
+			}
+			want[r.Snap.ID] = r.Snap.Status
+			if digits, ok := strings.CutPrefix(r.Snap.ID, "j"); ok {
+				if v, err := strconv.Atoi(digits); err == nil && v > highest {
+					highest = v
+				}
+			}
+		}
+		if len(want) > defaultJobRetention {
+			return // eviction keeps the newest; the oracle above does not model it
+		}
+		if n != len(want) {
+			t.Fatalf("recovered %d jobs, want %d", n, len(want))
+		}
+		for _, j := range s.List() {
+			st, ok := want[j.ID]
+			if !ok {
+				t.Fatalf("registered job %q from no terminal job/v1 record", j.ID)
+			}
+			if got := j.Snapshot().Status; got != st {
+				t.Fatalf("job %q serves status %q, want its last record's %q", j.ID, got, st)
+			}
+		}
+		s.mu.Lock()
+		last := s.nextID
+		s.mu.Unlock()
+		if last < highest {
+			t.Fatalf("ID sequence resumes at j%d, want past j%d", last+1, highest)
+		}
+	})
 }

@@ -26,7 +26,7 @@ func TestRunnerPanicContainment(t *testing.T) {
 		return &mine.Result{Miner: "testminer", Patterns: []*mine.Pattern{stubPattern()}}, nil
 	})
 	sg := tinyStoredGraph(t)
-	s := NewScheduler(NewCache(8), 2, 8)
+	s := NewScheduler(NewCache(8, nil), 2, 8)
 	defer s.Shutdown(context.Background())
 
 	bad, err := s.Submit(sg, "testminer", mine.Options{Seed: 666})
@@ -105,7 +105,7 @@ func TestRetryTransientThenSucceeds(t *testing.T) {
 		return &mine.Result{Miner: "testminer", Patterns: []*mine.Pattern{stubPattern()}}, nil
 	})
 	sg := tinyStoredGraph(t)
-	s := NewScheduler(NewCache(8), 1, 4)
+	s := NewScheduler(NewCache(8, nil), 1, 4)
 	defer s.Shutdown(context.Background())
 	s.maxRetries = 3
 	s.retryBase = 40 * time.Millisecond
@@ -183,7 +183,7 @@ func TestRetryClassification(t *testing.T) {
 		}
 	})
 	sg := tinyStoredGraph(t)
-	s := NewScheduler(NewCache(0), 1, 4)
+	s := NewScheduler(NewCache(0, nil), 1, 4)
 	defer s.Shutdown(context.Background())
 	s.maxRetries = 2
 	s.sleep = (&fakeSleeper{}).sleep
@@ -223,7 +223,7 @@ func TestRetryCancelDuringBackoff(t *testing.T) {
 		return nil, mine.Transient(errors.New("flaky"))
 	})
 	sg := tinyStoredGraph(t)
-	s := NewScheduler(NewCache(0), 1, 4)
+	s := NewScheduler(NewCache(0, nil), 1, 4)
 	defer s.Shutdown(context.Background())
 	s.maxRetries = 5
 	s.sleep = func(ctx context.Context, d time.Duration) error {
@@ -287,7 +287,7 @@ func TestClaimFailpointFailsJob(t *testing.T) {
 		return &mine.Result{Miner: "testminer"}, nil
 	})
 	sg := tinyStoredGraph(t)
-	s := NewScheduler(NewCache(0), 1, 2)
+	s := NewScheduler(NewCache(0, nil), 1, 2)
 	defer s.Shutdown(context.Background())
 
 	fpSchedClaim.Arm(fault.Spec{Kind: fault.KindError, Err: errors.New("dispatcher wedged")})

@@ -39,12 +39,12 @@ type Config struct {
 	// RetryBase seeds the exponential retry backoff (doubled per
 	// attempt, jittered, capped at 5s); <= 0 means the 100ms default.
 	RetryBase time.Duration
-	// Backend, when set, is the durable storage engine (internal/store):
-	// uploaded graphs and cacheable results write through to it, and
-	// terminal job records are journaled, so a restart over the same
-	// backend recovers all three (serve.Open). Nil means memory-only
-	// serving — behavior identical to the pre-durability server.
-	Backend store.Backend
+	// Backend is the durable tier (internal/store), or nil: uploaded
+	// graphs and cacheable results write through to the disk, and
+	// terminal job records are journaled in it, so a restart over the
+	// same disk recovers all three (serve.Open). Nil means memory-only
+	// serving, which writes nowhere and has nothing to recover.
+	Backend *store.Disk
 }
 
 // Server is the HTTP/JSON mining service: an http.Handler exposing the
@@ -72,12 +72,10 @@ type Server struct {
 	sched   *Scheduler
 	metrics *Metrics
 	mux     *http.ServeMux
-	// backend is the storage engine everything above writes through —
-	// a store.Memory unless Config.Backend supplied a durable one, in
-	// which case persistent is set and recovery/journaling activate.
-	backend    store.Backend
-	persistent bool
-	maxUpload  int64
+	// disk is Config.Backend: the durable tier everything above writes
+	// through, nil for a memory-only server.
+	disk      *store.Disk
+	maxUpload int64
 }
 
 // New assembles a Server and starts its scheduler runners.
@@ -85,27 +83,15 @@ func New(cfg Config) *Server {
 	if cfg.MaxUploadBytes <= 0 {
 		cfg.MaxUploadBytes = 256 << 20
 	}
-	backend := cfg.Backend
-	persistent := backend != nil
-	if backend == nil {
-		backend = store.NewMemory()
-	}
 	s := &Server{
-		store:      NewStoreWith(backend),
-		mux:        http.NewServeMux(),
-		backend:    backend,
-		persistent: persistent,
-		maxUpload:  cfg.MaxUploadBytes,
-	}
-	if persistent {
-		s.cache = NewCacheWith(cfg.CacheCap, backend)
-	} else {
-		s.cache = NewCache(cfg.CacheCap)
+		store:     NewStore(cfg.Backend),
+		cache:     NewCache(cfg.CacheCap, cfg.Backend),
+		mux:       http.NewServeMux(),
+		disk:      cfg.Backend,
+		maxUpload: cfg.MaxUploadBytes,
 	}
 	s.sched = NewScheduler(s.cache, cfg.Runners, cfg.QueueCap)
-	if persistent {
-		s.sched.journal = backend
-	}
+	s.sched.journal = cfg.Backend
 	if cfg.JobsCap > 0 {
 		s.sched.retain = cfg.JobsCap
 	}
@@ -150,21 +136,21 @@ func Open(cfg Config) (*Server, RecoveryStats, error) {
 	return s, rs, nil
 }
 
-// RecoveryStats reports what a Recover pass restored from the backend.
+// RecoveryStats reports what a Recover pass restored from the disk.
 type RecoveryStats struct {
 	Graphs int // graphs re-registered (fingerprints re-verified)
 	Mapped int // of those, served by mmap'ing an SPC1 image (zero decode)
 	Jobs   int // terminal job records re-registered as jobs
 }
 
-// Recover rebuilds serving state from the configured durable backend:
+// Recover rebuilds serving state from the configured disk:
 // graph blobs decode and re-register under re-verified fingerprints,
 // and the journal's terminal job records re-register as terminal jobs
 // (resuming the job-ID sequence past them). A no-op without a
 // Config.Backend. Call before serving traffic; Open does.
 func (s *Server) Recover() (RecoveryStats, error) {
 	var rs RecoveryStats
-	if !s.persistent {
+	if s.disk == nil {
 		return rs, nil
 	}
 	n, mapped, err := s.store.Recover()
@@ -172,7 +158,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	if err != nil {
 		return rs, err
 	}
-	recs, err := s.backend.Journal()
+	recs, err := s.disk.Journal()
 	if err != nil {
 		return rs, fmt.Errorf("serve: recover journal: %w", err)
 	}
@@ -282,7 +268,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"panics":         s.sched.Panics(),
 		"graphs":         s.store.Len(),
 		"journal_errors": s.sched.JournalErrs(),
-		"persistent":     s.persistent,
+		"persistent":     s.disk != nil,
 		// The full metric registry (histogram quantiles included), for
 		// clients that want one JSON snapshot instead of scraping
 		// /metrics.

@@ -15,9 +15,8 @@ import (
 
 // ErrUnknownGraph reports a lookup miss: no graph with that fingerprint
 // is registered. Get wraps it with the id; any other Get error is a read
-// failure (the serve/store/get failpoint, or a persistent backend's I/O
-// errors) and serving surfaces must treat it as retryable, not as "not
-// found".
+// failure (the serve/store/get failpoint) and serving surfaces must
+// treat it as retryable, not as "not found".
 var ErrUnknownGraph = errors.New("serve: unknown graph")
 
 // ErrPersist marks a write-through failure on the durable tier: the
@@ -33,17 +32,16 @@ const (
 	kindGraph  = "graphs"
 	kindResult = "results"
 	// kindImage is the file-tier namespace for SPC1 graph images (see
-	// store.FileBackend): whole files alongside the log, mmap'd back at
+	// store.Disk.PutFile): whole files alongside the log, mmap'd back at
 	// recovery so large hosts reopen in O(1) instead of re-decoding.
 	kindImage = "images"
 )
 
 // DefaultImageEdgeThreshold is the edge count past which an uploaded
-// host also gets an SPC1 image in the backend's file tier (when the
-// backend has one). Below it the SPG1 blob decode is already cheap and
-// the extra file would just double small hosts' disk footprint; above
-// it, recovery maps the image instead of decoding the host onto the
-// heap.
+// host also gets an SPC1 image in the disk's file tier. Below it the
+// SPG1 blob decode is already cheap and the extra file would just
+// double small hosts' disk footprint; above it, recovery maps the image
+// instead of decoding the host onto the heap.
 const DefaultImageEdgeThreshold = 1 << 20
 
 // StoredGraph is one registered host graph. ID is the content
@@ -63,22 +61,20 @@ type StoredGraph struct {
 
 // Store is the concurrent registry of uploaded host graphs, keyed by
 // content fingerprint. The decoded map is the read tier (jobs hold the
-// *graph.Graph); every Add writes through to the durable backend first,
-// so a graph is never registered without being durable — and Recover
-// rebuilds the registry from the backend after a restart.
+// *graph.Graph). With a disk, every Add writes through to it first, so
+// a graph is never registered without being durable — and Recover
+// rebuilds the registry from the disk after a restart. Without one the
+// map is all there is.
 type Store struct {
 	mu    sync.RWMutex
 	byID  map[string]*StoredGraph
 	order []string // registration order, for stable listings
 
-	backend store.Backend
-
-	// files is the backend's optional whole-file tier (feature-tested at
-	// construction); imageEdges is the edge count at which uploads write
-	// an SPC1 image through it (DefaultImageEdgeThreshold; tests lower
-	// it). mapped tracks the mmap handles Recover opened so Close can
-	// unmap them.
-	files      store.FileBackend
+	// disk is the durable tier, nil for a memory-only store. imageEdges
+	// is the edge count at which uploads also write an SPC1 image to its
+	// file tier (DefaultImageEdgeThreshold; tests lower it). mapped
+	// tracks the mmap handles Recover opened so Close can unmap them.
+	disk       *store.Disk
 	imageEdges int
 	mapped     []*graph.Mapped
 
@@ -89,22 +85,17 @@ type Store struct {
 	imageErrs   obs.Counter
 
 	// Read-path tallies (every Get; the unknown-fingerprint subset; the
-	// backend-fault subset). The store owns them so a serving surface's
+	// injected-fault subset). The store owns them so a serving surface's
 	// /metrics reads the same numbers the store itself saw.
 	reads  obs.Counter
 	misses obs.Counter
 	faults obs.Counter
 }
 
-// NewStore returns an empty graph store over an in-process backend.
-func NewStore() *Store { return NewStoreWith(store.NewMemory()) }
-
-// NewStoreWith returns an empty graph store writing through to the
-// given backend.
-func NewStoreWith(b store.Backend) *Store {
-	s := &Store{byID: make(map[string]*StoredGraph), backend: b, imageEdges: DefaultImageEdgeThreshold}
-	s.files, _ = b.(store.FileBackend)
-	return s
+// NewStore returns an empty graph store writing through to disk, or a
+// memory-only one when disk is nil.
+func NewStore(disk *store.Disk) *Store {
+	return &Store{byID: make(map[string]*StoredGraph), disk: disk, imageEdges: DefaultImageEdgeThreshold}
 }
 
 // Close unmaps every graph Recover opened via mmap. The store must not
@@ -123,15 +114,15 @@ func (s *Store) Close() error {
 	return err
 }
 
-// putImage best-effort persists g's SPC1 image to the file tier when
-// the graph is past the threshold. Never fails the caller: the SPG1
+// putImage best-effort persists g's SPC1 image to the disk's file tier
+// when the graph is past the threshold. Never fails the caller: the SPG1
 // blob in the log is the durable copy, the image is an open-time
 // optimization recreated on the next upload or recovery if lost.
 func (s *Store) putImage(id string, g *graph.Graph) {
-	if s.files == nil || g.M() < s.imageEdges {
+	if g.M() < s.imageEdges {
 		return
 	}
-	if err := s.files.PutFile(kindImage, id, imageWriterTo{g}); err != nil {
+	if err := s.disk.PutFile(kindImage, id, imageWriterTo{g}); err != nil {
 		s.imageErrs.Inc()
 		return
 	}
@@ -139,7 +130,7 @@ func (s *Store) putImage(id string, g *graph.Graph) {
 }
 
 // imageWriterTo adapts Graph.WriteImage to io.WriterTo for
-// store.FileBackend.PutFile.
+// store.Disk.PutFile.
 type imageWriterTo struct{ g *graph.Graph }
 
 func (w imageWriterTo) WriteTo(dst io.Writer) (int64, error) { return w.g.WriteImage(dst) }
@@ -180,8 +171,8 @@ func decodeStoredMeta(id string, blob []byte) (name string, uploaded time.Time, 
 // Add registers a graph under its content fingerprint and returns the
 // stored record. If a graph with the same content is already registered,
 // the existing record is returned (its original name kept) and existed
-// is true. The blob is written through to the durable backend before
-// the registry learns of it; a failed write returns an error wrapping
+// is true. With a disk, the blob is written through to it before the
+// registry learns of it; a failed write returns an error wrapping
 // ErrPersist and registers nothing.
 func (s *Store) Add(g *graph.Graph, name string) (sg *StoredGraph, existed bool, err error) {
 	id := FingerprintGraph(g)
@@ -197,14 +188,16 @@ func (s *Store) Add(g *graph.Graph, name string) (sg *StoredGraph, existed bool,
 		Uploaded: time.Now().UTC(),
 		G:        g,
 	}
-	// Durable first, registered second — outside the lock: an fsync on
-	// the write-through must not block concurrent reads.
-	if perr := s.backend.Put(kindGraph, id, encodeStoredGraph(sg)); perr != nil {
-		return nil, false, fmt.Errorf("%w: %w", ErrPersist, perr)
+	if s.disk != nil {
+		// Durable first, registered second — outside the lock: an fsync
+		// on the write-through must not block concurrent reads.
+		if perr := s.disk.Put(kindGraph, id, encodeStoredGraph(sg)); perr != nil {
+			return nil, false, fmt.Errorf("%w: %w", ErrPersist, perr)
+		}
+		// Best-effort SPC1 image alongside the durable blob: a large host
+		// re-opens by mmap at recovery instead of re-decoding.
+		s.putImage(id, g)
 	}
-	// Best-effort SPC1 image alongside the durable blob: a large host
-	// re-opens by mmap at recovery instead of re-decoding.
-	s.putImage(id, g)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev, ok := s.byID[id]; ok {
@@ -217,25 +210,29 @@ func (s *Store) Add(g *graph.Graph, name string) (sg *StoredGraph, existed bool,
 	return sg, false, nil
 }
 
-// Recover rebuilds the registry from the durable backend. Every graph's
-// content fingerprint is re-verified against the key it was stored
-// under — a mismatch means corruption (or a codec drift) and fails
-// recovery loudly rather than serving wrong bytes under a trusted id.
+// Recover rebuilds the registry from the disk; a memory-only store has
+// nothing to recover. Every graph's content fingerprint is re-verified
+// against the key it was stored under — a mismatch means corruption (or
+// a codec drift) and fails recovery loudly rather than serving wrong
+// bytes under a trusted id.
 //
-// When the backend has a file tier, a graph with a persisted SPC1 image
-// recovers by mmap'ing the image (zero decode, zero heap) and
+// A graph with a persisted SPC1 image in the file tier recovers by
+// mmap'ing the image (zero decode, zero heap) and
 // re-verifying the fingerprint of the mapped graph; any image problem —
 // missing file, failed open, wrong fingerprint — silently falls back to
 // decoding the SPG1 blob, because the image is a cache, not the durable
 // copy. mapped counts the graphs serving straight from the page cache.
 // Call before serving traffic.
 func (s *Store) Recover() (recovered, mapped int, err error) {
-	keys, err := s.backend.List(kindGraph)
+	if s.disk == nil {
+		return 0, 0, nil
+	}
+	keys, err := s.disk.List(kindGraph)
 	if err != nil {
 		return 0, 0, fmt.Errorf("serve: recover graphs: %w", err)
 	}
 	for _, id := range keys {
-		blob, err := s.backend.Get(kindGraph, id)
+		blob, err := s.disk.Get(kindGraph, id)
 		if err != nil {
 			return recovered, mapped, fmt.Errorf("serve: recover graph %s: %w", id, err)
 		}
@@ -294,10 +291,7 @@ func (s *Store) Recover() (recovered, mapped int, err error) {
 // fingerprint check that ties the mapped bytes to the id they claim.
 // Any failure returns nil — the caller decodes the SPG1 blob instead.
 func (s *Store) openImage(id string) *graph.Mapped {
-	if s.files == nil {
-		return nil
-	}
-	path, err := s.files.FilePath(kindImage, id)
+	path, err := s.disk.FilePath(kindImage, id)
 	if err != nil {
 		return nil
 	}

@@ -58,7 +58,7 @@ func stubPattern() *mine.Pattern {
 func tinyStoredGraph(t *testing.T) *StoredGraph {
 	t.Helper()
 	g := mine.FromEdges([]mine.Label{1, 2, 1}, []mine.Edge{{U: 0, W: 1}, {U: 1, W: 2}})
-	sg, _, err := NewStore().Add(g, "tiny")
+	sg, _, err := NewStore(nil).Add(g, "tiny")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 package spider
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -12,20 +13,45 @@ import (
 // TreeNode is a rooted label tree describing an r-spider for r >= 1: the
 // root is the spider head; children at depth d are vertices at distance d
 // from the head. Children are kept sorted by Key so equal trees share a
-// canonical key.
+// canonical key. The trees MineTrees returns carry their keys, computed
+// once when each node was built, and must not be modified.
 type TreeNode struct {
 	Label    graph.Label
 	Children []*TreeNode
+
+	key string // set by newTreeNode; empty means Key computes it
+}
+
+// newTreeNode builds a node for the miner, keyed once from its
+// children's keys; it shares kids and must never change afterwards.
+func newTreeNode(l graph.Label, kids []*TreeNode) *TreeNode {
+	n := &TreeNode{Label: l, Children: kids}
+	size := 9 // the parentheses and the widest label, "-zik0zk"
+	for _, c := range kids {
+		size += len(c.Key())
+	}
+	var b strings.Builder
+	b.Grow(size)
+	n.writeKey(&b)
+	n.key = b.String()
+	return n
 }
 
 // Key returns the canonical string key of the tree.
 func (t *TreeNode) Key() string {
+	if t.key != "" {
+		return t.key
+	}
 	var b strings.Builder
 	t.writeKey(&b)
 	return b.String()
 }
 
 func (t *TreeNode) writeKey(b *strings.Builder) {
+	if t.key != "" {
+		b.WriteString(t.key)
+		return
+	}
 	b.WriteByte('(')
 	writeLabel(b, t.Label)
 	for _, c := range t.Children {
@@ -129,10 +155,17 @@ func MineTreesContext(ctx context.Context, g *graph.Graph, opt TreeOptions) ([]*
 	for v := 0; v < g.N(); v++ {
 		byLabel[g.Label(graph.V(v))] = append(byLabel[g.Label(graph.V(v))], graph.V(v))
 	}
+	// leaves holds one shared leaf node per host label, in label order:
+	// the children extendTree may add.
+	leaves := make([]*TreeNode, 0, len(byLabel))
+	for l := range byLabel {
+		leaves = append(leaves, newTreeNode(l, nil))
+	}
+	slices.SortFunc(leaves, func(a, b *TreeNode) int { return cmp.Compare(a.Label, b.Label) })
 	var frontier []*MinedTree
-	for l, hosts := range byLabel {
-		if len(hosts) >= sigma {
-			frontier = append(frontier, &MinedTree{Tree: &TreeNode{Label: l}, Hosts: hosts})
+	for _, leaf := range leaves {
+		if hosts := byLabel[leaf.Label]; len(hosts) >= sigma {
+			frontier = append(frontier, &MinedTree{Tree: leaf, Hosts: hosts})
 		}
 	}
 	sortTrees(frontier)
@@ -156,7 +189,7 @@ func MineTreesContext(ctx context.Context, g *graph.Graph, opt TreeOptions) ([]*
 				ctxErr = err
 				break
 			}
-			for _, cand := range extendTree(mt.Tree, opt.Radius, opt.MaxFanout, labelsOf(byLabel)) {
+			for _, cand := range extendTree(mt.Tree, opt.Radius, opt.MaxFanout, leaves) {
 				key := cand.Key()
 				if _, dup := seen[key]; dup {
 					continue
@@ -183,44 +216,36 @@ func MineTreesContext(ctx context.Context, g *graph.Graph, opt TreeOptions) ([]*
 	return all, ctxErr
 }
 
-func labelsOf(byLabel map[graph.Label][]graph.V) []graph.Label {
-	ls := make([]graph.Label, 0, len(byLabel))
-	for l := range byLabel {
-		ls = append(ls, l)
-	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	return ls
-}
+// cmpKeys orders trees by canonical key.
+func cmpKeys(a, b *TreeNode) int { return strings.Compare(a.Key(), b.Key()) }
 
 func sortTrees(ts []*MinedTree) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Tree.Key() < ts[j].Tree.Key() })
+	slices.SortFunc(ts, func(a, b *MinedTree) int { return cmpKeys(a.Tree, b.Tree) })
 }
 
-// extendTree returns all trees obtained by adding one child (with any
-// label) to any node at depth < maxDepth, respecting the fanout cap.
-// To avoid generating the same tree multiple ways, a child may only be
-// appended if its key is >= the last sibling's key.
-func extendTree(t *TreeNode, maxDepth, maxFanout int, labels []graph.Label) []*TreeNode {
+// extendTree returns all trees obtained by adding one of the leaves
+// (one per label, in label order) as a child of any node at depth <
+// maxDepth, respecting the fanout cap. To avoid generating the same
+// tree multiple ways, a child may only be appended if its key is >= the
+// last sibling's key. Every node it builds comes from newTreeNode.
+func extendTree(t *TreeNode, maxDepth, maxFanout int, leaves []*TreeNode) []*TreeNode {
 	var out []*TreeNode
 	var rec func(n *TreeNode, depth int, rebuild func(*TreeNode) *TreeNode)
 	rec = func(n *TreeNode, depth int, rebuild func(*TreeNode) *TreeNode) {
-		if depth < maxDepth && (maxFanout <= 0 || len(n.Children) < maxFanout) {
-			for _, l := range labels {
-				child := &TreeNode{Label: l}
-				if len(n.Children) > 0 && child.Key() < n.Children[len(n.Children)-1].Key() {
+		if k := len(n.Children); depth < maxDepth && (maxFanout <= 0 || k < maxFanout) {
+			for _, leaf := range leaves {
+				if k > 0 && leaf.Key() < n.Children[k-1].Key() {
 					continue
 				}
-				nn := &TreeNode{Label: n.Label, Children: append(append([]*TreeNode(nil), n.Children...), child)}
-				out = append(out, rebuild(nn))
+				out = append(out, rebuild(newTreeNode(n.Label, append(n.Children[:k:k], leaf))))
 			}
 		}
 		for i, c := range n.Children {
-			i := i
 			rec(c, depth+1, func(newC *TreeNode) *TreeNode {
-				kids := append([]*TreeNode(nil), n.Children...)
+				kids := slices.Clone(n.Children)
 				kids[i] = newC
-				sort.Slice(kids, func(a, b int) bool { return kids[a].Key() < kids[b].Key() })
-				return rebuild(&TreeNode{Label: n.Label, Children: kids})
+				slices.SortStableFunc(kids, cmpKeys)
+				return rebuild(newTreeNode(n.Label, kids))
 			})
 		}
 	}
@@ -245,29 +270,24 @@ func canHostFrom(g *graph.Graph, t *TreeNode, v graph.V, parent graph.V) bool {
 	if len(t.Children) == 0 {
 		return true
 	}
-	// Backtracking assignment of children to distinct neighbors.
-	nbrs := g.Neighbors(v)
-	used := make(map[graph.V]bool, len(t.Children))
-	var assign func(ci int) bool
-	assign = func(ci int) bool {
-		if ci == len(t.Children) {
+	var used [8]graph.V
+	return assignChildren(g, t.Children, v, parent, used[:0])
+}
+
+// assignChildren backtracks kids onto distinct neighbors of v other than
+// parent and the neighbors already in used (one per earlier sibling),
+// each hosting its subtree.
+func assignChildren(g *graph.Graph, kids []*TreeNode, v, parent graph.V, used []graph.V) bool {
+	if len(kids) == 0 {
+		return true
+	}
+	for _, w := range g.Neighbors(v) {
+		if w == parent || slices.Contains(used, w) || !canHostFrom(g, kids[0], w, v) {
+			continue
+		}
+		if assignChildren(g, kids[1:], v, parent, append(used, w)) {
 			return true
 		}
-		c := t.Children[ci]
-		for _, w := range nbrs {
-			if w == parent || used[w] {
-				continue
-			}
-			if !canHostFrom(g, c, w, v) {
-				continue
-			}
-			used[w] = true
-			if assign(ci + 1) {
-				return true
-			}
-			used[w] = false
-		}
-		return false
 	}
-	return assign(0)
+	return false
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -168,5 +170,156 @@ func TestMineTreesMaxSpiders(t *testing.T) {
 	trees := MineTrees(g, TreeOptions{MinSupport: 1, Radius: 2, MaxFanout: 2, MaxSpiders: 5})
 	if len(trees) > 5 {
 		t.Fatalf("MaxSpiders violated: %d", len(trees))
+	}
+}
+
+// refKey is TreeNode.Key without the cached keys: the string rebuilt
+// from the labels on every call, as MineTrees did before it keyed each
+// node once.
+func refKey(t *TreeNode) string {
+	k := "(" + strconv.FormatInt(int64(t.Label), 36)
+	for _, c := range t.Children {
+		k += refKey(c)
+	}
+	return k + ")"
+}
+
+// refCanHost is CanHost with a used-neighbor map, as it was written
+// before the backtracking moved onto a stack slice.
+func refCanHost(g *graph.Graph, t *TreeNode, v, parent graph.V) bool {
+	if g.Label(v) != t.Label {
+		return false
+	}
+	used := map[graph.V]bool{}
+	var assign func(ci int) bool
+	assign = func(ci int) bool {
+		if ci == len(t.Children) {
+			return true
+		}
+		for _, w := range g.Neighbors(v) {
+			if w == parent || used[w] || !refCanHost(g, t.Children[ci], w, v) {
+				continue
+			}
+			used[w] = true
+			if assign(ci + 1) {
+				return true
+			}
+			used[w] = false
+		}
+		return false
+	}
+	return assign(0)
+}
+
+// mineTreesReference is MineTrees with every key rebuilt on demand, the
+// label list re-sorted per frontier tree and plain struct-literal nodes:
+// the oracle the keyed enumeration must reproduce tree for tree, in
+// order, with the same hosts.
+func mineTreesReference(g *graph.Graph, opt TreeOptions) []*MinedTree {
+	byLabel := map[graph.Label][]graph.V{}
+	for v := 0; v < g.N(); v++ {
+		byLabel[g.Label(graph.V(v))] = append(byLabel[g.Label(graph.V(v))], graph.V(v))
+	}
+	sortRef := func(ts []*MinedTree) {
+		sort.Slice(ts, func(i, j int) bool { return refKey(ts[i].Tree) < refKey(ts[j].Tree) })
+	}
+	var frontier []*MinedTree
+	for l, hosts := range byLabel {
+		if len(hosts) >= opt.MinSupport {
+			frontier = append(frontier, &MinedTree{Tree: &TreeNode{Label: l}, Hosts: hosts})
+		}
+	}
+	sortRef(frontier)
+	all := slices.Clone(frontier)
+	seen := map[string]bool{}
+	for _, mt := range all {
+		seen[refKey(mt.Tree)] = true
+	}
+	for len(frontier) > 0 && len(all) < opt.MaxSpiders {
+		var next []*MinedTree
+		for _, mt := range frontier {
+			var labels []graph.Label
+			for l := range byLabel {
+				labels = append(labels, l)
+			}
+			slices.Sort(labels)
+			var cands []*TreeNode
+			var rec func(n *TreeNode, depth int, rebuild func(*TreeNode) *TreeNode)
+			rec = func(n *TreeNode, depth int, rebuild func(*TreeNode) *TreeNode) {
+				if depth < opt.Radius && len(n.Children) < opt.MaxFanout {
+					for _, l := range labels {
+						child := &TreeNode{Label: l}
+						if len(n.Children) > 0 && refKey(child) < refKey(n.Children[len(n.Children)-1]) {
+							continue
+						}
+						kids := append(slices.Clone(n.Children), child)
+						cands = append(cands, rebuild(&TreeNode{Label: n.Label, Children: kids}))
+					}
+				}
+				for i, c := range n.Children {
+					rec(c, depth+1, func(newC *TreeNode) *TreeNode {
+						kids := slices.Clone(n.Children)
+						kids[i] = newC
+						sort.Slice(kids, func(a, b int) bool { return refKey(kids[a]) < refKey(kids[b]) })
+						return rebuild(&TreeNode{Label: n.Label, Children: kids})
+					})
+				}
+			}
+			rec(mt.Tree, 0, func(nt *TreeNode) *TreeNode { return nt })
+			for _, cand := range cands {
+				if key := refKey(cand); !seen[key] {
+					seen[key] = true
+					var hosts []graph.V
+					for _, v := range mt.Hosts {
+						if refCanHost(g, cand, v, -1) {
+							hosts = append(hosts, v)
+						}
+					}
+					if len(hosts) >= opt.MinSupport {
+						next = append(next, &MinedTree{Tree: cand, Hosts: hosts})
+					}
+				}
+			}
+		}
+		sortRef(next)
+		all = append(all, next...)
+		frontier = next
+	}
+	if len(all) > opt.MaxSpiders {
+		all = all[:opt.MaxSpiders]
+	}
+	return all
+}
+
+// TestMineTreesMatchesReference: keying each node once, hoisting the
+// label list and the map-free host check leave MineTrees' output
+// unchanged: the same trees (by the reference's rebuilt keys), in the
+// same order, with the same hosts, at radius 2 and 3 and on a host
+// with negative labels.
+func TestMineTreesMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		seed   int64
+		labels int
+		shift  graph.Label
+		opt    TreeOptions
+	}{
+		{1, 12, 0, TreeOptions{MinSupport: 2, Radius: 2, MaxFanout: 2, MaxSpiders: 3000}},
+		{2, 6, 0, TreeOptions{MinSupport: 3, Radius: 2, MaxFanout: 3, MaxSpiders: 3000}},
+		{3, 40, 0, TreeOptions{MinSupport: 2, Radius: 3, MaxFanout: 2, MaxSpiders: 3000}},
+		{4, 12, -40, TreeOptions{MinSupport: 2, Radius: 2, MaxFanout: 2, MaxSpiders: 3000}},
+	} {
+		g := gen.ErdosRenyi(60, 3, tc.labels, rand.New(rand.NewSource(tc.seed)))
+		g = relabeled(g, func(l graph.Label) graph.Label { return l + tc.shift })
+		got, want := MineTrees(g, tc.opt), mineTreesReference(g, tc.opt)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d trees, reference %d", tc.seed, len(got), len(want))
+		}
+		for i := range got {
+			if refKey(got[i].Tree) != refKey(want[i].Tree) || got[i].Tree.Key() != refKey(want[i].Tree) ||
+				!slices.Equal(got[i].Hosts, want[i].Hosts) {
+				t.Fatalf("seed %d tree %d: %s (key %s) hosts %v, reference %s hosts %v", tc.seed, i,
+					refKey(got[i].Tree), got[i].Tree.Key(), got[i].Hosts, refKey(want[i].Tree), want[i].Hosts)
+			}
+		}
 	}
 }

@@ -9,9 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
-// Disk is the on-disk Backend: a single append-only segment log of
+// Disk is the durable tier: a single append-only segment log of
 // CRC-framed records plus an in-memory index rebuilt at Open — from a
 // sidecar index file when it matches the log, by a full recovery scan
 // otherwise. Every mutation is one framed append followed by an fsync,
@@ -19,6 +20,11 @@ import (
 // recovery scan truncates a torn tail at the first frame whose header,
 // length, or checksum does not verify, restoring the longest valid
 // prefix.
+//
+// A nil-error return from Put, Delete or Append means the mutation is
+// on disk. Slices passed to them may be reused by the caller once they
+// return; slices returned by Get and Journal are freshly read and owned
+// by the caller. A Disk is safe for concurrent use.
 //
 // Frame layout (all integers little-endian):
 //
@@ -47,8 +53,20 @@ type Disk struct {
 	kinds   map[string]*diskKind
 	journal []frameRef
 
-	stats backendStats
+	stats diskStats
 	buf   []byte // frame assembly scratch, reused across writes
+}
+
+// diskStats is the counter block behind Stats(): wait-free atomics so
+// hot paths never serialize on a stats lock.
+type diskStats struct {
+	puts, gets, deletes, appends atomic.Uint64
+	filePuts                     atomic.Uint64
+	bytesWritten, bytesRead      atomic.Uint64
+	fsyncs                       atomic.Uint64
+	recoveryTruncations          atomic.Uint64
+	recoveredBlobs               atomic.Uint64
+	recoveredJournal             atomic.Uint64
 }
 
 type diskKind struct {
@@ -60,6 +78,13 @@ type diskKind struct {
 type frameRef struct {
 	Off int64 `json:"off"`
 	Len int64 `json:"len"`
+}
+
+// within reports whether r can be a frame of a log of logSize bytes.
+// The bound is Len > logSize-Off, never Off+Len > logSize: a hostile
+// sidecar's Off+Len can wrap past math.MaxInt64 and pass the sum check.
+func (r frameRef) within(logSize int64) bool {
+	return r.Off >= 0 && r.Len >= frameHeaderSize && r.Len <= logSize-r.Off
 }
 
 const (
@@ -81,10 +106,10 @@ const (
 // better than IEEE and is hardware-accelerated on common platforms.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// OpenDisk opens (creating if needed) the on-disk backend rooted at
-// dir. If a sidecar index matching the log's exact size exists the
-// index loads from it; otherwise the log is scanned from the start and
-// a torn tail — a crash mid-append — is truncated away, counted in
+// OpenDisk opens (creating if needed) the durable tier rooted at dir.
+// If a sidecar index matching the log's exact size exists the index
+// loads from it; otherwise the log is scanned from the start and a torn
+// tail — a crash mid-append — is truncated away, counted in
 // Stats.RecoveryTruncations.
 func OpenDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -145,26 +170,26 @@ func (d *Disk) loadSidecar(logSize int64) bool {
 	if json.Unmarshal(raw, &sc) != nil || sc.Version != 1 || sc.LogSize != logSize {
 		return false
 	}
+	// Build aside and install only a wholly valid index, so a rejected
+	// sidecar leaves nothing behind for the recovery scan to build on.
+	kinds := make(map[string]*diskKind, len(sc.Kinds))
 	for kind, entries := range sc.Kinds {
 		k := &diskKind{refs: make(map[string]frameRef, len(entries))}
 		for _, e := range entries {
-			if e.Ref.Off < 0 || e.Ref.Len < frameHeaderSize || e.Ref.Off+e.Ref.Len > logSize {
+			if _, dup := k.refs[e.Key]; dup || !e.Ref.within(logSize) {
 				return false
 			}
 			k.refs[e.Key] = e.Ref
 			k.order = append(k.order, e.Key)
 		}
-		d.kinds[kind] = k
+		kinds[kind] = k
 	}
 	for _, ref := range sc.Journal {
-		if ref.Off < 0 || ref.Len < frameHeaderSize || ref.Off+ref.Len > logSize {
-			d.kinds = make(map[string]*diskKind)
-			d.journal = nil
+		if !ref.within(logSize) {
 			return false
 		}
-		d.journal = append(d.journal, ref)
 	}
-	d.size = logSize
+	d.kinds, d.journal, d.size = kinds, sc.Journal, logSize
 	return true
 }
 
@@ -470,13 +495,6 @@ func (d *Disk) Journal() ([][]byte, error) {
 	return out, nil
 }
 
-// Sync fsyncs the log.
-func (d *Disk) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.fsync()
-}
-
 // Close writes the sidecar index (so the next Open skips the recovery
 // scan) and closes the log. The sidecar is written to a temp file and
 // renamed into place: a crash mid-Close leaves either the old sidecar
@@ -512,5 +530,23 @@ func (d *Disk) Close() error {
 	return nil
 }
 
-// Stats snapshots the backend's I/O counters.
-func (d *Disk) Stats() Stats { return d.stats.snapshot() }
+// Stats snapshots the I/O counters; a nil Disk reports zeros.
+func (d *Disk) Stats() Stats {
+	if d == nil {
+		return Stats{}
+	}
+	s := &d.stats
+	return Stats{
+		Puts:                    s.puts.Load(),
+		Gets:                    s.gets.Load(),
+		Deletes:                 s.deletes.Load(),
+		JournalAppends:          s.appends.Load(),
+		FilePuts:                s.filePuts.Load(),
+		BytesWritten:            s.bytesWritten.Load(),
+		BytesRead:               s.bytesRead.Load(),
+		Fsyncs:                  s.fsyncs.Load(),
+		RecoveryTruncations:     s.recoveryTruncations.Load(),
+		RecoveredBlobs:          s.recoveredBlobs.Load(),
+		RecoveredJournalRecords: s.recoveredJournal.Load(),
+	}
+}

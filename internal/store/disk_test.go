@@ -2,10 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -281,4 +285,163 @@ func TestDiskFailpoints(t *testing.T) {
 	if got, err := d.Get("g", "a"); err != nil || string(got) != "pre" {
 		t.Fatalf("pre-fault blob damaged: %q, %v", got, err)
 	}
+}
+
+// TestDiskSidecarOverflowFallsBackToScan: a sidecar ref whose Off+Len
+// wraps past math.MaxInt64 must be rejected like any other out-of-range
+// ref, so the open falls back to the recovery scan. Accepting it made
+// the first Get (or Journal read) allocate a frame of Len bytes and
+// panic.
+func TestDiskSidecarOverflowFallsBackToScan(t *testing.T) {
+	hostile := frameRef{Off: 1, Len: math.MaxInt64}
+	for _, tc := range []struct {
+		name   string
+		tamper func(sc *sidecar)
+	}{
+		{"blob", func(sc *sidecar) { sc.Kinds["g"][0].Ref = hostile }},
+		{"journal", func(sc *sidecar) { sc.Journal[0] = hostile }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := OpenDisk(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Put("g", "a", []byte("blob bytes")); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Append([]byte("record")); err != nil {
+				t.Fatal(err)
+			}
+			d = reopen(t, d)
+			dir := crash(t, d)
+			idx := filepath.Join(dir, idxName)
+			raw, err := os.ReadFile(idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sc sidecar
+			if err := json.Unmarshal(raw, &sc); err != nil {
+				t.Fatal(err)
+			}
+			tc.tamper(&sc)
+			if raw, err = json.Marshal(sc); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(idx, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			nd, err := OpenDisk(dir)
+			if err != nil {
+				t.Fatalf("OpenDisk with overflowing sidecar ref: %v", err)
+			}
+			defer nd.Close()
+			if got, err := nd.Get("g", "a"); err != nil || string(got) != "blob bytes" {
+				t.Fatalf("Get after fallback = %q, %v; want the blob intact", got, err)
+			}
+			if recs, err := nd.Journal(); err != nil || len(recs) != 1 || string(recs[0]) != "record" {
+				t.Fatalf("Journal after fallback = %q, %v; want [record]", recs, err)
+			}
+		})
+	}
+}
+
+// diskSeeds returns the log and sidecar of a small data dir holding
+// overwritten, deleted and live blobs and journal records, closed
+// cleanly.
+func diskSeeds(f *testing.F) (log, idx []byte) {
+	f.Helper()
+	dir := f.TempDir()
+	d, err := OpenDisk(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, op := range []func() error{
+		func() error { return d.Put("graphs", "g0", []byte("first")) },
+		func() error { return d.Put("results", "r0", bytes.Repeat([]byte{7}, 40)) },
+		func() error { return d.Append([]byte(`{"type":"job/v1"}`)) },
+		func() error { return d.Put("graphs", "g1", nil) },
+		func() error { return d.Put("graphs", "g0", []byte("second")) },
+		func() error { return d.Delete("graphs", "g1") },
+		func() error { return d.Append([]byte("tail")) },
+	} {
+		if err := op(); err != nil {
+			f.Fatalf("seed op %d: %v", i, err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		f.Fatal(err)
+	}
+	if log, err = os.ReadFile(filepath.Join(dir, logName)); err != nil {
+		f.Fatal(err)
+	}
+	if idx, err = os.ReadFile(filepath.Join(dir, idxName)); err != nil {
+		f.Fatal(err)
+	}
+	return log, idx
+}
+
+// FuzzOpenDisk opens a data dir holding hostile log and sidecar bytes.
+// OpenDisk may refuse it, but once it opens, every List, every Get of
+// an indexed key and the Journal read return data or an error, never
+// panic; and a clean Close followed by a reopen restores the same
+// index.
+func FuzzOpenDisk(f *testing.F) {
+	log, idx := diskSeeds(f)
+	f.Add(log, idx)
+	f.Add(log, []byte(nil))      // no sidecar: recovery scan
+	f.Add(log[:len(log)-5], idx) // torn tail, stale sidecar
+	f.Add(append(log, "SPFR\x40\x00\x00\x00torn"...), []byte(nil))
+	f.Add(log, []byte("{not json"))
+	f.Add(log, bytes.Replace(idx, []byte(`"len":`), []byte(`"len":9223372036854775807,"x":`), 1))
+	f.Add(log, bytes.Replace(idx, []byte(`"off":0`), []byte(`"off":-1`), 1))
+	f.Add([]byte(nil), []byte(`{"version":1,"log_size":0,"kinds":{"g":[{"key":"a","ref":{"off":1,"len":9223372036854775807}}]}}`))
+	f.Add([]byte(nil), []byte(nil))
+
+	f.Fuzz(func(t *testing.T, log, idx []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, logName), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if idx != nil {
+			if err := os.WriteFile(filepath.Join(dir, idxName), idx, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := OpenDisk(dir)
+		if err != nil {
+			return
+		}
+		listing := readAll(t, d)
+		d = reopen(t, d)
+		defer d.Close()
+		if again := readAll(t, d); again != listing {
+			t.Fatalf("reopen changed the index:\n%s\nwant\n%s", again, listing)
+		}
+	})
+}
+
+// readAll lists every kind, Gets every listed key and reads the
+// journal, rendering what each returned (an error counts as a result).
+func readAll(t *testing.T, d *Disk) string {
+	t.Helper()
+	d.mu.Lock()
+	kinds := make([]string, 0, len(d.kinds))
+	for kind := range d.kinds {
+		kinds = append(kinds, kind)
+	}
+	d.mu.Unlock()
+	sort.Strings(kinds)
+	var b strings.Builder
+	for _, kind := range kinds {
+		keys, err := d.List(kind)
+		fmt.Fprintf(&b, "%q: %q %v\n", kind, keys, err)
+		for _, key := range keys {
+			data, err := d.Get(kind, key)
+			fmt.Fprintf(&b, "  %q: %x %v\n", key, data, err != nil)
+		}
+	}
+	recs, err := d.Journal()
+	fmt.Fprintf(&b, "journal: %x %v\n", recs, err != nil)
+	return b.String()
 }

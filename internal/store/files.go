@@ -8,31 +8,6 @@ import (
 	"strings"
 )
 
-// FileBackend is an optional Backend capability: whole-file artifacts
-// stored outside the segment log, addressable by path so callers can
-// mmap them in place. The Disk backend implements it; Memory does not —
-// callers must feature-test with a type assertion and treat absence as
-// "no file tier" (the serving layer falls back to decoding the SPG1
-// blob from the log).
-//
-// Files are a cache-like side tier, not part of the log's crash-safety
-// story: PutFile is atomic (temp file + fsync + rename, so a crash
-// leaves either the old file or the new one, never a torn one), but a
-// file's existence is not journaled — recovery must tolerate a missing
-// or stale file for a key the log knows, which the serving layer does
-// by re-verifying content fingerprints before trusting a mapped image.
-type FileBackend interface {
-	// PutFile atomically writes wt's content as the file for (kind, key),
-	// replacing any previous file.
-	PutFile(kind, key string, wt io.WriterTo) error
-	// FilePath returns the path of the file stored for (kind, key). A
-	// miss returns an error wrapping ErrNotFound.
-	FilePath(kind, key string) (string, error)
-	// DeleteFile removes the file for (kind, key); deleting an absent
-	// file is a no-op.
-	DeleteFile(kind, key string) error
-}
-
 const filesDirName = "files"
 
 // checkFileName rejects (kind, key) pairs that could escape the files
@@ -53,9 +28,18 @@ func (d *Disk) filePath(kind, key string) string {
 	return filepath.Join(d.dir, filesDirName, kind, key)
 }
 
-// PutFile atomically writes wt's content under dir/files/<kind>/<key>:
-// temp file in the same directory, fsync, rename. Shares the log's
-// put/sync failpoints so chaos suites cover the file tier too.
+// PutFile atomically writes wt's content under dir/files/<kind>/<key>,
+// replacing any previous file: temp file in the same directory, fsync,
+// rename, so a crash leaves either the old file or the new one, never a
+// torn one. Shares the log's put/sync failpoints so chaos suites cover
+// the file tier too.
+//
+// Files are whole-file artifacts outside the segment log, addressable
+// by path so callers can mmap them in place. They are a cache-like side
+// tier, not part of the log's crash-safety story: a file's existence is
+// not journaled, so recovery must tolerate a missing or stale file for
+// a key the log knows, which the serving layer does by re-verifying
+// content fingerprints before trusting a mapped image.
 func (d *Disk) PutFile(kind, key string, wt io.WriterTo) error {
 	if err := checkFileName(kind, key); err != nil {
 		return err
@@ -112,18 +96,4 @@ func (d *Disk) FilePath(kind, key string) (string, error) {
 		return "", fmt.Errorf("store: file %s/%s: %w", kind, key, err)
 	}
 	return path, nil
-}
-
-// DeleteFile removes the file for (kind, key) if present.
-func (d *Disk) DeleteFile(kind, key string) error {
-	if err := checkFileName(kind, key); err != nil {
-		return err
-	}
-	if err := fpDiskPut.Hit(); err != nil {
-		return err
-	}
-	if err := os.Remove(d.filePath(kind, key)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: delete file %s/%s: %w", kind, key, err)
-	}
-	return nil
 }

@@ -14,15 +14,14 @@ func TestDiskFileBackendRoundTrip(t *testing.T) {
 	}
 	defer d.Close()
 
-	var fb FileBackend = d // compile-time: Disk implements the capability
-	if _, err := fb.FilePath("images", "abc123"); !errors.Is(err, ErrNotFound) {
+	if _, err := d.FilePath("images", "abc123"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing file: got %v, want ErrNotFound", err)
 	}
 	content := []byte("spc1 image payload stand-in")
-	if err := fb.PutFile("images", "abc123", bytes.NewReader(content)); err != nil {
+	if err := d.PutFile("images", "abc123", bytes.NewReader(content)); err != nil {
 		t.Fatal(err)
 	}
-	path, err := fb.FilePath("images", "abc123")
+	path, err := d.FilePath("images", "abc123")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func TestDiskFileBackendRoundTrip(t *testing.T) {
 
 	// Overwrite replaces atomically.
 	repl := []byte("replacement")
-	if err := fb.PutFile("images", "abc123", bytes.NewReader(repl)); err != nil {
+	if err := d.PutFile("images", "abc123", bytes.NewReader(repl)); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ = os.ReadFile(path); !bytes.Equal(got, repl) {
@@ -49,16 +48,6 @@ func TestDiskFileBackendRoundTrip(t *testing.T) {
 	}
 	if st.BytesWritten < uint64(len(content)+len(repl)) {
 		t.Fatalf("BytesWritten = %d, too small", st.BytesWritten)
-	}
-
-	if err := fb.DeleteFile("images", "abc123"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fb.FilePath("images", "abc123"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted file: got %v, want ErrNotFound", err)
-	}
-	if err := fb.DeleteFile("images", "abc123"); err != nil {
-		t.Fatalf("double delete: %v", err)
 	}
 }
 
@@ -101,15 +90,5 @@ func TestFileBackendRejectsHostileNames(t *testing.T) {
 		if _, err := d.FilePath(bad[0], bad[1]); err == nil {
 			t.Errorf("FilePath(%q, %q) accepted", bad[0], bad[1])
 		}
-		if err := d.DeleteFile(bad[0], bad[1]); err == nil {
-			t.Errorf("DeleteFile(%q, %q) accepted", bad[0], bad[1])
-		}
-	}
-}
-
-func TestMemoryIsNotFileBackend(t *testing.T) {
-	var b Backend = NewMemory()
-	if _, ok := b.(FileBackend); ok {
-		t.Fatal("Memory unexpectedly implements FileBackend; the serving layer's feature-test would stop exercising the fallback path")
 	}
 }

@@ -1,9 +1,10 @@
-// Package store is the durable tier under the serving stack: a
+// Package store is the durable tier under the serving stack: Disk, a
 // content-addressed blob store plus a small append-only metadata
-// journal, behind one Backend interface with two implementations —
-// Memory (the serving layer's original in-process maps, still the
-// default) and Disk (a pure-Go append-only CRC-framed segment log with
-// a sidecar index and a torn-tail-truncating recovery scan).
+// journal, kept in a pure-Go append-only CRC-framed segment log with a
+// sidecar index and a torn-tail-truncating recovery scan, and a
+// whole-file side tier for mmap'able artifacts. A server without a data
+// directory has no durable tier at all: it holds a nil *Disk and writes
+// nowhere.
 //
 // The split mirrors the design argument of the LSST multi-petabyte
 // database and provenance-based data skipping (see PAPERS.md): keep a
@@ -25,71 +26,33 @@ package store
 import "errors"
 
 // ErrNotFound reports a blob lookup miss: no blob is stored under that
-// (kind, key). Backends wrap it with the kind and key; any other Get
-// error is an I/O failure — the blob may well exist, so callers must
-// treat it as retryable, never as "not found".
+// (kind, key). Disk wraps it with the kind and key; any other Get error
+// is an I/O failure — the blob may well exist, so callers must treat it
+// as retryable, never as "not found".
 var ErrNotFound = errors.New("store: not found")
 
-// Backend is the durable tier's contract. Implementations must be safe
-// for concurrent use.
-//
-// Durability semantics: a nil-error return from Put, Delete, or Append
-// means the mutation is durable to the backend's medium (the Disk
-// backend fsyncs every mutation before returning; Memory is durable to
-// process memory only). Slices passed to Put and Append are copied (or
-// written out) before return and may be reused by the caller; slices
-// returned by Get and Journal are owned by the caller but must be
-// treated as read-only if the backend shares them (Memory does).
-type Backend interface {
-	// Put stores data under (kind, key), overwriting any previous blob.
-	Put(kind, key string, data []byte) error
-	// Get returns the blob stored under (kind, key). A miss returns an
-	// error wrapping ErrNotFound; any other error is an I/O failure.
-	Get(kind, key string) ([]byte, error)
-	// List returns the keys of a kind in first-Put order (an overwrite
-	// keeps the original position; a Delete followed by a Put re-adds at
-	// the end).
-	List(kind string) ([]string, error)
-	// Delete removes the blob under (kind, key); deleting an absent key
-	// is a no-op.
-	Delete(kind, key string) error
-	// Append adds one record to the metadata journal.
-	Append(rec []byte) error
-	// Journal returns every journal record in append order.
-	Journal() ([][]byte, error)
-	// Sync flushes buffered state to the backend's medium. Backends that
-	// sync on every mutation (Disk) make it a no-op beyond the flush.
-	Sync() error
-	// Close releases the backend's resources. The Disk backend also
-	// writes its sidecar index so the next Open skips the recovery scan.
-	Close() error
-	// Stats snapshots the backend's I/O counters.
-	Stats() Stats
-}
-
-// Stats is a point-in-time snapshot of a backend's I/O counters. All
-// fields are monotonic over the backend's lifetime except the Recovered*
+// Stats is a point-in-time snapshot of a Disk's I/O counters. All
+// fields are monotonic over the Disk's lifetime except the Recovered*
 // pair, which is set once by the opening recovery scan. The serving
-// layer exposes them as spiderserved_store_disk_* metric families
-// (reported by every backend so the metrics schema is backend-
-// independent; Memory simply never fsyncs or truncates).
+// layer exposes them as spiderserved_store_disk_* metric families; a
+// nil *Disk (a server with no durable tier) reports zero Stats, so the
+// metrics schema does not depend on whether a disk is attached.
 type Stats struct {
 	// Puts / Gets / Deletes / JournalAppends count successful operations.
 	Puts           uint64 `json:"puts"`
 	Gets           uint64 `json:"gets"`
 	Deletes        uint64 `json:"deletes"`
 	JournalAppends uint64 `json:"journal_appends"`
-	// FilePuts counts whole-file artifacts written through the optional
-	// FileBackend capability (Disk only).
+	// FilePuts counts whole-file artifacts written through PutFile.
 	FilePuts uint64 `json:"file_puts"`
-	// BytesWritten / BytesRead count payload traffic to and from the
-	// medium (for Disk: framed log bytes; for Memory: blob bytes).
+	// BytesWritten / BytesRead count framed log bytes (headers included)
+	// and whole-file bytes written, and framed log bytes read back.
 	BytesWritten uint64 `json:"bytes_written"`
 	BytesRead    uint64 `json:"bytes_read"`
-	// Fsyncs counts file syncs (Disk only).
+	// Fsyncs counts file syncs.
 	Fsyncs uint64 `json:"fsyncs"`
 	// RecoveryTruncations counts torn log tails truncated by the opening
-	// recovery scan (Disk only): each is one crash caught mid-write.
+	// recovery scan: each is one crash caught mid-write.
 	RecoveryTruncations uint64 `json:"recovery_truncations"`
 	// RecoveredBlobs / RecoveredJournalRecords report what the opening
 	// scan (or sidecar index load) restored.
