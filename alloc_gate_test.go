@@ -30,7 +30,7 @@ func TestStageIAllocBudget(t *testing.T) {
 	// Warm the generator caches; MineStars itself is cold each run — the
 	// budget covers a throwaway StarMiner building every table from nil.
 	allocs := testing.AllocsPerRun(5, func() {
-		if stars := spider.MineStars(g, spider.Options{MinSupport: 2}); len(stars) == 0 {
+		if stars := spider.MineStars(g, spider.Options{MinSupport: 2}); stars.Len() == 0 {
 			t.Fatal("no spiders")
 		}
 	})

@@ -121,7 +121,7 @@ func BenchmarkStageISpiderMining(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stars := spider.MineStars(g, spider.Options{MinSupport: 2})
-		if len(stars) == 0 {
+		if stars.Len() == 0 {
 			b.Fatal("no spiders")
 		}
 	}
@@ -222,7 +222,7 @@ func BenchmarkStageIOutOfCoreBA1M(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stars := spider.MineStars(mg, spider.Options{MinSupport: 2, MaxLeaves: 2, MaxSpiders: 20000})
-		if len(stars) == 0 {
+		if stars.Len() == 0 {
 			b.Fatal("no stars")
 		}
 	}

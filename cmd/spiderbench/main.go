@@ -180,7 +180,7 @@ func benchHost(path string, useMmap bool, opt spider.Options) error {
 	runtime.ReadMemStats(&msAfter)
 	heapGrowth := int64(msAfter.HeapAlloc) - int64(msBefore.HeapAlloc)
 
-	fmt.Printf("stage1      %v (%d frequent stars, support>=%d, max_leaves=%d)\n", mineDur, len(stars), opt.MinSupport, opt.MaxLeaves)
+	fmt.Printf("stage1      %v (%d frequent stars, support>=%d, max_leaves=%d)\n", mineDur, stars.Len(), opt.MinSupport, opt.MaxLeaves)
 	fmt.Printf("heap_growth %.1f MiB\n", float64(heapGrowth)/(1<<20))
 	return nil
 }

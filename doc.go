@@ -241,6 +241,15 @@
 //     never sorts an image. Selection and experiments.ExactTopK filter by
 //     the threshold test DiameterAtMost, which agrees with Diameter() on
 //     the connected patterns that reach them.
+//   - Stage I's output is one flat table without pointers (spider.Stars):
+//     a fixed-size int32 record per star (head rank, parent index,
+//     last-leaf rank and run, leaf count, host-list end) and all host
+//     lists in one array, in the order the seed draw indexes. A star's
+//     leaves are the last leaves along its parent chain, so the garbage
+//     collector has nothing in the table to scan, and the StarMiner reuses
+//     it across runs. Each level's frontier is expanded in blocks of 4,096
+//     stars, and with MaxSpiders set the table stops growing inside the
+//     block that fills it: at most one block is built beyond the cap.
 //
 // # Pattern identity
 //
@@ -271,7 +280,7 @@
 //
 //   - Shared-immutable: the host graph (whose label index builds lazily
 //     behind a sync.Once, so first use may happen on any worker), the
-//     frequent-pair table, Stage I's star list, and the run Config are
+//     frequent-pair table, Stage I's star table, and the run Config are
 //     only read by workers. Randomness is drawn on the coordinating goroutine
 //     before any fan-out — workers never touch the rng (and rng streams
 //     are consumed in full before any cancellable section, so a cancelled
@@ -283,8 +292,9 @@
 //     paths. Scratch contents may
 //     affect allocation behavior, never results.
 //   - Ordered reduction: parallel stages write results into item-indexed
-//     slots (par.Map) and all cross-worker combination — concatenating
-//     Stage I expansions, accepting Stage II merges, assigning pattern
+//     slots (par.Map) and all cross-worker combination — copying each
+//     block of Stage I expansions into the star table, accepting Stage II
+//     merges, assigning pattern
 //     IDs — happens afterwards in item order (pattern/vertex id order),
 //     never completion order and never map-iteration order. One code
 //     path serves every worker count: growth and merge rounds run on

@@ -34,7 +34,7 @@ func AppC3(rs []int, seed int64, scale float64) *Report {
 		t0 := time.Now()
 		var count int
 		if r == 1 {
-			count = len(spider.MineStars(g, spider.Options{MinSupport: 2, Workers: MiningWorkers()}))
+			count = spider.MineStars(g, spider.Options{MinSupport: 2, Workers: MiningWorkers()}).Len()
 		} else {
 			count = len(spider.MineTrees(g, spider.TreeOptions{
 				MinSupport: 2, Radius: r, MaxFanout: fanout, MaxSpiders: 500_000,

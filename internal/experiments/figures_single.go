@@ -306,5 +306,5 @@ func SpiderCountOnly(n int, seed int64) (int, time.Duration) {
 	stars := spider.MineStars(g, spider.Options{
 		MinSupport: 2, MaxLeaves: 6, MaxSpiders: 500_000, Workers: scaleWorkers(),
 	})
-	return len(stars), time.Since(t0)
+	return stars.Len(), time.Since(t0)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -382,6 +383,9 @@ type optionsJSON struct {
 }
 
 func (o optionsJSON) toOptions() mine.Options {
+	if o.Epsilon == 0 {
+		o.Epsilon = 0 // -0 is 0; JSON re-encodes it as absent
+	}
 	return mine.Options{
 		MinSupport:       o.MinSupport,
 		K:                o.K,
@@ -427,8 +431,22 @@ func (o optionsJSON) validate() error {
 			return fmt.Errorf("serve: invalid options: %s must not be negative (got %v)", f.name, f.v)
 		}
 	}
+	if o.MaxWallClockMS > maxWallClockMS {
+		return fmt.Errorf("serve: invalid options: max_wall_clock_ms must be at most %d (got %d)", maxWallClockMS, o.MaxWallClockMS)
+	}
 	return nil
 }
+
+// maxWallClockMS is the largest wall-clock budget a time.Duration holds, in
+// milliseconds; a larger one would wrap.
+const maxWallClockMS = math.MaxInt64 / int64(time.Millisecond)
+
+// defaultJobMaxSpiders is the Stage I cap of a spidermine job that sets
+// none, the cap of the BA-5k recipe the benchmark mines. Uncapped, Stage I
+// on a scale-free host grows each level several times over the last, into
+// minutes and gigabytes, and a run the daemon's memory cannot hold takes
+// the daemon down with it.
+const defaultJobMaxSpiders = 500_000
 
 type jobRequest struct {
 	Graph   string      `json:"graph"`
@@ -473,6 +491,11 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if _, err := mine.Get(req.Miner); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
+	}
+	// The default cap goes in before Submit keys the job, so the cache key
+	// and the job record name the run that happens.
+	if req.Miner == "spidermine" && opts.MaxSpiders == 0 {
+		opts.MaxSpiders = defaultJobMaxSpiders
 	}
 	job, err := s.sched.Submit(sg, req.Miner, opts)
 	if err != nil {

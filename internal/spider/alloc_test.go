@@ -13,10 +13,10 @@ import (
 // TestStarMinerWarmNoAlloc pins the pooled-table contract of Stage I: a
 // warm StarMiner re-mining a host it has seen before must not allocate.
 // Every table — the CSR neighbor-label index, the level-1 triples, the
-// frontier lists, and the output arenas backing the returned stars — is
-// grown once and reused, so any allocation here means a pooled structure
-// regressed to per-run churn (the pre-pooling behavior was ~25k
-// allocs/run on this host).
+// per-worker block output, and the star table itself — is grown once and
+// reused, so any allocation here means a pooled structure regressed to
+// per-run churn (the pre-pooling behavior was ~25k allocs/run on this
+// host).
 func TestStarMinerWarmNoAlloc(t *testing.T) {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 1))
 	ctx := context.Background()
@@ -34,7 +34,7 @@ func TestStarMinerWarmNoAlloc(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(5, func() {
 			stars, err := sm.Mine(ctx, g, tc.opt)
-			if err != nil || len(stars) == 0 {
+			if err != nil || stars.Len() == 0 {
 				t.Fatal("warm mine failed")
 			}
 		})
@@ -64,11 +64,12 @@ func TestStarMinerWarmAcrossHosts(t *testing.T) {
 	ctx := context.Background()
 	var warm StarMiner
 	for _, h := range hosts {
-		got, err := warm.Mine(ctx, h.g, h.opt)
+		stars, err := warm.Mine(ctx, h.g, h.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := MineStars(h.g, h.opt)
+		got := listStars(stars)
+		want := listStars(MineStars(h.g, h.opt))
 		if len(got) != len(want) {
 			t.Fatalf("%s: warm miner found %d stars, fresh found %d", h.name, len(got), len(want))
 		}

@@ -13,7 +13,7 @@ func BenchmarkMineStarsER(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if stars := MineStars(g, Options{MinSupport: 2}); len(stars) == 0 {
+		if stars := MineStars(g, Options{MinSupport: 2}); stars.Len() == 0 {
 			b.Fatal("no stars")
 		}
 	}
@@ -24,7 +24,7 @@ func BenchmarkMineStarsScaleFree(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if stars := MineStars(g, Options{MinSupport: 2, MaxLeaves: 8}); len(stars) == 0 {
+		if stars := MineStars(g, Options{MinSupport: 2, MaxLeaves: 8}); stars.Len() == 0 {
 			b.Fatal("no stars")
 		}
 	}

@@ -58,14 +58,14 @@ func PSuccess(numVertices, vmin, k, m int) float64 {
 // run) stop allocating per-call tables. The zero value is ready to use;
 // a Seeder is not safe for concurrent use.
 type Seeder struct {
-	perm []int
+	perm []int32 // the table bounds the star count by int32
 	ws   par.Workspace[Materializer]
 }
 
 // Draw draws up to m distinct stars uniformly at random from stars (S_all,
-// in the order Stage I returned it) and materializes each as a seed
-// Pattern with its embeddings in g, up to MaxEmbPerHost per hosting head.
-// IDs are assigned 0..len-1 in draw order.
+// in table order) and materializes each as a seed Pattern with its
+// embeddings in g, up to MaxEmbPerHost per hosting head. IDs are assigned
+// 0..len-1 in draw order.
 //
 // The draw consumes rng sequentially; materialization shards across
 // workers (0/1 sequential, < 0 GOMAXPROCS), each worker owning one
@@ -73,8 +73,8 @@ type Seeder struct {
 // identical for any worker count. The rng is consumed in full before any
 // cancellable work, so a cancelled draw (nil result + ctx.Err()) leaves
 // the caller's rng stream exactly where an uncancelled draw would.
-func (sd *Seeder) Draw(ctx context.Context, g *graph.Graph, stars []*MinedStar, m int, rng *rand.Rand, workers int) ([]*pattern.Pattern, error) {
-	n := len(stars)
+func (sd *Seeder) Draw(ctx context.Context, g *graph.Graph, stars *Stars, m int, rng *rand.Rand, workers int) ([]*pattern.Pattern, error) {
+	n := stars.Len()
 	if m > n {
 		m = n
 	}
@@ -83,19 +83,19 @@ func (sd *Seeder) Draw(ctx context.Context, g *graph.Graph, stars []*MinedStar, 
 	// performs it for Go 1 stream compatibility, so we must too) and
 	// identical output, into a reused buffer.
 	if cap(sd.perm) < n {
-		sd.perm = make([]int, n)
+		sd.perm = make([]int32, n)
 	}
 	perm := sd.perm[:n]
 	for i := 0; i < n; i++ {
 		j := rng.Intn(i + 1)
 		perm[i] = perm[j]
-		perm[j] = i
+		perm[j] = int32(i)
 	}
 	idx := perm[:m]
 	wk := par.Bound(len(idx), workers)
 	mats := sd.ws.For(wk) // per-worker enumeration scratch
 	seeds, err := par.Map(ctx, len(idx), wk, func(w, i int) *pattern.Pattern {
-		p := mats[w].Materialize(g, stars[idx[i]])
+		p := mats[w].Materialize(g, stars, int(idx[i]))
 		p.ID = i
 		return p
 	})
@@ -111,10 +111,11 @@ func (sd *Seeder) Draw(ctx context.Context, g *graph.Graph, stars []*MinedStar, 
 const MaxEmbPerHost = 8
 
 // Materializer materializes mined stars as seed Patterns, reusing the
-// per-head enumeration scratch (label groups, candidate lists, assignment
-// frames) across heads and stars. The zero value is ready to use; a
-// Materializer is not safe for concurrent use.
+// per-head enumeration scratch (the star's leaves, label groups, candidate
+// lists, assignment frames) across heads and stars. The zero value is
+// ready to use; a Materializer is not safe for concurrent use.
 type Materializer struct {
+	leaves []graph.Label
 	groups []leafGroup
 	cand   [][]graph.V
 	assign [][]graph.V
@@ -129,22 +130,25 @@ type leafGroup struct {
 	count int
 }
 
-// Materialize turns a mined star into a Pattern whose graph has the head
-// at vertex 0 and whose embeddings enumerate, per hosting head, up to
-// MaxEmbPerHost distinct leaf assignments.
-func (mz *Materializer) Materialize(g *graph.Graph, ms *MinedStar) *pattern.Pattern {
+// Materialize turns star i of stars into a Pattern whose graph has the
+// head at vertex 0 and whose embeddings enumerate, per hosting head, up to
+// MaxEmbPerHost distinct leaf assignments. The star's leaves are rebuilt
+// from its parent chain.
+func (mz *Materializer) Materialize(g *graph.Graph, stars *Stars, i int) *pattern.Pattern {
+	mz.leaves = stars.AppendLeaves(mz.leaves[:0], i)
+	s := Star{Head: stars.Head(i), Leaves: mz.leaves}
 	// Star.Graph() through the reused builder (the Graph it returns is
 	// fresh and retained by the pattern; only builder churn is pooled).
-	mz.b.Reset(1+len(ms.Star.Leaves), len(ms.Star.Leaves))
-	head := mz.b.AddVertex(ms.Star.Head)
-	for _, l := range ms.Star.Leaves {
+	mz.b.Reset(1+len(s.Leaves), len(s.Leaves))
+	head := mz.b.AddVertex(s.Head)
+	for _, l := range s.Leaves {
 		leaf := mz.b.AddVertex(l)
 		mz.b.AddEdge(head, leaf)
 	}
 	pg := mz.b.Build()
 	var embs []pattern.Embedding
-	for _, h := range ms.Hosts {
-		embs = mz.appendStarEmbeddings(embs, g, ms.Star, h)
+	for _, h := range stars.Hosts(i) {
+		embs = mz.appendStarEmbeddings(embs, g, s, h)
 	}
 	p := pattern.New(pg, embs)
 	p.Origin = 0

@@ -3,11 +3,39 @@ package spider
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
 )
+
+// minedStar is one star of a table with its hosts, copied out for tests.
+type minedStar struct {
+	Star  Star
+	Hosts []graph.V
+}
+
+func (m minedStar) Support() int { return len(m.Hosts) }
+
+// listStars copies a star table into a list of its stars, in table order.
+func listStars(t *Stars) []minedStar {
+	out := make([]minedStar, t.Len())
+	for i := range out {
+		out[i] = minedStar{Star{Head: t.Head(i), Leaves: t.AppendLeaves(nil, i)}, slices.Clone(t.Hosts(i))}
+	}
+	return out
+}
+
+// starIndex returns the table index of the star with the given key, or -1.
+func starIndex(t *Stars, key string) int {
+	for i, ms := range listStars(t) {
+		if ms.Star.Key() == key {
+			return i
+		}
+	}
+	return -1
+}
 
 // twoStarsGraph builds two copies of a star with head label 9 and leaves
 // 1,1,2, joined by a bridge, plus an isolated extra vertex.
@@ -46,12 +74,12 @@ func TestStarKeyAndGraph(t *testing.T) {
 
 func TestMineStarsFindsSharedStar(t *testing.T) {
 	g := twoStarsGraph()
-	stars := MineStars(g, Options{MinSupport: 2})
+	stars := listStars(MineStars(g, Options{MinSupport: 2}))
 	// The star (9 : 1,1,2) must be found with exactly the two heads.
-	var found *MinedStar
+	var found *minedStar
 	for _, ms := range stars {
 		if ms.Star.Key() == "9:1,1,2" {
-			found = ms
+			found = &ms
 		}
 	}
 	if found == nil {
@@ -80,7 +108,7 @@ func TestMineStarsFindsSharedStar(t *testing.T) {
 
 func TestMineStarsRespectsSupport(t *testing.T) {
 	g := twoStarsGraph()
-	stars := MineStars(g, Options{MinSupport: 3})
+	stars := listStars(MineStars(g, Options{MinSupport: 3}))
 	for _, ms := range stars {
 		if ms.Star.Head == 9 && len(ms.Star.Leaves) > 0 {
 			// only 2 star heads exist; nothing headed at 9 may survive σ=3
@@ -92,7 +120,7 @@ func TestMineStarsRespectsSupport(t *testing.T) {
 
 func TestMineStarsMaxLeaves(t *testing.T) {
 	g := twoStarsGraph()
-	stars := MineStars(g, Options{MinSupport: 2, MaxLeaves: 1})
+	stars := listStars(MineStars(g, Options{MinSupport: 2, MaxLeaves: 1}))
 	for _, ms := range stars {
 		if len(ms.Star.Leaves) > 1 {
 			t.Fatalf("MaxLeaves=1 violated: %s", ms.Star.Key())
@@ -161,9 +189,13 @@ func TestRandomSeedDeterminism(t *testing.T) {
 
 func TestMaterializeEmbeddings(t *testing.T) {
 	g := twoStarsGraph()
-	ms := &MinedStar{Star: Star{Head: 9, Leaves: []graph.Label{1, 2}}, Hosts: []graph.V{0, 4}}
+	stars := MineStars(g, Options{MinSupport: 2})
+	i := starIndex(stars, "9:1,2")
+	if i < 0 || !slices.Equal(stars.Hosts(i), []graph.V{0, 4}) {
+		t.Fatalf("star 9:1,2 not mined on heads 0 and 4 (index %d)", i)
+	}
 	var mz Materializer
-	p := mz.Materialize(g, ms)
+	p := mz.Materialize(g, stars, i)
 	if p.G.N() != 3 {
 		t.Fatalf("pattern vertices %d", p.G.N())
 	}
@@ -199,9 +231,13 @@ func TestMaterializePerHostCap(t *testing.T) {
 		heads = append(heads, h)
 	}
 	g := b.Build()
-	ms := &MinedStar{Star: Star{Head: 9, Leaves: []graph.Label{1, 1}}, Hosts: heads}
+	stars := MineStars(g, Options{MinSupport: 2})
+	i := starIndex(stars, "9:1,1")
+	if i < 0 || !slices.Equal(stars.Hosts(i), heads) {
+		t.Fatalf("star 9:1,1 not mined on heads %v (index %d)", heads, i)
+	}
 	var mz Materializer
-	p := mz.Materialize(g, ms)
+	p := mz.Materialize(g, stars, i)
 	perHead := map[graph.V]int{}
 	for _, e := range p.Emb {
 		perHead[e[0]]++
@@ -245,8 +281,8 @@ func TestCombinations(t *testing.T) {
 
 func TestMineStarsParallelIdentical(t *testing.T) {
 	g := twoStarsGraph()
-	seq := MineStars(g, Options{MinSupport: 2})
-	par := MineStars(g, Options{MinSupport: 2, Workers: -1})
+	seq := listStars(MineStars(g, Options{MinSupport: 2}))
+	par := listStars(MineStars(g, Options{MinSupport: 2, Workers: -1}))
 	if len(seq) != len(par) {
 		t.Fatalf("parallel mining differs: %d vs %d stars", len(seq), len(par))
 	}

@@ -4,13 +4,20 @@
 //
 // For the default radius r=1 a spider is a star: a head label plus a
 // multiset of leaf labels. Stars are enumerated level-wise over the leaf
-// multiset with apriori pruning on head-count support. Deeper spiders
-// (r >= 2) are rooted label trees mined by composing stars (see tree.go);
-// their cost grows exponentially in r, matching Appendix C(3).
+// multiset with apriori pruning on head-count support, into one flat
+// table without pointers (Stars): a fixed-size int32 record per star,
+// whose leaves are read off its parent chain, and all host lists in one
+// array. With a spider cap, Stage I stops building once the table is
+// full. Deeper spiders (r >= 2) are rooted label trees mined by composing
+// stars (see tree.go); their cost grows exponentially in r, matching
+// Appendix C(3).
 package spider
 
 import (
 	"context"
+	"errors"
+	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/graph"
@@ -51,17 +58,77 @@ func (s Star) Graph() *graph.Graph {
 // Size returns the number of edges of the star.
 func (s Star) Size() int { return len(s.Leaves) }
 
-// MinedStar couples a star with the host head vertices that can host it.
-type MinedStar struct {
-	Star  Star
-	Hosts []graph.V // sorted head vertices v with label(v)=Head and enough labeled neighbors
+// Stars is Stage I's output, S_all: every frequent star of a host, as
+// one flat table with no pointers in it. Stars come level by level (by
+// leaf count), and each level is ordered by head label, then leaf
+// multiset (lexicographic, shorter first on a common prefix). Star i is
+// read by index: Head, NumLeaves, AppendLeaves and Hosts.
+//
+// A star of k > 1 leaves extends its parent, the star of its first k−1
+// leaves, by its last leaf, and the parent is an earlier star of the
+// table; so one fixed-size record per star (head rank, parent index,
+// last-leaf rank and run, leaf count, host-list end) holds the leaves as
+// the last leaves along the parent chain. All host lists sit in one array
+// in star order, star i's ending where star i+1's begins. Offsets are
+// int32: a Stage I whose host lists would pass 2^31−1 entries fails with
+// an error. Every star has at least one host, so the star count stays
+// below that bound too.
+type Stars struct {
+	labels []graph.Label // rank -> label: the host's sorted distinct labels
+	recs   []starRec
+	hosts  []graph.V
 }
 
-// Support returns the head-count support of the star: the number of
-// distinct host vertices whose neighborhoods contain the leaf multiset.
-// This is the harmful-overlap support of a star up to leaf sharing, and is
-// anti-monotone in the leaf multiset.
-func (m *MinedStar) Support() int { return len(m.Hosts) }
+// starRec is one star of a Stars table. Ranks index Stars.labels.
+type starRec struct {
+	head    int32 // head label rank
+	parent  int32 // table index of the parent star; -1 for a single leaf
+	leaf    int32 // last leaf's label rank
+	run     int32 // how many leaves equal the last one, itself included
+	leaves  int32 // leaf count
+	hostEnd int32 // end of the star's host list in Stars.hosts
+}
+
+// maxTableHosts is the star table's offset bound, and errTableFull the
+// error of a Stage I that would pass it.
+const maxTableHosts = math.MaxInt32
+
+var errTableFull = errors.New("spider: star table exceeds 2^31-1 host entries")
+
+// Len returns the number of stars in the table.
+func (t *Stars) Len() int { return len(t.recs) }
+
+// Head returns star i's head label.
+func (t *Stars) Head(i int) graph.Label { return t.labels[t.recs[i].head] }
+
+// NumLeaves returns star i's leaf count, its size in edges.
+func (t *Stars) NumLeaves(i int) int { return int(t.recs[i].leaves) }
+
+// AppendLeaves appends star i's sorted leaf labels to dst, read off its
+// parent chain.
+func (t *Stars) AppendLeaves(dst []graph.Label, i int) []graph.Label {
+	lo := len(dst)
+	dst = slices.Grow(dst, int(t.recs[i].leaves))
+	dst = dst[:lo+int(t.recs[i].leaves)]
+	for j := len(dst) - 1; j >= lo; j-- {
+		dst[j] = t.labels[t.recs[i].leaf]
+		i = int(t.recs[i].parent)
+	}
+	return dst
+}
+
+// Hosts returns star i's host head vertices, ascending: the vertices
+// whose neighborhoods hold its leaf multiset. Its length is the star's
+// head-count support, which is anti-monotone in the leaf multiset. The
+// slice is the table's own; it must not be modified.
+func (t *Stars) Hosts(i int) []graph.V {
+	lo := int32(0)
+	if i > 0 {
+		lo = t.recs[i-1].hostEnd
+	}
+	hi := t.recs[i].hostEnd
+	return t.hosts[lo:hi:hi]
+}
 
 // Options configures spider mining.
 type Options struct {
@@ -73,20 +140,21 @@ type Options struct {
 	MaxLeaves int
 	// Radius r of the spiders (1 or 2+; radius >= 2 uses tree spiders).
 	Radius int
-	// MaxSpiders aborts enumeration past this many frequent spiders
-	// (0 = unlimited); scale-free graphs can produce millions (Fig. 17).
+	// MaxSpiders keeps the first MaxSpiders stars in table order and stops
+	// building there (0 = unlimited); scale-free graphs can produce
+	// millions (Fig. 17).
 	MaxSpiders int
 	// Workers parallelizes Stage I: 0/1 sequential, > 1 that many
 	// goroutines, < 0 GOMAXPROCS. The level-1 scan partitions head
 	// vertices across workers (contiguous chunks merged in chunk order)
 	// and level expansion shards parent stars (outputs reduced in frontier
-	// order), so the mined spider list is identical across settings.
+	// order), so the star table is identical across settings.
 	Workers int
 }
 
 // MineStars enumerates all frequent stars of g level-wise with no
 // cancellation; see MineStarsContext.
-func MineStars(g *graph.Graph, opt Options) []*MinedStar {
+func MineStars(g *graph.Graph, opt Options) *Stars {
 	stars, _ := MineStarsContext(context.Background(), g, opt)
 	return stars
 }
@@ -98,25 +166,28 @@ func MineStars(g *graph.Graph, opt Options) []*MinedStar {
 // generation order, no duplicates), re-verifying hosts. Hosts are carried
 // level to level so each extension only scans its parent's host list.
 //
-// The stars come out level by level, and each level is ordered by head
-// label, then leaf multiset (lexicographic, shorter first on a common
-// prefix). Level 1 is sorted; no later level needs a sort, because each
-// parent's extensions come out in ascending new-leaf order with the
-// parent's leaves as a prefix, concatenated in parent order. MaxSpiders
-// truncation keeps a prefix. The seed draw indexes the stars in this
-// order, so it is part of every result.
+// The table holds the stars in the order the Stars doc gives. Level 1 is
+// sorted; no later level needs a sort, because each parent's extensions
+// come out in ascending new-leaf order with the parent's leaves as a
+// prefix, concatenated in parent order. MaxSpiders keeps a prefix: each
+// level's frontier is expanded in order, in blocks of expandBlock stars,
+// and building stops inside the block that fills the table, so at most
+// one block's extensions are built beyond the cap. The seed draw indexes
+// the stars in this order, so it is part of every result.
 //
-// Cancellation is observed between levels and inside each level's sharded
-// expansion; on ctx expiry the stars of every *completed* level are
-// returned alongside ctx.Err() — levels commit atomically, so the partial
-// star list is deterministic for a cancellation observed at any given
+// Cancellation is observed between blocks and inside each block's
+// sharded expansion; on ctx expiry the stars of every *completed* level
+// are returned alongside ctx.Err() — levels commit atomically, so the
+// partial table is deterministic for a cancellation observed at any given
 // level.
 //
-// Each call runs on a throwaway StarMiner, so the returned stars are
-// caller-owned; loops that mine repeatedly should hold a StarMiner and
-// call its Mine method to reuse the scratch (minding its output-ownership
-// contract).
-func MineStarsContext(ctx context.Context, g *graph.Graph, opt Options) ([]*MinedStar, error) {
+// Each call runs on a throwaway StarMiner, and the returned table is
+// caller-owned; it keeps none of the miner's scratch alive. Loops that
+// mine repeatedly should hold a StarMiner and call its Mine method to
+// reuse the table and the scratch (minding its ownership contract).
+func MineStarsContext(ctx context.Context, g *graph.Graph, opt Options) (*Stars, error) {
 	var sm StarMiner
-	return sm.Mine(ctx, g, opt)
+	stars, err := sm.Mine(ctx, g, opt)
+	out := *stars
+	return &out, err
 }

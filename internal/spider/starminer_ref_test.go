@@ -18,7 +18,7 @@ import (
 // candidate list whose hosts are re-counted by binary search (countLabel).
 // Runs of equal labels are walked with a first-iteration flag, not a
 // label sentinel, so every int32 label is a label. Never optimize it.
-func mineStarsReference(g *graph.Graph, opt Options) []*MinedStar {
+func mineStarsReference(g *graph.Graph, opt Options) []minedStar {
 	sigma := max(opt.MinSupport, 1)
 	maxLeaves := opt.MaxLeaves
 	if maxLeaves <= 0 {
@@ -51,7 +51,7 @@ func mineStarsReference(g *graph.Graph, opt Options) []*MinedStar {
 		}
 	}
 	slices.SortFunc(triples, cmpTriple)
-	var frontier []*MinedStar
+	var frontier []minedStar
 	for i := 0; i < len(triples); {
 		j := i + 1
 		for j < len(triples) && triples[j].head == triples[i].head && triples[j].leaf == triples[i].leaf {
@@ -62,7 +62,7 @@ func mineStarsReference(g *graph.Graph, opt Options) []*MinedStar {
 			for k := i; k < j; k++ {
 				hosts = append(hosts, triples[k].v)
 			}
-			frontier = append(frontier, &MinedStar{
+			frontier = append(frontier, minedStar{
 				Star:  Star{Head: graph.Label(triples[i].head), Leaves: []graph.Label{graph.Label(triples[i].leaf)}},
 				Hosts: hosts,
 			})
@@ -70,7 +70,7 @@ func mineStarsReference(g *graph.Graph, opt Options) []*MinedStar {
 		i = j
 	}
 
-	expand := func(ms *MinedStar) []*MinedStar {
+	expand := func(ms minedStar) []minedStar {
 		leaves := ms.Star.Leaves
 		last := leaves[len(leaves)-1]
 		var cands []graph.Label
@@ -86,7 +86,7 @@ func mineStarsReference(g *graph.Graph, opt Options) []*MinedStar {
 		}
 		slices.Sort(cands)
 		cands = slices.Compact(cands)
-		var out []*MinedStar
+		var out []minedStar
 		for _, l := range cands {
 			need := 1
 			for _, x := range leaves {
@@ -105,7 +105,7 @@ func mineStarsReference(g *graph.Graph, opt Options) []*MinedStar {
 			}
 			lcopy := append(slices.Clone(leaves), l)
 			slices.Sort(lcopy)
-			out = append(out, &MinedStar{Star: Star{Head: ms.Star.Head, Leaves: lcopy}, Hosts: hosts})
+			out = append(out, minedStar{Star: Star{Head: ms.Star.Head, Leaves: lcopy}, Hosts: hosts})
 		}
 		return out
 	}
@@ -116,7 +116,7 @@ func mineStarsReference(g *graph.Graph, opt Options) []*MinedStar {
 		if opt.MaxSpiders > 0 && len(all) >= opt.MaxSpiders {
 			break
 		}
-		var next []*MinedStar
+		var next []minedStar
 		for _, ms := range cur {
 			next = append(next, expand(ms)...)
 		}
@@ -133,7 +133,7 @@ func mineStarsReference(g *graph.Graph, opt Options) []*MinedStar {
 // cmpStars orders mined stars by head label, then leaf multiset
 // (lexicographic, shorter first on common prefix): the order of every
 // level StarMiner returns.
-func cmpStars(a, b *MinedStar) int {
+func cmpStars(a, b minedStar) int {
 	if a.Star.Head != b.Star.Head {
 		return int(a.Star.Head) - int(b.Star.Head)
 	}
@@ -194,6 +194,12 @@ func TestStarMinerMatchesReference(t *testing.T) {
 		add(fmt.Sprintf("ba%d", i), gen.BarabasiAlbert(150+100*i, 2+i%2, 3+2*i, rng), Options{MinSupport: 2 + i%3, MaxLeaves: 5})
 	}
 	add("ba-capped", gen.BarabasiAlbert(800, 2, 6, rng), Options{MinSupport: 3, MaxLeaves: 6, MaxSpiders: 3000})
+	// Caps below level 1's 1874 stars, at the end of level 2 (5541), and in
+	// the second and third of the three blocks level 4 is expanded in; see
+	// capHost.
+	for _, c := range []int{1000, 5541, 34834, 47834} {
+		add(fmt.Sprintf("sf-cap%d", c), capHost(), Options{MinSupport: 2, MaxLeaves: 6, MaxSpiders: c})
+	}
 	gid, _ := gen.Synthetic(gen.GIDConfig(1, 1))
 	add("gid1", gid, Options{MinSupport: 2})
 
@@ -204,10 +210,11 @@ func TestStarMinerMatchesReference(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			opt := h.opt
 			opt.Workers = workers
-			got, err := sm.Mine(ctx, h.g, opt)
+			stars, err := sm.Mine(ctx, h.g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := listStars(stars)
 			if len(got) != len(want) {
 				t.Fatalf("%s workers=%d: %d stars, reference %d", h.name, workers, len(got), len(want))
 			}
@@ -222,6 +229,48 @@ func TestStarMinerMatchesReference(t *testing.T) {
 	}
 }
 
+// capHost is a scale-free host whose star lattice outgrows any cap a test
+// sets. At σ=2 and 6 leaves its levels hold 1874, 3667, 9293, 34177,
+// 119950 and 375360 stars (544,321 in all). Level 4 grows from 9293
+// frontier stars, three blocks of expansion, whose extensions fill the
+// table to 31203, 47454 and 49011 stars.
+func capHost() *graph.Graph {
+	return gen.BarabasiAlbert(2000, 2, 50, rand.New(rand.NewSource(2)))
+}
+
+// TestStarMinerCapBuildsOneBlock: with MaxSpiders set, Stage I stops
+// building inside the block that fills the table, so no block starts once
+// the cap is reached and at most one block's extensions are built beyond
+// it. The cap here is under a fifteenth of the host's uncapped Stage I
+// (see capHost) and falls in the second of level 4's blocks.
+func TestStarMinerCapBuildsOneBlock(t *testing.T) {
+	g := capHost()
+	const maxSpiders = 34834
+	for _, workers := range []int{1, 2} {
+		var sm StarMiner
+		var blocks []int
+		sm.blockSeen = func(_, built int) { blocks = append(blocks, built) }
+		stars, err := sm.Mine(context.Background(), g, Options{MinSupport: 2, MaxLeaves: 6, MaxSpiders: maxSpiders, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stars.Len() != maxSpiders {
+			t.Fatalf("workers=%d: %d stars kept, want the cap %d", workers, stars.Len(), maxSpiders)
+		}
+		built := 0 // level 1 is written straight from the level-1 scan
+		for built < stars.Len() && stars.NumLeaves(built) == 1 {
+			built++
+		}
+		for i, b := range blocks {
+			if built >= maxSpiders {
+				t.Fatalf("workers=%d: block %d of %d started with %d stars built, cap %d", workers, i+1, len(blocks), built, maxSpiders)
+			}
+			built += b
+		}
+		t.Logf("workers=%d: %d blocks built %d stars for a cap of %d", workers, len(blocks), built, maxSpiders)
+	}
+}
+
 // TestMineStarsNegativeLeafLabel: a leaf label of -1 is a label like any
 // other. Three copies of a star with head 5 and two leaves labelled L hold
 // the stars 5:[L], 5:[L,L] and L:[5] at σ=3, whatever L is.
@@ -233,7 +282,7 @@ func TestMineStarsNegativeLeafLabel(t *testing.T) {
 			b.AddEdge(h, b.AddVertex(leaf))
 			b.AddEdge(h, b.AddVertex(leaf))
 		}
-		stars := MineStars(b.Build(), Options{MinSupport: 3})
+		stars := listStars(MineStars(b.Build(), Options{MinSupport: 3}))
 		if len(stars) != 3 {
 			t.Errorf("leaf label %d: %d stars, want 3", leaf, len(stars))
 			for _, ms := range stars {

@@ -28,11 +28,13 @@
 //     read-only — and therefore safely shared across workers — once
 //     mining starts.
 //   - Stage I tables: the spider.StarMiner is held by value and owns its
-//     CSR neighbor-rank table, level frontiers, and output arenas; its
-//     stars are carved from those arenas and are invalidated by the next
-//     run. The Miner keeps the returned star list as is (level by level,
-//     each level in head-then-leaves order) and the seed draw indexes it
-//     directly, so that order is part of every result.
+//     CSR neighbor-rank table, per-worker block scratch, and the flat star
+//     table it returns (spider.Stars: one int32 record per star and all
+//     host lists in one array, no pointers), rebuilt in place by the next
+//     run. The Miner keeps the table as is (level by level, each level in
+//     head-then-leaves order); the seed draw indexes it directly, so that
+//     order is part of every result, and the frequent-pair index reads its
+//     first level.
 //   - Per-worker scratch arenas (par.Workspace): one growScratch /
 //     mergeScratch / canon.Matcher per worker, allocated per-worker-once
 //     and reused across passes, runs, and restarts. Scratch contents are

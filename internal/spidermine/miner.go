@@ -194,10 +194,10 @@ type Miner struct {
 	freqPairs []labelPair
 	// sm is the reusable Stage I engine. stars is its output, S_all, as
 	// returned: level by level, each level in head-then-leaves order. It
-	// lives in sm's arenas, so it is valid until sm's next Mine (see
+	// is sm's own table, so it is valid until sm's next Mine (see
 	// spider.StarMiner's ownership contract).
 	sm    spider.StarMiner
-	stars []*spider.MinedStar
+	stars *spider.Stars
 	// sd owns the Stage II seed-draw scratch (permutation buffer,
 	// per-worker Materializers).
 	sd spider.Seeder
@@ -384,7 +384,7 @@ func (m *Miner) RunContext(ctx context.Context) (*Result, error) {
 		return &Result{Stats: m.stats}, starErr
 	}
 	m.indexStars(stars)
-	m.stats.NumSpiders = len(stars)
+	m.stats.NumSpiders = stars.Len()
 	if m.cfg.Radius >= 2 {
 		maxSpiders := m.cfg.MaxSpiders
 		if maxSpiders <= 0 {
@@ -425,15 +425,14 @@ func (m *Miner) RunContext(ctx context.Context) (*Result, error) {
 
 // indexStars keeps Stage I's stars for the seed draw and rebuilds the
 // flat frequent-pair index from them. The index is built from the
-// single-leaf stars and sorted, so lookup order is independent of the star
-// list's order.
-func (m *Miner) indexStars(stars []*spider.MinedStar) {
+// single-leaf stars, the table's first level, and sorted, so lookup order
+// is independent of the table's order.
+func (m *Miner) indexStars(stars *spider.Stars) {
 	m.stars = stars
 	m.freqPairs = m.freqPairs[:0]
-	for _, ms := range stars {
-		if len(ms.Star.Leaves) == 1 {
-			m.freqPairs = append(m.freqPairs, labelPair{h: ms.Star.Head, l: ms.Star.Leaves[0]})
-		}
+	var leaf [1]graph.Label
+	for i := 0; i < stars.Len() && stars.NumLeaves(i) == 1; i++ {
+		m.freqPairs = append(m.freqPairs, labelPair{h: stars.Head(i), l: stars.AppendLeaves(leaf[:0], i)[0]})
 	}
 	slices.SortFunc(m.freqPairs, cmpLabelPair)
 }

@@ -1,7 +1,6 @@
 package spidermine
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -15,15 +14,8 @@ func TestPipelineStages(t *testing.T) {
 	m := New(g, Config{MinSupport: 2, K: 10, Dmax: 4, Epsilon: 0.1, Seed: 7})
 	m.cfg = m.cfg.withDefaults(g)
 	stars := spider.MineStars(g, spider.Options{MinSupport: 2})
-	t.Logf("stars: %d", len(stars))
-	m.stars = stars
-	m.freqPairs = m.freqPairs[:0]
-	for _, ms := range stars {
-		if len(ms.Star.Leaves) == 1 {
-			m.freqPairs = append(m.freqPairs, labelPair{h: ms.Star.Head, l: ms.Star.Leaves[0]})
-		}
-	}
-	slices.SortFunc(m.freqPairs, cmpLabelPair)
+	t.Logf("stars: %d", stars.Len())
+	m.indexStars(stars)
 	M := spider.ComputeM(g.N(), g.N()/10, 10, 0.1)
 	t.Logf("M=%d", M)
 	seeds := drawSeeds(t, m, M)
