@@ -27,10 +27,11 @@ func TestStageIAllocBudget(t *testing.T) {
 		t.Skip("alloc gate runs in the bench smoke job")
 	}
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 1))
-	// Warm the generator caches; MineStars itself is cold each run — the
-	// budget covers a throwaway StarMiner building every table from nil.
+	// Warm the generator caches; MineStarsContext itself is cold each
+	// run — the budget covers a throwaway StarMiner building every table
+	// from nil.
 	allocs := testing.AllocsPerRun(5, func() {
-		if stars := spider.MineStars(g, spider.Options{MinSupport: 2}); stars.Len() == 0 {
+		if stars := mineStars(g, spider.Options{MinSupport: 2}); stars.Len() == 0 {
 			t.Fatal("no spiders")
 		}
 	})
@@ -46,7 +47,7 @@ func TestFullPipelineAllocBudget(t *testing.T) {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 1))
 	cfg := spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 1}
 	allocs := testing.AllocsPerRun(3, func() {
-		if res := spidermine.Mine(g, cfg); len(res.Patterns) == 0 {
+		if res := mineGraph(g, cfg); len(res.Patterns) == 0 {
 			t.Fatal("no patterns")
 		}
 	})

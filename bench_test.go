@@ -11,6 +11,7 @@ package repro_test
 // the -v log.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -29,7 +30,7 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	params := experiments.Params{Seed: 1, Quick: true}
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Run(id, params)
+		rep, err := experiments.RunContext(context.Background(), id, params)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func BenchmarkStageISpiderMining(b *testing.B) {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stars := spider.MineStars(g, spider.Options{MinSupport: 2})
+		stars := mineStars(g, spider.Options{MinSupport: 2})
 		if stars.Len() == 0 {
 			b.Fatal("no spiders")
 		}
@@ -132,7 +133,7 @@ func BenchmarkFullPipelineGID1(b *testing.B) {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := spidermine.Mine(g, spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: int64(i)})
+		res := mineGraph(g, spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: int64(i)})
 		if len(res.Patterns) == 0 {
 			b.Fatal("no patterns")
 		}
@@ -152,7 +153,7 @@ func BenchmarkFullPipelineParallel(b *testing.B) {
 	const baseRuns = 3
 	t0 := time.Now()
 	for i := 0; i < baseRuns; i++ {
-		if res := spidermine.Mine(g, cfg); len(res.Patterns) == 0 {
+		if res := mineGraph(g, cfg); len(res.Patterns) == 0 {
 			b.Fatal("no patterns")
 		}
 	}
@@ -163,7 +164,7 @@ func BenchmarkFullPipelineParallel(b *testing.B) {
 			cfgW.Workers = w
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if res := spidermine.Mine(g, cfgW); len(res.Patterns) == 0 {
+				if res := mineGraph(g, cfgW); len(res.Patterns) == 0 {
 					b.Fatal("no patterns")
 				}
 			}
@@ -191,7 +192,7 @@ func BenchmarkFullPipelineMapped(b *testing.B) {
 	mg := m.Graph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := spidermine.Mine(mg, spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: int64(i)})
+		res := mineGraph(mg, spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: int64(i)})
 		if len(res.Patterns) == 0 {
 			b.Fatal("no patterns")
 		}
@@ -221,7 +222,7 @@ func BenchmarkStageIOutOfCoreBA1M(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stars := spider.MineStars(mg, spider.Options{MinSupport: 2, MaxLeaves: 2, MaxSpiders: 20000})
+		stars := mineStars(mg, spider.Options{MinSupport: 2, MaxLeaves: 2, MaxSpiders: 20000})
 		if stars.Len() == 0 {
 			b.Fatal("no stars")
 		}
@@ -240,14 +241,26 @@ func BenchmarkComputeM(b *testing.B) {
 // BenchmarkScaleFree10k times a full run on a 10k-vertex BA graph — the
 // Figure 11-style scalability point kept cheap enough for -bench=.
 func BenchmarkScaleFree10k(b *testing.B) {
-	n, el := experiments.SpiderCountOnly(10000, 1)
+	n, el := experiments.SpiderCountOnly(context.Background(), 10000, 1, 0)
 	b.Logf("10k BA graph: %d spiders mined in %v", n, el)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, _ := experiments.SpiderCountOnly(10000, int64(i))
+		n, _ := experiments.SpiderCountOnly(context.Background(), 10000, int64(i), 0)
 		if n == 0 {
 			b.Fatal("no spiders")
 		}
 	}
 	_ = time.Now
+}
+
+// mineGraph runs spidermine.MineContext under a context that never fires.
+func mineGraph(g *graph.Graph, cfg spidermine.Config) *spidermine.Result {
+	res, _ := spidermine.MineContext(context.Background(), g, cfg)
+	return res
+}
+
+// mineStars runs spider.MineStarsContext under a context that never fires.
+func mineStars(g *graph.Graph, opt spider.Options) *spider.Stars {
+	stars, _ := spider.MineStarsContext(context.Background(), g, opt)
+	return stars
 }

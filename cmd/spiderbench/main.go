@@ -89,8 +89,13 @@ func main() {
 			f.Close()
 		}()
 	}
+	ctx, cancel := context.Background(), context.CancelFunc(func() {})
+	if *timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+	}
+	defer cancel()
 	if *hostPath != "" {
-		if err := benchHost(*hostPath, *useMmap, spider.Options{
+		if err := benchHost(ctx, *hostPath, *useMmap, spider.Options{
 			MinSupport: *minSup, MaxLeaves: *maxLeaves, MaxSpiders: *maxSpiders, Workers: *workers,
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "spiderbench: -host: %v\n", err)
@@ -99,11 +104,6 @@ func main() {
 		return
 	}
 	params := experiments.Params{Seed: *seed, Quick: *quick, Workers: *workers}
-	ctx, cancel := context.Background(), context.CancelFunc(func() {})
-	if *timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-	}
-	defer cancel()
 	if *verify {
 		lines, failures := experiments.VerifyAll(ctx, params)
 		for _, l := range lines {
@@ -136,8 +136,10 @@ func main() {
 // benchHost is the out-of-core host benchmark: open the file (mmap'd
 // SPC1 image or decoded LG), report open cost and host shape, run
 // Stage I star mining, and report the heap the run grew by — the
-// number the mmap path keeps flat no matter how big the host is.
-func benchHost(path string, useMmap bool, opt spider.Options) error {
+// number the mmap path keeps flat no matter how big the host is. Stage I
+// mines under ctx; a cut run prints its partial star count and returns
+// ctx's error.
+func benchHost(ctx context.Context, path string, useMmap bool, opt spider.Options) error {
 	var msBefore runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&msBefore)
@@ -173,7 +175,7 @@ func benchHost(path string, useMmap bool, opt spider.Options) error {
 	fmt.Printf("max_degree  %d\n", g.MaxDegree())
 
 	t1 := time.Now()
-	stars := spider.MineStars(g, opt)
+	stars, err := spider.MineStarsContext(ctx, g, opt)
 	mineDur := time.Since(t1)
 
 	var msAfter runtime.MemStats
@@ -182,13 +184,13 @@ func benchHost(path string, useMmap bool, opt spider.Options) error {
 
 	fmt.Printf("stage1      %v (%d frequent stars, support>=%d, max_leaves=%d)\n", mineDur, stars.Len(), opt.MinSupport, opt.MaxLeaves)
 	fmt.Printf("heap_growth %.1f MiB\n", float64(heapGrowth)/(1<<20))
-	return nil
+	return err
 }
 
 func runOne(ctx context.Context, id string, params experiments.Params) {
 	t0 := time.Now()
 	rep, err := experiments.RunContext(ctx, id, params)
-	if err != nil {
+	if rep == nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			fmt.Fprintf(os.Stderr, "spiderbench: timeout exceeded before %s could run\n", id)
 			os.Exit(1)
@@ -198,7 +200,7 @@ func runOne(ctx context.Context, id string, params experiments.Params) {
 	}
 	rep.Render(os.Stdout)
 	fmt.Printf("(%s finished in %v)\n\n", id, time.Since(t0).Round(time.Millisecond))
-	if ctx.Err() != nil {
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "spiderbench: timeout exceeded; tables above may be partial\n")
 		os.Exit(1)
 	}

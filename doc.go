@@ -156,12 +156,11 @@
 // the event happens through nil-safe helpers. The serving surface
 // exposes GET /metrics (Prometheus text exposition 0.0.4), folds the
 // same snapshot into GET /stats, and cmd/spiderserved offers opt-in
-// net/http/pprof behind -debug-addr. cmd/spiderload generates mixed
-// traffic (uploads, fresh/repeat submits, cancels, event streamers) and
-// records client-observed latency quantiles per endpoint class plus the
-// cache hit rate; SLO_PR7.json is a committed historical run. The
-// baseline to measure against is the repository benchmark
-// (bash bench/run.sh), whose serve-mixed workload replays those rates.
+// net/http/pprof behind -debug-addr. The baseline to measure against is
+// the repository benchmark (bash bench/run.sh), whose serve-mixed
+// workload replays mixed traffic (uploads, fresh/repeat submits,
+// cancels, event streamers) at the rates of SLO_PR7.json, kept as the
+// historical run of cmd/spiderload, a load generator since removed.
 //
 // # Cancellation architecture
 //
@@ -190,6 +189,13 @@
 //     cancel is deterministic end to end (TestCancelDeterministic,
 //     TestFacadeCancelDeterministic). Baselines return their loop-boundary
 //     partials the same way.
+//
+// Every engine has one entry point, and it takes a ctx. The ctx also
+// threads through the experiment drivers (internal/experiments), which
+// take it and the worker count as arguments and hold no run state, so
+// runs in flight at once keep their own deadlines. A run its ctx cut
+// returns the partial report together with ctx.Err(): spiderbench prints
+// the table as partial and never checks a paper claim against it.
 //
 // # Performance architecture
 //

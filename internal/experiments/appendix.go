@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // on one graph (the paper uses 600 edges, 30 labels) as r grows — runtime
 // explodes exponentially (the paper's r=4 ran out of memory). Scale
 // shrinks the graph and the tree fanout for quick runs.
-func AppC3(rs []int, seed int64, scale float64) *Report {
+func AppC3(ctx context.Context, rs []int, seed int64, scale float64, workers int) *Report {
 	cfg := gen.SyntheticConfig{
 		N: scaled(300, scale), AvgDeg: 4, NumLabels: scaled(30, scale), Seed: seed,
 		Large: gen.InjectSpec{NV: 20, Count: 2, Support: 2},
@@ -34,11 +35,13 @@ func AppC3(rs []int, seed int64, scale float64) *Report {
 		t0 := time.Now()
 		var count int
 		if r == 1 {
-			count = spider.MineStars(g, spider.Options{MinSupport: 2, Workers: MiningWorkers()}).Len()
+			stars, _ := spider.MineStarsContext(ctx, g, spider.Options{MinSupport: 2, Workers: workers})
+			count = stars.Len()
 		} else {
-			count = len(spider.MineTrees(g, spider.TreeOptions{
+			trees, _ := spider.MineTreesContext(ctx, g, spider.TreeOptions{
 				MinSupport: 2, Radius: r, MaxFanout: fanout, MaxSpiders: 500_000,
-			}))
+			})
+			count = len(trees)
 		}
 		rep.Rows = append(rep.Rows, []string{itoa(r), itoa(count), time.Since(t0).String()})
 	}
@@ -51,7 +54,7 @@ func AppC3(rs []int, seed int64, scale float64) *Report {
 // AppC4 reproduces Appendix C(4), varied ε: full-pipeline runtime on the
 // Jeti-like call graph (σ=10) for each error bound. Smaller ε draws more
 // seed spiders (larger M), so runtime increases as ε decreases.
-func AppC4(epsilons []float64, seed int64, scale float64) *Report {
+func AppC4(ctx context.Context, epsilons []float64, seed int64, scale float64, workers int) *Report {
 	g, sigma := callGraphFor(seed, scale)
 	rep := &Report{
 		ID:     "appC4",
@@ -60,9 +63,9 @@ func AppC4(epsilons []float64, seed int64, scale float64) *Report {
 	}
 	for _, eps := range epsilons {
 		t0 := time.Now()
-		res := mineSM(g, spidermine.Config{
+		res, _ := spidermine.MineContext(ctx, g, spidermine.Config{
 			MinSupport: sigma, K: 10, Dmax: 8, Epsilon: eps, Seed: seed,
-			Measure: support.HarmfulOverlap, Workers: MiningWorkers(),
+			Measure: support.HarmfulOverlap, Workers: workers,
 		})
 		el := time.Since(t0)
 		top := 0
@@ -108,7 +111,7 @@ func Lemma2Table() *Report {
 // Ablations runs the design-choice ablations DESIGN.md calls out on one
 // GID-1 dataset: spider-set pruning on/off and Stage II merge pruning
 // on/off.
-func Ablations(seed int64) *Report {
+func Ablations(ctx context.Context, seed int64, workers int) *Report {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, seed))
 	rep := &Report{
 		ID:     "ablations",
@@ -117,7 +120,7 @@ func Ablations(seed int64) *Report {
 	}
 	run := func(name string, cfg spidermine.Config) {
 		t0 := time.Now()
-		res := mineSM(g, cfg)
+		res, _ := spidermine.MineContext(ctx, g, cfg)
 		el := time.Since(t0)
 		top := 0
 		if len(res.Patterns) > 0 {
@@ -126,7 +129,7 @@ func Ablations(seed int64) *Report {
 		rep.Rows = append(rep.Rows, []string{
 			name, el.String(), itoa(top), i64a(res.Stats.IsoRun), i64a(res.Stats.IsoSkipped), itoa(len(res.Patterns))})
 	}
-	base := spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: seed, Workers: MiningWorkers()}
+	base := spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: seed, Workers: workers}
 	run("baseline", base)
 	noSS := base
 	noSS.DisableSpiderSetPruning = true

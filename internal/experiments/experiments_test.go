@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -42,7 +43,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestRunUnknown(t *testing.T) {
-	if _, err := Run("nope", Params{}); err == nil {
+	if _, err := RunContext(context.Background(), "nope", Params{}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -59,7 +60,7 @@ func TestLemma2Report(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	rep := Fig4to8(1, 42)
+	rep := Fig4to8(context.Background(), 1, 42, 0)
 	if len(rep.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -86,14 +87,14 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig9QuickShape(t *testing.T) {
-	rep := Fig9([]int{100, 200}, 1, 2*time.Second)
+	rep := Fig9(context.Background(), []int{100, 200}, 1, 2*time.Second, 0)
 	if len(rep.Rows) != 2 {
 		t.Fatalf("rows %d", len(rep.Rows))
 	}
 }
 
 func TestAppC3Growth(t *testing.T) {
-	rep := AppC3([]int{1, 2}, 1, 0.4)
+	rep := AppC3(context.Background(), []int{1, 2}, 1, 0.4, 0)
 	if len(rep.Rows) != 2 {
 		t.Fatal("rows")
 	}
@@ -104,7 +105,7 @@ func TestAppC3Growth(t *testing.T) {
 }
 
 func TestAblationsReport(t *testing.T) {
-	rep := Ablations(42)
+	rep := Ablations(context.Background(), 42, 0)
 	if len(rep.Rows) != 4 {
 		t.Fatalf("ablation variants %d, want 4", len(rep.Rows))
 	}
@@ -119,7 +120,7 @@ func TestFig19SmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rep := Fig19([]int{1, 2}, 1, 0.05)
+	rep := Fig19(context.Background(), []int{1, 2}, 1, 0.05, 0)
 	if len(rep.Rows) != 2 {
 		t.Fatal("rows")
 	}
@@ -141,7 +142,7 @@ func atoiOr(s string) int {
 }
 
 func TestMinersFacadeExperiment(t *testing.T) {
-	rep, err := Run("miners", Params{Seed: 1, Quick: true})
+	rep, err := RunContext(context.Background(), "miners", Params{Seed: 1, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,27 +162,89 @@ func TestRunContextPreCancelled(t *testing.T) {
 	if _, err := RunContext(ctx, "lemma2", Params{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The global mining context must reset to Background afterwards.
-	if MiningContext().Err() != nil {
-		t.Fatal("MiningContext left cancelled after RunContext returned")
-	}
 }
 
 // TestRunContextLiveContext: RunContext with a real (cancellable,
-// non-Background) context must work — regression for the
-// atomic.Value "inconsistently typed" panic when different context
-// implementations pass through the runCtx global.
+// non-Background) context must work, back to back with Background runs.
 func TestRunContextLiveContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	if _, err := RunContext(ctx, "lemma2", Params{}); err != nil {
 		t.Fatal(err)
 	}
-	// And back-to-back with a plain Run (Background), both directions.
-	if _, err := Run("lemma2", Params{}); err != nil {
+	// And back-to-back with a Background run, both directions.
+	if _, err := RunContext(context.Background(), "lemma2", Params{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RunContext(ctx, "lemma2", Params{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunContextCutRunReportsDeadline: a run its deadline cut returns its
+// partial report together with the deadline's error, so no caller judges
+// a cut run as a whole one (quick fig9 mines for seconds uncut).
+func TestRunContextCutRunReportsDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	rep, err := RunContext(ctx, "fig9", Params{Seed: 1, Quick: true})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if rep == nil || len(rep.Rows) == 0 {
+		t.Fatalf("cut run returned no partial report: %+v", rep)
+	}
+}
+
+// TestRunContextConcurrentKeepsDeadline: two runs in flight keep their own
+// contexts. A Background run started next to a deadlined one must not
+// lift the deadline, so quick fig9 still returns soon after its 200 ms.
+func TestRunContextConcurrentKeepsDeadline(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	lemma := make(chan error, 1)
+	time.AfterFunc(20*time.Millisecond, func() {
+		_, err := RunContext(context.Background(), "lemma2", Params{Seed: 1, Quick: true})
+		lemma <- err
+	})
+	t0 := time.Now()
+	_, err := RunContext(ctx, "fig9", Params{Seed: 1, Quick: true})
+	if el := time.Since(t0); el > 2*time.Second {
+		t.Errorf("fig9 under a 200ms deadline returned after %v, want < 2s", el)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("fig9 err = %v, want context.DeadlineExceeded", err)
+	}
+	if err := <-lemma; err != nil {
+		t.Errorf("lemma2 under Background: %v", err)
+	}
+}
+
+// TestRunContextWorkersKeepReport: quick fig4 run side by side at 1 and 2
+// workers renders the same report; each run mines with its own count.
+func TestRunContextWorkersKeepReport(t *testing.T) {
+	workers := []int{1, 2}
+	out := make([]bytes.Buffer, len(workers))
+	errs := make([]error, len(workers))
+	var wg sync.WaitGroup
+	for i, w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var rep *Report
+			rep, errs[i] = RunContext(context.Background(), "fig4", Params{Seed: 1, Quick: true, Workers: w})
+			if rep != nil {
+				rep.Render(&out[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers[i], err)
+		}
+	}
+	if out[0].String() != out[1].String() {
+		t.Fatalf("fig4 differs across worker counts:\n1 worker:\n%s\n2 workers:\n%s", out[0].String(), out[1].String())
 	}
 }

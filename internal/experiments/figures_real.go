@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/gen"
@@ -15,16 +16,16 @@ import (
 // histograms of SpiderMine vs SUBDUE on the synthetic co-authorship
 // network (see DESIGN.md for the substitution argument). Scale shrinks the
 // author count; Scale=1 matches the paper's 6,508-author graph.
-func Fig20(seed int64, scale float64) *Report {
+func Fig20(ctx context.Context, seed int64, scale float64, workers int) *Report {
 	g, _ := gen.DBLPLike(gen.DBLPConfig{
 		Authors: scaled(6508, scale),
 		Seed:    seed,
 	})
-	smRes := mineSM(g, spidermine.Config{MinSupport: 4, K: 20, Dmax: 6, Seed: seed,
-		Measure: support.HarmfulOverlap, Workers: MiningWorkers()})
+	smRes, _ := spidermine.MineContext(ctx, g, spidermine.Config{MinSupport: 4, K: 20, Dmax: 6, Seed: seed,
+		Measure: support.HarmfulOverlap, Workers: workers})
 	smHist := SizeHistogram(smRes.Patterns)
 
-	sd := subdue.Mine(g, subdue.Config{MinSupport: 4})
+	sd, _ := subdue.MineContext(ctx, g, subdue.Config{MinSupport: 4})
 	sdPats := make([]*pattern.Pattern, 0, len(sd))
 	for _, s := range sd {
 		sdPats = append(sdPats, s.P)
@@ -49,13 +50,13 @@ func Fig20(seed int64, scale float64) *Report {
 // synthetic call graph (835 methods, 267 class labels at Scale=1). At
 // reduced scale the motif budget and σ shrink together so the planted
 // motifs keep fitting the smaller graph.
-func Fig21(seed int64, scale float64) *Report {
+func Fig21(ctx context.Context, seed int64, scale float64, workers int) *Report {
 	g, sigma := callGraphFor(seed, scale)
-	smRes := mineSM(g, spidermine.Config{MinSupport: sigma, K: 10, Dmax: 8, Seed: seed,
-		Measure: support.HarmfulOverlap, Workers: MiningWorkers()})
+	smRes, _ := spidermine.MineContext(ctx, g, spidermine.Config{MinSupport: sigma, K: 10, Dmax: 8, Seed: seed,
+		Measure: support.HarmfulOverlap, Workers: workers})
 	smHist := SizeHistogram(smRes.Patterns)
 
-	sd := subdue.Mine(g, subdue.Config{MinSupport: sigma})
+	sd, _ := subdue.MineContext(ctx, g, subdue.Config{MinSupport: sigma})
 	sdPats := make([]*pattern.Pattern, 0, len(sd))
 	for _, s := range sd {
 		sdPats = append(sdPats, s.P)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -24,19 +25,19 @@ func randFor(seed, variant int64) *rand.Rand {
 // Fig4to8 reproduces the pattern-size distributions of Figures 4–8: on the
 // Table 1 dataset with the given GID (1..5), SpiderMine (σ=2, K=10,
 // Dmax=4) against SUBDUE and SEuS.
-func Fig4to8(gid int, seed int64) *Report {
+func Fig4to8(ctx context.Context, gid int, seed int64, workers int) *Report {
 	g, _ := gen.Synthetic(gen.GIDConfig(gid, seed))
-	smRes := mineSM(g, spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Epsilon: 0.1, Seed: seed, Workers: MiningWorkers()})
+	smRes, _ := spidermine.MineContext(ctx, g, spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Epsilon: 0.1, Seed: seed, Workers: workers})
 	smHist := SizeHistogram(smRes.Patterns)
 
-	sd := subdue.Mine(g, subdue.Config{MinSupport: 2})
+	sd, _ := subdue.MineContext(ctx, g, subdue.Config{MinSupport: 2})
 	sdPats := make([]*pattern.Pattern, 0, len(sd))
 	for _, s := range sd {
 		sdPats = append(sdPats, s.P)
 	}
 	sdHist := SizeHistogram(sdPats)
 
-	se := seus.Mine(g, seus.Config{MinSupport: 2})
+	se, _ := seus.MineContext(ctx, g, seus.Config{MinSupport: 2})
 	sePats := make([]*pattern.Pattern, 0, len(se))
 	for _, r := range se {
 		sePats = append(sePats, r.P)
@@ -59,7 +60,7 @@ func Fig4to8(gid int, seed int64) *Report {
 
 // Fig9 reproduces the runtime comparison against the complete miner MoSS
 // on sparse graphs (d=2, f=70), |V| in sizes.
-func Fig9(sizes []int, seed int64, mossTimeout time.Duration) *Report {
+func Fig9(ctx context.Context, sizes []int, seed int64, mossTimeout time.Duration, workers int) *Report {
 	rep := &Report{
 		ID:     "fig9",
 		Title:  "runtime vs |V|: SpiderMine vs MoSS (ER, d=2, f=70)",
@@ -71,10 +72,10 @@ func Fig9(sizes []int, seed int64, mossTimeout time.Duration) *Report {
 			Small: gen.InjectSpec{NV: 3, Count: 3, Support: 2}}
 		g, _ := gen.Synthetic(cfg)
 		t0 := time.Now()
-		mineSM(g, spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: seed, Workers: MiningWorkers()})
+		spidermine.MineContext(ctx, g, spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: seed, Workers: workers})
 		smT := time.Since(t0)
 		t1 := time.Now()
-		mr := mineMoSS(g, moss.Config{MinSupport: 2, Timeout: mossTimeout})
+		mr, _ := moss.MineContext(ctx, g, moss.Config{MinSupport: 2, Timeout: mossTimeout})
 		moT := time.Since(t1)
 		rep.Rows = append(rep.Rows, []string{
 			itoa(n), smT.String(), moT.String(), fmt.Sprintf("%v", mr.Completed)})
@@ -85,7 +86,7 @@ func Fig9(sizes []int, seed int64, mossTimeout time.Duration) *Report {
 
 // Fig10 reproduces the runtime comparison against SUBDUE (ER, d=3, f=100,
 // Dmax=10, σ=2, K=10).
-func Fig10(sizes []int, seed int64) *Report {
+func Fig10(ctx context.Context, sizes []int, seed int64, workers int) *Report {
 	rep := &Report{
 		ID:     "fig10",
 		Title:  "runtime vs |V|: SpiderMine vs SUBDUE (ER, d=3, f=100)",
@@ -94,10 +95,10 @@ func Fig10(sizes []int, seed int64) *Report {
 	for _, n := range sizes {
 		g := genScaleGraph(n, seed)
 		t0 := time.Now()
-		mineSM(g, scaleMineConfig(seed))
+		spidermine.MineContext(ctx, g, scaleMineConfig(seed, workers))
 		smT := time.Since(t0)
 		t1 := time.Now()
-		subdue.Mine(g, subdue.Config{MinSupport: 2})
+		subdue.MineContext(ctx, g, subdue.Config{MinSupport: 2})
 		sdT := time.Since(t1)
 		rep.Rows = append(rep.Rows, []string{itoa(n), smT.String(), sdT.String()})
 	}
@@ -131,7 +132,7 @@ func genScaleGraph(n int, seed int64) *graph.Graph {
 // embeddings must not fake support, or background chains grow without
 // bound on near-uniform ER graphs) and a Stage I cap against the
 // sub-star explosion between look-alike high-degree neighborhoods.
-func scaleMineConfig(seed int64) spidermine.Config {
+func scaleMineConfig(seed int64, workers int) spidermine.Config {
 	return spidermine.Config{
 		MinSupport:       2,
 		K:                10,
@@ -140,7 +141,7 @@ func scaleMineConfig(seed int64) spidermine.Config {
 		Measure:          support.HarmfulOverlap,
 		MaxLeavesPerStar: 8,
 		MaxSpiders:       500_000,
-		Workers:          MiningWorkers(),
+		Workers:          workers,
 	}
 }
 
@@ -148,7 +149,7 @@ func scaleMineConfig(seed int64) spidermine.Config {
 // (Fig. 11) and the size of the largest discovered pattern (Fig. 12) as
 // |V| grows (the paper sweeps to 40,000 vertices, finding patterns of
 // size 230 in under two minutes).
-func Fig11and12(sizes []int, seed int64) *Report {
+func Fig11and12(ctx context.Context, sizes []int, seed int64, workers int) *Report {
 	rep := &Report{
 		ID:     "fig11+12",
 		Title:  "SpiderMine scalability (ER, d=3, f=100): runtime and largest pattern",
@@ -157,7 +158,7 @@ func Fig11and12(sizes []int, seed int64) *Report {
 	for _, n := range sizes {
 		g := genScaleGraph(n, seed)
 		t0 := time.Now()
-		res := mineSM(g, scaleMineConfig(seed))
+		res, _ := spidermine.MineContext(ctx, g, scaleMineConfig(seed, workers))
 		el := time.Since(t0)
 		lv, le := 0, 0
 		if len(res.Patterns) > 0 {
@@ -172,7 +173,7 @@ func Fig11and12(sizes []int, seed int64) *Report {
 // Fig13and17 reproduces the scale-free experiments: on Barabási–Albert
 // graphs, the number of r-spiders and SpiderMine runtime (Fig. 17) plus
 // the largest pattern found (Fig. 13), swept over graph size.
-func Fig13and17(sizes []int, seed int64) *Report {
+func Fig13and17(ctx context.Context, sizes []int, seed int64, workers int) *Report {
 	rep := &Report{
 		ID:     "fig13+17",
 		Title:  "scale-free networks (BA): spiders, runtime, largest pattern",
@@ -182,9 +183,9 @@ func Fig13and17(sizes []int, seed int64) *Report {
 		rng := randFor(seed, int64(n))
 		g := gen.BarabasiAlbert(n, 2, 100, rng)
 		t0 := time.Now()
-		res := mineSM(g, spidermine.Config{MinSupport: 2, K: 10, Dmax: 6, Seed: seed,
+		res, _ := spidermine.MineContext(ctx, g, spidermine.Config{MinSupport: 2, K: 10, Dmax: 6, Seed: seed,
 			MaxLeavesPerStar: 8, MaxSpiders: 1_000_000,
-			Measure: support.HarmfulOverlap, Workers: scaleWorkers()})
+			Measure: support.HarmfulOverlap, Workers: scaleWorkers(workers)})
 		el := time.Since(t0)
 		le := 0
 		if len(res.Patterns) > 0 {
@@ -199,7 +200,7 @@ func Fig13and17(sizes []int, seed int64) *Report {
 // Fig16 reproduces the runtime table over GID 1–5 for all four
 // single-graph miners; MoSS entries show "-" when the timeout aborts the
 // complete enumeration, as in the paper.
-func Fig16(seed int64, mossTimeout time.Duration) *Report {
+func Fig16(ctx context.Context, seed int64, mossTimeout time.Duration, workers int) *Report {
 	rep := &Report{
 		ID:     "fig16",
 		Title:  "runtime comparison on GID 1-5 (Table 1 datasets)",
@@ -208,15 +209,15 @@ func Fig16(seed int64, mossTimeout time.Duration) *Report {
 	for gid := 1; gid <= 5; gid++ {
 		g, _ := gen.Synthetic(gen.GIDConfig(gid, seed))
 		t0 := time.Now()
-		mineSM(g, spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: seed, Workers: MiningWorkers()})
+		spidermine.MineContext(ctx, g, spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: seed, Workers: workers})
 		smT := time.Since(t0)
 		t1 := time.Now()
-		subdue.Mine(g, subdue.Config{MinSupport: 2})
+		subdue.MineContext(ctx, g, subdue.Config{MinSupport: 2})
 		sdT := time.Since(t1)
 		t2 := time.Now()
-		seus.Mine(g, seus.Config{MinSupport: 2})
+		seus.MineContext(ctx, g, seus.Config{MinSupport: 2})
 		seT := time.Since(t2)
-		mr := mineMoSS(g, moss.Config{MinSupport: 2, Timeout: mossTimeout})
+		mr, _ := moss.MineContext(ctx, g, moss.Config{MinSupport: 2, Timeout: mossTimeout})
 		moCell := mr.Elapsed.String()
 		if !mr.Completed {
 			moCell = "-" // aborted, like the paper's 10-hour cutoff
@@ -232,7 +233,7 @@ func Fig16(seed int64, mossTimeout time.Duration) *Report {
 // sizes of the top-5 patterns on GID 6–10 with Dmax=6, σ=10, K=5. Scale
 // shrinks the Table 3 graph sizes for affordable runs; Scale=1 is the
 // paper's setting.
-func Fig18(seed int64, scale float64) *Report {
+func Fig18(ctx context.Context, seed int64, scale float64, workers int) *Report {
 	rep := &Report{
 		ID:     "fig18",
 		Title:  "robustness to pattern distribution (GID 6-10): top-5 pattern sizes |E|",
@@ -247,7 +248,7 @@ func Fig18(seed int64, scale float64) *Report {
 		cfg.Small.Count = scaled(cfg.Small.Count, scale)
 		g, _ := gen.Synthetic(cfg)
 		t0 := time.Now()
-		res := mineSM(g, spidermine.Config{MinSupport: 10, K: 5, Dmax: 6, Seed: seed, Workers: MiningWorkers()})
+		res, _ := spidermine.MineContext(ctx, g, spidermine.Config{MinSupport: 10, K: 5, Dmax: 6, Seed: seed, Workers: workers})
 		el := time.Since(t0)
 		row := []string{itoa(gid)}
 		for i := 0; i < 5; i++ {
@@ -266,7 +267,7 @@ func Fig18(seed int64, scale float64) *Report {
 
 // Fig19 reproduces the varied-Dmax experiment on the GID-7 configuration:
 // top-5 pattern sizes for d = Dmax/2 in ds.
-func Fig19(ds []int, seed int64, scale float64) *Report {
+func Fig19(ctx context.Context, ds []int, seed int64, scale float64, workers int) *Report {
 	cfg := gen.GIDConfigLarge(7, seed)
 	cfg.N = scaled(cfg.N, scale)
 	cfg.NumLabels = scaled(cfg.NumLabels, scale)
@@ -278,7 +279,7 @@ func Fig19(ds []int, seed int64, scale float64) *Report {
 		Header: []string{"d=Dmax/2", "top1", "top2", "top3", "top4", "top5"},
 	}
 	for _, d := range ds {
-		res := mineSM(g, spidermine.Config{MinSupport: 10, K: 5, Dmax: 2 * d, Seed: seed, Workers: MiningWorkers()})
+		res, _ := spidermine.MineContext(ctx, g, spidermine.Config{MinSupport: 10, K: 5, Dmax: 2 * d, Seed: seed, Workers: workers})
 		row := []string{itoa(d)}
 		for i := 0; i < 5; i++ {
 			if i < len(res.Patterns) {
@@ -299,12 +300,12 @@ func Fig19(ds []int, seed int64, scale float64) *Report {
 // lattice explode combinatorially (the Fig. 17 phenomenon), so an
 // uncapped run on a 10k-vertex BA graph does not terminate in reasonable
 // time.
-func SpiderCountOnly(n int, seed int64) (int, time.Duration) {
+func SpiderCountOnly(ctx context.Context, n int, seed int64, workers int) (int, time.Duration) {
 	rng := randFor(seed, int64(n))
 	g := gen.BarabasiAlbert(n, 2, 100, rng)
 	t0 := time.Now()
-	stars := spider.MineStars(g, spider.Options{
-		MinSupport: 2, MaxLeaves: 6, MaxSpiders: 500_000, Workers: scaleWorkers(),
+	stars, _ := spider.MineStarsContext(ctx, g, spider.Options{
+		MinSupport: 2, MaxLeaves: 6, MaxSpiders: 500_000, Workers: scaleWorkers(workers),
 	})
 	return stars.Len(), time.Since(t0)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/gen"
@@ -45,8 +46,8 @@ func paperTxConfig(smallN int, seed int64, scale float64) TxConfig {
 
 // Fig14 reproduces the transaction-setting comparison with few small
 // patterns: SpiderMine vs ORIGAMI pattern-size histograms.
-func Fig14(seed int64, scale float64) *Report {
-	return txCompare("fig14", "transaction setting, 5 large patterns, few small (vs ORIGAMI)",
+func Fig14(ctx context.Context, seed int64, scale float64, workers int) *Report {
+	return txCompare(ctx, workers, "fig14", "transaction setting, 5 large patterns, few small (vs ORIGAMI)",
 		paperTxConfig(0, seed, scale),
 		"expected shape: both find large patterns; ORIGAMI also returns a mix of small/medium ones")
 }
@@ -54,13 +55,13 @@ func Fig14(seed int64, scale float64) *Report {
 // Fig15 reproduces the comparison after injecting 100 small patterns:
 // ORIGAMI's result collapses toward small maximal patterns while
 // SpiderMine keeps the large ones.
-func Fig15(seed int64, scale float64) *Report {
-	return txCompare("fig15", "transaction setting, +100 small patterns (vs ORIGAMI)",
+func Fig15(ctx context.Context, seed int64, scale float64, workers int) *Report {
+	return txCompare(ctx, workers, "fig15", "transaction setting, +100 small patterns (vs ORIGAMI)",
 		paperTxConfig(100, seed, scale),
 		"expected shape: ORIGAMI mass shifts to small sizes, missing large patterns; SpiderMine unaffected")
 }
 
-func txCompare(id, title string, cfg TxConfig, note string) *Report {
+func txCompare(ctx context.Context, workers int, id, title string, cfg TxConfig, note string) *Report {
 	db, _ := txdb.SyntheticTx(txdb.SyntheticTxConfig{
 		NumGraphs: cfg.NumGraphs,
 		N:         cfg.N,
@@ -70,9 +71,9 @@ func txCompare(id, title string, cfg TxConfig, note string) *Report {
 		Small:     gen.InjectSpec{NV: 5, Count: cfg.SmallN, Support: 1},
 		Seed:      cfg.Seed,
 	})
-	smRes := mineSMTx(db, spidermine.Config{
+	smRes, _ := spidermine.MineTransactionsContext(ctx, db, spidermine.Config{
 		MinSupport: cfg.NumGraphs / 2, K: 10, Dmax: 6, Seed: cfg.Seed,
-		Workers: MiningWorkers(),
+		Workers: workers,
 		// Transaction merging needs the same union structure at σ distinct
 		// sites; extra randomized restarts of Stages II-III (a §4.2.1
 		// suggestion) substantially raise the hit rate at negligible cost
@@ -81,7 +82,7 @@ func txCompare(id, title string, cfg TxConfig, note string) *Report {
 	})
 	smHist := SizeHistogram(smRes.Patterns)
 
-	or := origami.Mine(db, origami.Config{
+	or, _ := origami.MineContext(ctx, db, origami.Config{
 		MinSupport: cfg.NumGraphs / 2, Samples: 60, Seed: cfg.Seed,
 	})
 	orPats := make([]*pattern.Pattern, 0, len(or))

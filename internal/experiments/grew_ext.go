@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/gen"
@@ -15,7 +16,7 @@ import (
 // GREW is fast but its largest recovered pattern is hit-or-miss, while
 // SpiderMine recovers the injected size-30 patterns with its 1−ε
 // guarantee.
-func GrewComparison(seed int64) *Report {
+func GrewComparison(ctx context.Context, seed int64, workers int) *Report {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, seed))
 	rep := &Report{
 		ID:     "grew",
@@ -23,7 +24,7 @@ func GrewComparison(seed int64) *Report {
 		Header: []string{"algorithm", "runtime", "top-1 |V|", "top-1 |E|", "instances/embeddings"},
 	}
 	t0 := time.Now()
-	gr := grew.Mine(g, grew.Config{MinSupport: 2})
+	gr, _ := grew.MineContext(ctx, g, grew.Config{MinSupport: 2})
 	grT := time.Since(t0)
 	if len(gr) > 0 {
 		rep.Rows = append(rep.Rows, []string{
@@ -32,7 +33,7 @@ func GrewComparison(seed int64) *Report {
 		rep.Rows = append(rep.Rows, []string{"GREW", grT.String(), "-", "-", "-"})
 	}
 	t1 := time.Now()
-	sm := mineSM(g, spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: seed, Workers: MiningWorkers()})
+	sm, _ := spidermine.MineContext(ctx, g, spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: seed, Workers: workers})
 	smT := time.Since(t1)
 	if len(sm.Patterns) > 0 {
 		p := sm.Patterns[0]

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -16,8 +17,8 @@ import (
 // the sizes (edge counts) of the top-K patterns, descending. MoSS grows
 // connected patterns only, so the threshold test DiameterAtMost is the
 // filter (TestExactTopKPatternsConnected).
-func ExactTopK(g *graph.Graph, sigma, k, dmax int) []int {
-	res := mineMoSS(g, moss.Config{MinSupport: sigma})
+func ExactTopK(ctx context.Context, g *graph.Graph, sigma, k, dmax int) []int {
+	res, _ := moss.MineContext(ctx, g, moss.Config{MinSupport: sigma})
 	var sizes []int
 	for _, p := range res.Patterns {
 		if p.G.DiameterAtMost(dmax) {
@@ -44,7 +45,7 @@ type GuaranteeTrial struct {
 // graph: across trials with different random seeds, SpiderMine must
 // recover the exact largest pattern with frequency at least roughly 1−ε.
 // The exact answer comes from complete enumeration.
-func GuaranteeCheck(trials int, epsilon float64, seed int64) ([]GuaranteeTrial, *Report) {
+func GuaranteeCheck(ctx context.Context, trials int, epsilon float64, seed int64, workers int) ([]GuaranteeTrial, *Report) {
 	cfg := gen.SyntheticConfig{
 		N: 150, AvgDeg: 2.5, NumLabels: 40, Seed: seed,
 		Large: gen.InjectSpec{NV: 10, Count: 2, Support: 2},
@@ -52,7 +53,7 @@ func GuaranteeCheck(trials int, epsilon float64, seed int64) ([]GuaranteeTrial, 
 	}
 	g, _ := gen.Synthetic(cfg)
 	const sigma, k, dmax = 2, 5, 4
-	exact := ExactTopK(g, sigma, k, dmax)
+	exact := ExactTopK(ctx, g, sigma, k, dmax)
 	exactTop := 0
 	if len(exact) > 0 {
 		exactTop = exact[0]
@@ -60,9 +61,9 @@ func GuaranteeCheck(trials int, epsilon float64, seed int64) ([]GuaranteeTrial, 
 	var out []GuaranteeTrial
 	successes := 0
 	for t := 0; t < trials; t++ {
-		res := mineSM(g, spidermine.Config{
+		res, _ := spidermine.MineContext(ctx, g, spidermine.Config{
 			MinSupport: sigma, K: k, Dmax: dmax, Epsilon: epsilon,
-			Seed: seed*1000 + int64(t), Workers: MiningWorkers(),
+			Seed: seed*1000 + int64(t), Workers: workers,
 		})
 		mined := 0
 		if len(res.Patterns) > 0 {

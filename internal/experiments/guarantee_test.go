@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestGuaranteeTheorem1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	trials, rep := GuaranteeCheck(6, 0.1, 5)
+	trials, rep := GuaranteeCheck(context.Background(), 6, 0.1, 5, 0)
 	succ := 0
 	for _, tr := range trials {
 		if tr.Success {
@@ -42,7 +43,7 @@ func TestGuaranteeTheorem1(t *testing.T) {
 // edges).
 func TestExactTopK(t *testing.T) {
 	g := twoTrianglesGraph()
-	sizes := ExactTopK(g, 2, 3, 2)
+	sizes := ExactTopK(context.Background(), g, 2, 3, 2)
 	if len(sizes) == 0 || sizes[0] != 3 {
 		t.Fatalf("exact top sizes %v, want leading 3", sizes)
 	}
@@ -71,7 +72,7 @@ func TestExactTopKPatternsConnected(t *testing.T) {
 		{"er", gen.ErdosRenyi(60, 2.5, 8, rng)},
 		{"ba", gen.BarabasiAlbert(60, 2, 8, rng)},
 	} {
-		res := mineMoSS(h.g, moss.Config{MinSupport: 2, MaxPatterns: 5000})
+		res, _ := moss.MineContext(context.Background(), h.g, moss.Config{MinSupport: 2, MaxPatterns: 5000})
 		if len(res.Patterns) == 0 {
 			t.Fatalf("%s: MoSS found no patterns", h.name)
 		}

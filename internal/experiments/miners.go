@@ -6,38 +6,8 @@ import (
 	"time"
 
 	"repro/internal/gen"
-	"repro/internal/graph"
-	"repro/internal/miner/moss"
-	"repro/internal/spidermine"
-	"repro/internal/txdb"
 	"repro/mine"
 )
-
-// The figure drivers mine through these helpers so every SpiderMine and
-// MoSS invocation — the wall-clock-dominant ones — observes the context
-// published by RunContext. A fired context yields the engines'
-// deterministic committed partial results; the driver tables then simply
-// report what was mined before the cutoff, mirroring how the paper
-// reports "-" for runs its 10-hour budget killed.
-
-// mineSM runs SpiderMine under the experiment run's context.
-func mineSM(g *graph.Graph, cfg spidermine.Config) *spidermine.Result {
-	res, _ := spidermine.MineContext(MiningContext(), g, cfg)
-	return res
-}
-
-// mineSMTx runs transaction-setting SpiderMine under the run's context.
-func mineSMTx(db *txdb.DB, cfg spidermine.Config) *spidermine.Result {
-	res, _ := spidermine.MineTransactionsContext(MiningContext(), db, cfg)
-	return res
-}
-
-// mineMoSS runs the complete miner under the run's context (on top of
-// whatever cfg.Timeout the driver already imposes).
-func mineMoSS(g *graph.Graph, cfg moss.Config) *moss.Result {
-	res, _ := moss.MineContext(MiningContext(), g, cfg)
-	return res
-}
 
 // MinersComparison runs every engine registered in the public mine façade
 // over the GID-1 synthetic network — the cross-miner comparison the
@@ -48,7 +18,7 @@ func mineMoSS(g *graph.Graph, cfg moss.Config) *moss.Result {
 // schema-valid Result. Complete miners (MoSS) run under a wall-clock
 // budget; the truncation column records who exhausted it — the paper's
 // "-" entries, as data.
-func MinersComparison(p Params) *Report {
+func MinersComparison(ctx context.Context, p Params) *Report {
 	g, injected := gen.Synthetic(gen.GIDConfig(1, p.Seed))
 	budget := 20 * time.Second
 	if p.Quick {
@@ -63,7 +33,6 @@ func MinersComparison(p Params) *Report {
 			itoa(len(injected)) + " large patterns injected; only SpiderMine carries a recovery guarantee (Lemma 2)",
 		},
 	}
-	ctx := MiningContext()
 	for _, name := range mine.Names() {
 		m, err := mine.Get(name)
 		if err != nil {
@@ -82,7 +51,7 @@ func MinersComparison(p Params) *Report {
 		if err != nil {
 			row := []string{name, "-", "-", "-", "-", "error: " + err.Error()}
 			if res != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-				// RunContext's ctx fired: report the committed partials.
+				// ctx fired: report the committed partials.
 				row = []string{name, itoa(len(res.Patterns)), "-", "-", res.Stats.Elapsed.Round(time.Millisecond).String(), string(res.Truncated)}
 			}
 			rep.Rows = append(rep.Rows, row)

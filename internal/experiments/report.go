@@ -4,6 +4,14 @@
 // mirror what the paper plots. Drivers accept a Scale factor so tests and
 // quick benchmark runs can shrink the workloads; Scale=1 reproduces the
 // paper's sizes.
+//
+// Every driver that mines takes the run's context and worker count as
+// arguments, and the package holds no run state, so several runs may be
+// in flight at once, each under its own deadline. Drivers call each
+// engine through its context entry point and drop the engine's error: a
+// fired context leaves the engines' committed partial results in the
+// report, and RunContext returns that partial report together with the
+// context's error, so a cut run is never judged as a whole one.
 package experiments
 
 import (

@@ -87,7 +87,7 @@ func TestVerifyAllHonorsContext(t *testing.T) {
 	saved := Registry
 	Registry = make(map[string]Runner, len(saved))
 	for id, r := range saved {
-		Registry[id] = func(p Params) *Report { runs++; return r(p) }
+		Registry[id] = func(ctx context.Context, p Params) *Report { runs++; return r(ctx, p) }
 	}
 	defer func() { Registry = saved }()
 
@@ -117,7 +117,7 @@ func verifySubset(p Params, ids map[string]bool) (lines []string, failures int) 
 		rep, ok := cache[c.ID]
 		if !ok {
 			var err error
-			rep, err = Run(c.ID, p)
+			rep, err = RunContext(context.Background(), c.ID, p)
 			if err != nil {
 				failures++
 				continue

@@ -62,9 +62,6 @@ func (g *Graph) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (g *Graph) MarshalBinary() ([]byte, error) { return g.AppendBinary(nil), nil }
-
 // DecodeBinary rebuilds a graph from its binary encoding, validating
 // every structural invariant (vertex bounds, U < W, strict canonical
 // edge order — which rules out duplicates) before constructing the CSR

@@ -55,18 +55,13 @@ type instance struct {
 	kind     uint64 // isomorphism-invariant hash of the induced-by-instance subgraph
 }
 
-// Mine runs the iterative contraction and returns the discovered patterns
-// (kinds with >= σ instances), largest-first.
-func Mine(g *graph.Graph, cfg Config) []Result {
-	out, _ := MineContext(context.Background(), g, cfg)
-	return out
-}
-
-// MineContext is Mine with cooperative cancellation, observed between
-// contraction rounds. The instance partition is consistent at every round
-// boundary, so a cancelled run harvests the patterns of the rounds that
-// completed — a deterministic partial result for a cancellation observed
-// at a given round — and returns them with ctx.Err().
+// MineContext runs the iterative contraction and returns the discovered
+// patterns (kinds with >= σ instances), largest-first. Cancellation is
+// observed between contraction rounds. The instance partition is
+// consistent at every round boundary, so a cancelled run harvests the
+// patterns of the rounds that completed — a deterministic partial result
+// for a cancellation observed at a given round — and returns them with
+// ctx.Err().
 func MineContext(ctx context.Context, g *graph.Graph, cfg Config) ([]Result, error) {
 	cfg = cfg.withDefaults()
 	var ctxErr error

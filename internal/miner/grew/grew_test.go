@@ -1,6 +1,7 @@
 package grew
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -28,7 +29,7 @@ func motifForest(k int) *graph.Graph {
 
 func TestGrewContractsRepeatedMotif(t *testing.T) {
 	g := motifForest(5)
-	res := Mine(g, Config{MinSupport: 3})
+	res := mine(g, Config{MinSupport: 3})
 	if len(res) == 0 {
 		t.Fatal("no patterns")
 	}
@@ -53,7 +54,7 @@ func TestGrewContractsRepeatedMotif(t *testing.T) {
 
 func TestGrewEmbeddingsValid(t *testing.T) {
 	g := motifForest(4)
-	for _, r := range Mine(g, Config{MinSupport: 2}) {
+	for _, r := range mine(g, Config{MinSupport: 2}) {
 		for _, e := range r.P.Emb {
 			for v := 0; v < r.P.NV(); v++ {
 				if g.Label(e[v]) != r.P.G.Label(graph.V(v)) {
@@ -71,7 +72,7 @@ func TestGrewEmbeddingsValid(t *testing.T) {
 
 func TestGrewRespectsSupport(t *testing.T) {
 	g := motifForest(2)
-	for _, r := range Mine(g, Config{MinSupport: 3}) {
+	for _, r := range mine(g, Config{MinSupport: 3}) {
 		if r.Instances < 3 {
 			t.Fatalf("pattern with %d instances returned at σ=3", r.Instances)
 		}
@@ -80,7 +81,7 @@ func TestGrewRespectsSupport(t *testing.T) {
 
 func TestGrewMaxPatternVertices(t *testing.T) {
 	g := motifForest(5)
-	for _, r := range Mine(g, Config{MinSupport: 2, MaxPatternVertices: 2}) {
+	for _, r := range mine(g, Config{MinSupport: 2, MaxPatternVertices: 2}) {
 		if r.P.NV() > 2 {
 			t.Fatalf("size cap violated: %d vertices", r.P.NV())
 		}
@@ -92,7 +93,7 @@ func TestGrewFindsLargePatternsQuickly(t *testing.T) {
 	// quickly (but with no completeness guarantee). On GID-1-like data it
 	// should terminate fast and find something beyond single edges.
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 3))
-	res := Mine(g, Config{MinSupport: 2})
+	res := mine(g, Config{MinSupport: 2})
 	if len(res) == 0 {
 		t.Skip("nothing contracted on this seed")
 	}
@@ -103,7 +104,7 @@ func TestGrewFindsLargePatternsQuickly(t *testing.T) {
 
 func TestGrewEmptyGraph(t *testing.T) {
 	b := graph.NewBuilder(0, 0)
-	if res := Mine(b.Build(), Config{}); len(res) != 0 {
+	if res := mine(b.Build(), Config{}); len(res) != 0 {
 		t.Fatal("patterns from empty graph")
 	}
 }
@@ -126,11 +127,17 @@ func TestGrewDeterministic(t *testing.T) {
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		g := gen.BarabasiAlbert(600, 2, 6, rand.New(rand.NewSource(seed)))
-		first := encode(Mine(g, Config{MinSupport: 2}))
+		first := encode(mine(g, Config{MinSupport: 2}))
 		for i := 1; i < 20; i++ {
-			if got := encode(Mine(g, Config{MinSupport: 2})); got != first {
+			if got := encode(mine(g, Config{MinSupport: 2})); got != first {
 				t.Fatalf("host seed %d: mine %d returned different results than mine 0", seed, i)
 			}
 		}
 	}
+}
+
+// mine runs MineContext under a context that never fires.
+func mine(g *graph.Graph, cfg Config) []Result {
+	res, _ := MineContext(context.Background(), g, cfg)
+	return res
 }

@@ -61,17 +61,11 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Mine enumerates all frequent patterns of g level-by-level (pattern size
-// in edges).
-func Mine(g *graph.Graph, cfg Config) *Result {
-	res, _ := MineContext(context.Background(), g, cfg)
-	return res
-}
-
-// MineContext is Mine with cooperative cancellation, observed once per
-// frontier pattern (the same granularity as the Timeout check). A
-// cancelled run returns the frequent-pattern prefix enumerated so far
-// with Completed=false, plus ctx.Err().
+// MineContext enumerates all frequent patterns of g level-by-level
+// (pattern size in edges). Cancellation is observed once per frontier
+// pattern (the same granularity as the Timeout check); a cancelled run
+// returns the frequent-pattern prefix enumerated so far with
+// Completed=false, plus ctx.Err().
 func MineContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	start := time.Now()

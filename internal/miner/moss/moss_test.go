@@ -1,6 +1,7 @@
 package moss
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func twoTriangles() *graph.Graph {
 
 func TestMossCompleteOnTinyGraph(t *testing.T) {
 	g := twoTriangles()
-	res := Mine(g, Config{MinSupport: 2, Measure: support.CountAll})
+	res := mine(g, Config{MinSupport: 2, Measure: support.CountAll})
 	if !res.Completed {
 		t.Fatal("tiny graph must complete")
 	}
@@ -50,7 +51,7 @@ func TestMossCompleteOnTinyGraph(t *testing.T) {
 
 func TestMossRespectsMinSupport(t *testing.T) {
 	g := twoTriangles()
-	res := Mine(g, Config{MinSupport: 3})
+	res := mine(g, Config{MinSupport: 3})
 	if len(res.Patterns) != 0 {
 		t.Fatalf("nothing has support 3, got %d patterns", len(res.Patterns))
 	}
@@ -68,7 +69,7 @@ func TestMossTimeoutAborts(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	res := Mine(g, Config{MinSupport: 2, Timeout: time.Nanosecond})
+	res := mine(g, Config{MinSupport: 2, Timeout: time.Nanosecond})
 	if res.Completed {
 		t.Fatal("1ns timeout should abort")
 	}
@@ -76,7 +77,7 @@ func TestMossTimeoutAborts(t *testing.T) {
 
 func TestMossMaxPatternsAborts(t *testing.T) {
 	g := twoTriangles()
-	res := Mine(g, Config{MinSupport: 2, MaxPatterns: 2})
+	res := mine(g, Config{MinSupport: 2, MaxPatterns: 2})
 	if res.Completed {
 		t.Fatal("MaxPatterns=2 should abort with 7 frequent patterns")
 	}
@@ -87,7 +88,7 @@ func TestMossMaxPatternsAborts(t *testing.T) {
 
 func TestMossMaxEdges(t *testing.T) {
 	g := twoTriangles()
-	res := Mine(g, Config{MinSupport: 2, MaxEdges: 1})
+	res := mine(g, Config{MinSupport: 2, MaxEdges: 1})
 	for _, p := range res.Patterns {
 		if p.Size() > 2 {
 			t.Fatalf("MaxEdges=1 means no pattern beyond 2 edges can appear, got %d", p.Size())
@@ -107,12 +108,18 @@ func TestMossHarmfulOverlapMeasure(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	g := b.Build()
-	all := Mine(g, Config{MinSupport: 2, Measure: support.CountAll})
-	ho := Mine(g, Config{MinSupport: 2, Measure: support.HarmfulOverlap})
+	all := mine(g, Config{MinSupport: 2, Measure: support.CountAll})
+	ho := mine(g, Config{MinSupport: 2, Measure: support.HarmfulOverlap})
 	if len(all.Patterns) == 0 {
 		t.Fatal("count-all should keep the 0-0 edge")
 	}
 	if len(ho.Patterns) != 0 {
 		t.Fatalf("harmful-overlap should prune everything, kept %d", len(ho.Patterns))
 	}
+}
+
+// mine runs MineContext under a context that never fires.
+func mine(g *graph.Graph, cfg Config) *Result {
+	res, _ := MineContext(context.Background(), g, cfg)
+	return res
 }

@@ -69,16 +69,11 @@ type Result struct {
 	Support int // transaction support
 }
 
-// Mine samples maximal patterns from the database and returns the
-// α-orthogonal representative set, largest-first.
-func Mine(db *txdb.DB, cfg Config) []Result {
-	out, _ := MineContext(context.Background(), db, cfg)
-	return out
-}
-
-// MineContext is Mine with cooperative cancellation, observed between
-// sampling walks: a cancelled run selects representatives from the walks
-// that completed and returns them with ctx.Err().
+// MineContext samples maximal patterns from the database and returns the
+// α-orthogonal representative set, largest-first. Cancellation is
+// observed between sampling walks: a cancelled run selects
+// representatives from the walks that completed and returns them with
+// ctx.Err().
 func MineContext(ctx context.Context, db *txdb.DB, cfg Config) ([]Result, error) {
 	union, txOf := db.Union()
 	supFn := func(embs []pattern.Embedding) int {

@@ -1,6 +1,7 @@
 package origami
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -27,7 +28,7 @@ func smallDB() *txdb.DB {
 
 func TestOrigamiFindsSharedPattern(t *testing.T) {
 	db := smallDB()
-	res := Mine(db, Config{MinSupport: 4, Samples: 20, Seed: 1})
+	res := mine(db, Config{MinSupport: 4, Samples: 20, Seed: 1})
 	if len(res) == 0 {
 		t.Fatal("no representatives")
 	}
@@ -46,8 +47,8 @@ func TestOrigamiFindsSharedPattern(t *testing.T) {
 
 func TestOrigamiDeterministicPerSeed(t *testing.T) {
 	db := smallDB()
-	a := Mine(db, Config{MinSupport: 4, Samples: 10, Seed: 7})
-	b := Mine(db, Config{MinSupport: 4, Samples: 10, Seed: 7})
+	a := mine(db, Config{MinSupport: 4, Samples: 10, Seed: 7})
+	b := mine(db, Config{MinSupport: 4, Samples: 10, Seed: 7})
 	if len(a) != len(b) {
 		t.Fatal("same seed, different result count")
 	}
@@ -60,7 +61,7 @@ func TestOrigamiDeterministicPerSeed(t *testing.T) {
 
 func TestOrigamiAlphaOrthogonal(t *testing.T) {
 	db := smallDB()
-	res := Mine(db, Config{MinSupport: 4, Samples: 30, Alpha: 0.3, Seed: 2})
+	res := mine(db, Config{MinSupport: 4, Samples: 30, Alpha: 0.3, Seed: 2})
 	for i := 0; i < len(res); i++ {
 		for j := i + 1; j < len(res); j++ {
 			if s := Similarity(res[i].P.G, res[j].P.G); s > 0.3 {
@@ -72,7 +73,7 @@ func TestOrigamiAlphaOrthogonal(t *testing.T) {
 
 func TestOrigamiBeta(t *testing.T) {
 	db := smallDB()
-	res := Mine(db, Config{MinSupport: 4, Samples: 30, Beta: 1, Seed: 3})
+	res := mine(db, Config{MinSupport: 4, Samples: 30, Beta: 1, Seed: 3})
 	if len(res) > 1 {
 		t.Fatalf("β=1 violated: %d representatives", len(res))
 	}
@@ -98,7 +99,7 @@ func TestOrigamiSmallPatternBias(t *testing.T) {
 		Small: gen.InjectSpec{NV: 4, Count: 20, Support: 1},
 		Seed:  5,
 	})
-	res := Mine(db, Config{MinSupport: 3, Samples: 8, Seed: 5, MaxEdges: 25, MaxEmbPerPattern: 64})
+	res := mine(db, Config{MinSupport: 3, Samples: 8, Seed: 5, MaxEdges: 25, MaxEmbPerPattern: 64})
 	if len(res) == 0 {
 		t.Skip("nothing frequent at this seed")
 	}
@@ -111,4 +112,10 @@ func TestOrigamiSmallPatternBias(t *testing.T) {
 	if small == 0 {
 		t.Fatal("expected a small-pattern-heavy representative set")
 	}
+}
+
+// mine runs MineContext under a context that never fires.
+func mine(db *txdb.DB, cfg Config) []Result {
+	res, _ := MineContext(context.Background(), db, cfg)
+	return res
 }

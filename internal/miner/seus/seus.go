@@ -79,18 +79,12 @@ func BuildSummary(g *graph.Graph) *Summary {
 	return s
 }
 
-// Mine enumerates connected candidate structures from the summary graph
-// (every candidate edge's summary weight must reach σ — the upper-bound
-// prune) and verifies each against g by embedding counting.
-func Mine(g *graph.Graph, cfg Config) []Result {
-	out, _ := MineContext(context.Background(), g, cfg)
-	return out
-}
-
-// MineContext is Mine with cooperative cancellation, observed per
-// candidate verification (the expensive step — each one is an embedding
-// count against the full graph). A cancelled run returns the structures
-// verified so far with ctx.Err().
+// MineContext enumerates connected candidate structures from the summary
+// graph (every candidate edge's summary weight must reach σ — the
+// upper-bound prune) and verifies each against g by embedding counting.
+// Cancellation is observed per candidate verification (the expensive
+// step — each one is an embedding count against the full graph). A
+// cancelled run returns the structures verified so far with ctx.Err().
 func MineContext(ctx context.Context, g *graph.Graph, cfg Config) ([]Result, error) {
 	cfg = cfg.withDefaults()
 	var ctxErr error

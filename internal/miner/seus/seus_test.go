@@ -1,6 +1,7 @@
 package seus
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -39,7 +40,7 @@ func TestBuildSummary(t *testing.T) {
 
 func TestSeusFindsFrequentEdges(t *testing.T) {
 	g := hostGraph()
-	res := Mine(g, Config{MinSupport: 2})
+	res := mine(g, Config{MinSupport: 2})
 	if len(res) == 0 {
 		t.Fatal("no results")
 	}
@@ -66,7 +67,7 @@ func TestSeusSummaryOverestimates(t *testing.T) {
 	// never here, since each label-2 vertex has degree 1. Verification
 	// must prune it.
 	g := hostGraph()
-	for _, r := range Mine(g, Config{MinSupport: 2}) {
+	for _, r := range mine(g, Config{MinSupport: 2}) {
 		if r.P.Size() >= 2 {
 			t.Fatalf("verification failed to prune candidate %v (support %d)", r.P, r.Support)
 		}
@@ -75,7 +76,7 @@ func TestSeusSummaryOverestimates(t *testing.T) {
 
 func TestSeusReturnsSmallStructures(t *testing.T) {
 	g := hostGraph()
-	for _, r := range Mine(g, Config{MinSupport: 2, MaxEdges: 3}) {
+	for _, r := range mine(g, Config{MinSupport: 2, MaxEdges: 3}) {
 		if r.P.Size() > 3 {
 			t.Fatalf("MaxEdges violated: %d", r.P.Size())
 		}
@@ -84,6 +85,12 @@ func TestSeusReturnsSmallStructures(t *testing.T) {
 
 func TestSeusCandidateBudget(t *testing.T) {
 	g := hostGraph()
-	res := Mine(g, Config{MinSupport: 1, MaxCandidates: 3})
+	res := mine(g, Config{MinSupport: 1, MaxCandidates: 3})
 	_ = res // must terminate quickly; nothing more to assert
+}
+
+// mine runs MineContext under a context that never fires.
+func mine(g *graph.Graph, cfg Config) []Result {
+	res, _ := MineContext(context.Background(), g, cfg)
+	return res
 }

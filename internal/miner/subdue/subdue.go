@@ -82,16 +82,11 @@ type Scored struct {
 	Instances int
 }
 
-// Mine runs beam search (plus optional compress-and-repeat rounds) and
-// returns the best substructures found, best-first.
-func Mine(g *graph.Graph, cfg Config) []Scored {
-	out, _ := MineContext(context.Background(), g, cfg)
-	return out
-}
-
-// MineContext is Mine with cooperative cancellation, observed between
-// beam-expansion rounds and compress-and-repeat iterations. A cancelled
-// run returns the best substructures scored so far with ctx.Err().
+// MineContext runs beam search (plus optional compress-and-repeat rounds)
+// and returns the best substructures found, best-first. Cancellation is
+// observed between beam-expansion rounds and compress-and-repeat
+// iterations. A cancelled run returns the best substructures scored so
+// far with ctx.Err().
 func MineContext(ctx context.Context, g *graph.Graph, cfg Config) ([]Scored, error) {
 	cfg = cfg.withDefaults()
 	var all []Scored

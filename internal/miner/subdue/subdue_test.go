@@ -1,6 +1,7 @@
 package subdue
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -28,7 +29,7 @@ func repeatedMotifGraph(k int) *graph.Graph {
 
 func TestSubdueFindsRepeatedMotif(t *testing.T) {
 	g := repeatedMotifGraph(6)
-	res := Mine(g, Config{MinSupport: 2})
+	res := mine(g, Config{MinSupport: 2})
 	if len(res) == 0 {
 		t.Fatal("no substructures found")
 	}
@@ -47,7 +48,7 @@ func TestSubdueFindsRepeatedMotif(t *testing.T) {
 
 func TestSubdueInstancesVertexDisjoint(t *testing.T) {
 	g := repeatedMotifGraph(4)
-	for _, s := range Mine(g, Config{MinSupport: 2}) {
+	for _, s := range mine(g, Config{MinSupport: 2}) {
 		if s.Instances > len(s.P.Emb) {
 			t.Fatal("instances exceed embeddings")
 		}
@@ -60,7 +61,7 @@ func TestSubdueEmptyishGraph(t *testing.T) {
 	b.AddVertex(2)
 	b.AddVertex(3)
 	b.AddEdge(0, 1)
-	res := Mine(b.Build(), Config{MinSupport: 2})
+	res := mine(b.Build(), Config{MinSupport: 2})
 	if len(res) != 0 {
 		t.Fatalf("nothing is frequent at σ=2, got %d results", len(res))
 	}
@@ -70,7 +71,7 @@ func TestSubdueShiftsSmallWithNoise(t *testing.T) {
 	// GID-3-like setting: many high-support small patterns. SUBDUE's best
 	// substructure should be small (the paper's Figures 6-7 observation).
 	g, _ := gen.Synthetic(gen.GIDConfig(3, 11))
-	res := Mine(g, Config{MinSupport: 2})
+	res := mine(g, Config{MinSupport: 2})
 	if len(res) == 0 {
 		t.Skip("no substructures on this seed")
 	}
@@ -81,7 +82,7 @@ func TestSubdueShiftsSmallWithNoise(t *testing.T) {
 
 func TestCompression(t *testing.T) {
 	g := repeatedMotifGraph(5)
-	res := Mine(g, Config{MinSupport: 2, MaxBest: 3})
+	res := mine(g, Config{MinSupport: 2, MaxBest: 3})
 	for i := 1; i < len(res); i++ {
 		if res[i-1].Score < res[i].Score {
 			t.Fatal("results not score-sorted")
@@ -91,9 +92,15 @@ func TestCompression(t *testing.T) {
 
 func TestCompressIteration(t *testing.T) {
 	g := repeatedMotifGraph(6)
-	res1 := Mine(g, Config{MinSupport: 2, Iterations: 1})
-	res2 := Mine(g, Config{MinSupport: 2, Iterations: 2})
+	res1 := mine(g, Config{MinSupport: 2, Iterations: 1})
+	res2 := mine(g, Config{MinSupport: 2, Iterations: 2})
 	if len(res2) < len(res1) {
 		t.Fatalf("second compression iteration lost results: %d vs %d", len(res2), len(res1))
 	}
+}
+
+// mine runs MineContext under a context that never fires.
+func mine(g *graph.Graph, cfg Config) []Scored {
+	res, _ := MineContext(context.Background(), g, cfg)
+	return res
 }

@@ -123,14 +123,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// ObserveSince records the elapsed time since t0 in nanoseconds — the
-// idiom for duration histograms.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	if h != nil {
-		h.Observe(int64(time.Since(t0)))
-	}
-}
-
 // Count reports the total number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {

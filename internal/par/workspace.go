@@ -19,11 +19,6 @@ func (ws *Workspace[T]) For(workers int) []*T {
 	return ws.slots[:workers]
 }
 
-// All returns every slot created so far, for sequential maintenance passes
-// (arena resets between runs) that must touch scratch left by earlier,
-// wider fan-outs.
-func (ws *Workspace[T]) All() []*T { return ws.slots }
-
 // Slots is a reusable value-slot slice for worker-indexed accumulators
 // (progress flags, counters) and item-indexed result slots: For(n) returns
 // a zeroed length-n slice backed by a buffer grown once and reused across

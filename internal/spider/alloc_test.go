@@ -69,7 +69,7 @@ func TestStarMinerWarmAcrossHosts(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := listStars(stars)
-		want := listStars(MineStars(h.g, h.opt))
+		want := listStars(mineStars(h.g, h.opt))
 		if len(got) != len(want) {
 			t.Fatalf("%s: warm miner found %d stars, fresh found %d", h.name, len(got), len(want))
 		}

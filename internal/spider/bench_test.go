@@ -13,7 +13,7 @@ func BenchmarkMineStarsER(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if stars := MineStars(g, Options{MinSupport: 2}); stars.Len() == 0 {
+		if stars := mineStars(g, Options{MinSupport: 2}); stars.Len() == 0 {
 			b.Fatal("no stars")
 		}
 	}
@@ -24,7 +24,7 @@ func BenchmarkMineStarsScaleFree(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if stars := MineStars(g, Options{MinSupport: 2, MaxLeaves: 8}); stars.Len() == 0 {
+		if stars := mineStars(g, Options{MinSupport: 2, MaxLeaves: 8}); stars.Len() == 0 {
 			b.Fatal("no stars")
 		}
 	}
@@ -35,13 +35,13 @@ func BenchmarkMineTreesR2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MineTrees(g, TreeOptions{MinSupport: 2, Radius: 2, MaxFanout: 2, MaxSpiders: 100_000})
+		mineTrees(g, TreeOptions{MinSupport: 2, Radius: 2, MaxFanout: 2, MaxSpiders: 100_000})
 	}
 }
 
 func BenchmarkRandomSeed(b *testing.B) {
 	g := gen.ErdosRenyi(2000, 4, 50, rand.New(rand.NewSource(4)))
-	stars := MineStars(g, Options{MinSupport: 2})
+	stars := mineStars(g, Options{MinSupport: 2})
 	rng := rand.New(rand.NewSource(5))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -74,7 +74,7 @@ func TestStarKeyAndGraph(t *testing.T) {
 
 func TestMineStarsFindsSharedStar(t *testing.T) {
 	g := twoStarsGraph()
-	stars := listStars(MineStars(g, Options{MinSupport: 2}))
+	stars := listStars(mineStars(g, Options{MinSupport: 2}))
 	// The star (9 : 1,1,2) must be found with exactly the two heads.
 	var found *minedStar
 	for _, ms := range stars {
@@ -108,7 +108,7 @@ func TestMineStarsFindsSharedStar(t *testing.T) {
 
 func TestMineStarsRespectsSupport(t *testing.T) {
 	g := twoStarsGraph()
-	stars := listStars(MineStars(g, Options{MinSupport: 3}))
+	stars := listStars(mineStars(g, Options{MinSupport: 3}))
 	for _, ms := range stars {
 		if ms.Star.Head == 9 && len(ms.Star.Leaves) > 0 {
 			// only 2 star heads exist; nothing headed at 9 may survive σ=3
@@ -120,7 +120,7 @@ func TestMineStarsRespectsSupport(t *testing.T) {
 
 func TestMineStarsMaxLeaves(t *testing.T) {
 	g := twoStarsGraph()
-	stars := listStars(MineStars(g, Options{MinSupport: 2, MaxLeaves: 1}))
+	stars := listStars(mineStars(g, Options{MinSupport: 2, MaxLeaves: 1}))
 	for _, ms := range stars {
 		if len(ms.Star.Leaves) > 1 {
 			t.Fatalf("MaxLeaves=1 violated: %s", ms.Star.Key())
@@ -173,7 +173,7 @@ func TestQuickComputeMMonotone(t *testing.T) {
 
 func TestRandomSeedDeterminism(t *testing.T) {
 	g := twoStarsGraph()
-	stars := MineStars(g, Options{MinSupport: 2})
+	stars := mineStars(g, Options{MinSupport: 2})
 	var sd Seeder
 	a, _ := sd.Draw(context.Background(), g, stars, 3, rand.New(rand.NewSource(1)), 0)
 	b, _ := sd.Draw(context.Background(), g, stars, 3, rand.New(rand.NewSource(1)), 0)
@@ -189,7 +189,7 @@ func TestRandomSeedDeterminism(t *testing.T) {
 
 func TestMaterializeEmbeddings(t *testing.T) {
 	g := twoStarsGraph()
-	stars := MineStars(g, Options{MinSupport: 2})
+	stars := mineStars(g, Options{MinSupport: 2})
 	i := starIndex(stars, "9:1,2")
 	if i < 0 || !slices.Equal(stars.Hosts(i), []graph.V{0, 4}) {
 		t.Fatalf("star 9:1,2 not mined on heads 0 and 4 (index %d)", i)
@@ -231,7 +231,7 @@ func TestMaterializePerHostCap(t *testing.T) {
 		heads = append(heads, h)
 	}
 	g := b.Build()
-	stars := MineStars(g, Options{MinSupport: 2})
+	stars := mineStars(g, Options{MinSupport: 2})
 	i := starIndex(stars, "9:1,1")
 	if i < 0 || !slices.Equal(stars.Hosts(i), heads) {
 		t.Fatalf("star 9:1,1 not mined on heads %v (index %d)", heads, i)
@@ -281,8 +281,8 @@ func TestCombinations(t *testing.T) {
 
 func TestMineStarsParallelIdentical(t *testing.T) {
 	g := twoStarsGraph()
-	seq := listStars(MineStars(g, Options{MinSupport: 2}))
-	par := listStars(MineStars(g, Options{MinSupport: 2, Workers: -1}))
+	seq := listStars(mineStars(g, Options{MinSupport: 2}))
+	par := listStars(mineStars(g, Options{MinSupport: 2, Workers: -1}))
 	if len(seq) != len(par) {
 		t.Fatalf("parallel mining differs: %d vs %d stars", len(seq), len(par))
 	}
@@ -291,4 +291,10 @@ func TestMineStarsParallelIdentical(t *testing.T) {
 			t.Fatalf("star %d differs between sequential and parallel runs", i)
 		}
 	}
+}
+
+// mineStars runs MineStarsContext under a context that never fires.
+func mineStars(g *graph.Graph, opt Options) *Stars {
+	stars, _ := MineStarsContext(context.Background(), g, opt)
+	return stars
 }

@@ -152,13 +152,6 @@ type Options struct {
 	Workers int
 }
 
-// MineStars enumerates all frequent stars of g level-wise with no
-// cancellation; see MineStarsContext.
-func MineStars(g *graph.Graph, opt Options) *Stars {
-	stars, _ := MineStarsContext(context.Background(), g, opt)
-	return stars
-}
-
 // MineStarsContext enumerates all frequent stars of g level-wise.
 //
 // Level 1 counts single-leaf stars from the edge list. Level k+1 extends

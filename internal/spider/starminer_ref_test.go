@@ -282,7 +282,7 @@ func TestMineStarsNegativeLeafLabel(t *testing.T) {
 			b.AddEdge(h, b.AddVertex(leaf))
 			b.AddEdge(h, b.AddVertex(leaf))
 		}
-		stars := listStars(MineStars(b.Build(), Options{MinSupport: 3}))
+		stars := listStars(mineStars(b.Build(), Options{MinSupport: 3}))
 		if len(stars) != 3 {
 			t.Errorf("leaf label %d: %d stars, want 3", leaf, len(stars))
 			for _, ms := range stars {

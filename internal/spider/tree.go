@@ -13,8 +13,8 @@ import (
 // TreeNode is a rooted label tree describing an r-spider for r >= 1: the
 // root is the spider head; children at depth d are vertices at distance d
 // from the head. Children are kept sorted by Key so equal trees share a
-// canonical key. The trees MineTrees returns carry their keys, computed
-// once when each node was built, and must not be modified.
+// canonical key. The trees MineTreesContext returns carry their keys,
+// computed once when each node was built, and must not be modified.
 type TreeNode struct {
 	Label    graph.Label
 	Children []*TreeNode
@@ -121,13 +121,6 @@ type TreeOptions struct {
 	MaxFanout int
 	// MaxSpiders aborts past this many frequent spiders (0 = unlimited).
 	MaxSpiders int
-}
-
-// MineTrees enumerates frequent tree spiders without cancellation; see
-// MineTreesContext.
-func MineTrees(g *graph.Graph, opt TreeOptions) []*MinedTree {
-	trees, _ := MineTreesContext(context.Background(), g, opt)
-	return trees
 }
 
 // MineTreesContext enumerates frequent tree spiders of the given radius,

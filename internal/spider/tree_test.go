@@ -1,6 +1,7 @@
 package spider
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -73,8 +74,8 @@ func shiftTree(t *TreeNode, d graph.Label) *TreeNode {
 func TestMineTreesNegativeLabels(t *testing.T) {
 	g := gen.ErdosRenyi(40, 3, 3, rand.New(rand.NewSource(7)))
 	opt := TreeOptions{MinSupport: 2, Radius: 2, MaxFanout: 2}
-	want := MineTrees(g, opt)
-	got := MineTrees(relabeled(g, func(l graph.Label) graph.Label { return l - 1000 }), opt)
+	want := mineTrees(g, opt)
+	got := mineTrees(relabeled(g, func(l graph.Label) graph.Label { return l - 1000 }), opt)
 	if len(got) != len(want) {
 		t.Fatalf("shifted host: %d trees, unshifted %d", len(got), len(want))
 	}
@@ -133,7 +134,7 @@ func TestCanHostDoesNotReuseParent(t *testing.T) {
 
 func TestMineTreesDepth1MatchesStars(t *testing.T) {
 	g := twoStarsGraph()
-	trees := MineTrees(g, TreeOptions{MinSupport: 2, Radius: 1})
+	trees := mineTrees(g, TreeOptions{MinSupport: 2, Radius: 1})
 	// The tree 9(1)(1)(2) must be found with 2 hosts.
 	found := false
 	for _, mt := range trees {
@@ -158,8 +159,8 @@ func TestMineTreesDepth1MatchesStars(t *testing.T) {
 
 func TestMineTreesDeeperFindsMore(t *testing.T) {
 	g := twoStarsGraph()
-	t1 := MineTrees(g, TreeOptions{MinSupport: 2, Radius: 1, MaxFanout: 3})
-	t2 := MineTrees(g, TreeOptions{MinSupport: 2, Radius: 2, MaxFanout: 3})
+	t1 := mineTrees(g, TreeOptions{MinSupport: 2, Radius: 1, MaxFanout: 3})
+	t2 := mineTrees(g, TreeOptions{MinSupport: 2, Radius: 2, MaxFanout: 3})
 	if len(t2) <= len(t1) {
 		t.Fatalf("radius 2 should find more spiders: %d vs %d", len(t2), len(t1))
 	}
@@ -167,15 +168,15 @@ func TestMineTreesDeeperFindsMore(t *testing.T) {
 
 func TestMineTreesMaxSpiders(t *testing.T) {
 	g := twoStarsGraph()
-	trees := MineTrees(g, TreeOptions{MinSupport: 1, Radius: 2, MaxFanout: 2, MaxSpiders: 5})
+	trees := mineTrees(g, TreeOptions{MinSupport: 1, Radius: 2, MaxFanout: 2, MaxSpiders: 5})
 	if len(trees) > 5 {
 		t.Fatalf("MaxSpiders violated: %d", len(trees))
 	}
 }
 
 // refKey is TreeNode.Key without the cached keys: the string rebuilt
-// from the labels on every call, as MineTrees did before it keyed each
-// node once.
+// from the labels on every call, as MineTreesContext did before it keyed
+// each node once.
 func refKey(t *TreeNode) string {
 	k := "(" + strconv.FormatInt(int64(t.Label), 36)
 	for _, c := range t.Children {
@@ -211,10 +212,10 @@ func refCanHost(g *graph.Graph, t *TreeNode, v, parent graph.V) bool {
 	return assign(0)
 }
 
-// mineTreesReference is MineTrees with every key rebuilt on demand, the
-// label list re-sorted per frontier tree and plain struct-literal nodes:
-// the oracle the keyed enumeration must reproduce tree for tree, in
-// order, with the same hosts.
+// mineTreesReference is MineTreesContext with every key rebuilt on
+// demand, the label list re-sorted per frontier tree and plain
+// struct-literal nodes: the oracle the keyed enumeration must reproduce
+// tree for tree, in order, with the same hosts.
 func mineTreesReference(g *graph.Graph, opt TreeOptions) []*MinedTree {
 	byLabel := map[graph.Label][]graph.V{}
 	for v := 0; v < g.N(); v++ {
@@ -292,7 +293,7 @@ func mineTreesReference(g *graph.Graph, opt TreeOptions) []*MinedTree {
 }
 
 // TestMineTreesMatchesReference: keying each node once, hoisting the
-// label list and the map-free host check leave MineTrees' output
+// label list and the map-free host check leave MineTreesContext's output
 // unchanged: the same trees (by the reference's rebuilt keys), in the
 // same order, with the same hosts, at radius 2 and 3 and on a host
 // with negative labels.
@@ -310,7 +311,7 @@ func TestMineTreesMatchesReference(t *testing.T) {
 	} {
 		g := gen.ErdosRenyi(60, 3, tc.labels, rand.New(rand.NewSource(tc.seed)))
 		g = relabeled(g, func(l graph.Label) graph.Label { return l + tc.shift })
-		got, want := MineTrees(g, tc.opt), mineTreesReference(g, tc.opt)
+		got, want := mineTrees(g, tc.opt), mineTreesReference(g, tc.opt)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d trees, reference %d", tc.seed, len(got), len(want))
 		}
@@ -322,4 +323,10 @@ func TestMineTreesMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mineTrees runs MineTreesContext under a context that never fires.
+func mineTrees(g *graph.Graph, opt TreeOptions) []*MinedTree {
+	trees, _ := MineTreesContext(context.Background(), g, opt)
+	return trees
 }

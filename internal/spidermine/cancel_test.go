@@ -17,12 +17,12 @@ import (
 // TestRunContextUncancelledEqualsRun: the cancellation plumbing must be
 // invisible to an uncancelled run — even with a cancellable context (so
 // snapshots and boundary checks are active), the result is byte-identical
-// to the plain Run path.
+// to the run under context.Background().
 func TestRunContextUncancelledEqualsRun(t *testing.T) {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 42))
 	for _, workers := range []int{1, 2} {
 		cfg := Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 3, Workers: workers}
-		want := fingerprint(t, Mine(g, cfg))
+		want := fingerprint(t, mine(g, cfg))
 		ctx, cancel := context.WithCancel(context.Background())
 		res, err := MineContext(ctx, g, cfg)
 		cancel()
@@ -30,7 +30,7 @@ func TestRunContextUncancelledEqualsRun(t *testing.T) {
 			t.Fatalf("workers=%d: uncancelled MineContext errored: %v", workers, err)
 		}
 		if got := fingerprint(t, res); got != want {
-			t.Errorf("workers=%d: cancellable-but-uncancelled run differs from Run()", workers)
+			t.Errorf("workers=%d: cancellable-but-uncancelled run differs from the Background run", workers)
 		}
 	}
 }

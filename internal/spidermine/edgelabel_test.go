@@ -45,7 +45,7 @@ func TestEdgeLabeledMining(t *testing.T) {
 	}
 	// Distances double under subdivision: the triangle's diameter 1
 	// becomes 2.
-	res := Mine(enc, Config{MinSupport: 2, K: 3, Dmax: 4, Seed: 1})
+	res := mine(enc, Config{MinSupport: 2, K: 3, Dmax: 4, Seed: 1})
 	if len(res.Patterns) == 0 {
 		t.Fatal("nothing mined on encoded graph")
 	}

@@ -1,6 +1,7 @@
 package spidermine_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/graph"
@@ -24,12 +25,16 @@ func Example() {
 	b.AddEdge(noise1, noise2)
 	b.AddEdge(0, noise1)
 
-	res := spidermine.Mine(b.Build(), spidermine.Config{
+	res, err := spidermine.MineContext(context.Background(), b.Build(), spidermine.Config{
 		MinSupport: 2,
 		K:          1,
 		Dmax:       2,
 		Seed:       1,
 	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	top := res.Patterns[0]
 	fmt.Printf("largest pattern: %d vertices, %d edges, %d embeddings\n",
 		top.NV(), top.Size(), len(top.Emb))

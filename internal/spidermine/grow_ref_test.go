@@ -95,13 +95,13 @@ func shiftLabels(g *graph.Graph, d graph.Label) *graph.Graph {
 func TestLabelShiftInvariance(t *testing.T) {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 1))
 	cfg := Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 1}
-	want := fingerprint(t, Mine(g, cfg))
+	want := fingerprint(t, mine(g, cfg))
 	for _, d := range []graph.Label{-1000, -1} {
 		sg := shiftLabels(g, d)
 		for _, workers := range []int{1, 2} {
 			c := cfg
 			c.Workers = workers
-			res := Mine(sg, c)
+			res := mine(sg, c)
 			back := &Result{}
 			var sizes []int
 			for _, p := range res.Patterns {

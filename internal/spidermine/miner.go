@@ -305,21 +305,10 @@ func (m *Miner) Reset(g *graph.Graph, cfg Config) {
 	// smaller one just truncates (checkMerges sizes mergeUsage itself).
 }
 
-// Mine runs the full three-stage algorithm and returns the top-K result.
-func Mine(g *graph.Graph, cfg Config) *Result {
-	return New(g, cfg).Run()
-}
-
-// MineContext is Mine with cooperative cancellation; see RunContext for
-// the partial-result contract.
+// MineContext runs the full three-stage algorithm under ctx and returns
+// the top-K result; see RunContext for the partial-result contract.
 func MineContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
 	return New(g, cfg).RunContext(ctx)
-}
-
-// Run executes Algorithm 1 without cancellation.
-func (m *Miner) Run() *Result {
-	res, _ := m.RunContext(context.Background())
-	return res
 }
 
 // cancelled reports the run's context error once the context has fired.
@@ -347,8 +336,8 @@ func (m *Miner) progress(ev StageEvent) {
 
 // RunContext executes Algorithm 1 under ctx.
 //
-// An uncancelled run returns a Result byte-identical to Run()'s — the
-// cancellation plumbing is gated off the hot path entirely when
+// An uncancelled run returns the same Result whether or not ctx can be
+// cancelled — the cancellation plumbing is gated off the hot path entirely when
 // ctx.Done() is nil and adds only amortized boundary checks otherwise.
 // When ctx fires, RunContext returns ctx.Err() together with a partial
 // Result holding the top-K selection over the patterns of the last

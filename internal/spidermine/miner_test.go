@@ -1,6 +1,7 @@
 package spidermine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/canon"
@@ -17,7 +18,7 @@ func gid1() (*graph.Graph, []*graph.Graph) {
 func TestResultInvariants(t *testing.T) {
 	g, _ := gid1()
 	cfg := Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7}
-	res := Mine(g, cfg)
+	res := mine(g, cfg)
 	if len(res.Patterns) == 0 {
 		t.Fatal("no patterns")
 	}
@@ -53,7 +54,7 @@ func TestResultInvariants(t *testing.T) {
 
 func TestEmbeddingsAreRealSubgraphs(t *testing.T) {
 	g, _ := gid1()
-	res := Mine(g, Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 7})
+	res := mine(g, Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 7})
 	for pi, p := range res.Patterns {
 		for ei, e := range p.Emb {
 			if len(e) != p.NV() {
@@ -76,8 +77,8 @@ func TestEmbeddingsAreRealSubgraphs(t *testing.T) {
 func TestDeterminismPerSeed(t *testing.T) {
 	g, _ := gid1()
 	cfg := Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 13}
-	a := Mine(g, cfg)
-	b := Mine(g, cfg)
+	a := mine(g, cfg)
+	b := mine(g, cfg)
 	if len(a.Patterns) != len(b.Patterns) {
 		t.Fatalf("nondeterministic: %d vs %d patterns", len(a.Patterns), len(b.Patterns))
 	}
@@ -94,7 +95,7 @@ func TestRecoversInjectedPatterns(t *testing.T) {
 	// injected patterns. At least one top pattern must be >= 25 vertices
 	// (injected: 30).
 	g, _ := gid1()
-	res := Mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7})
+	res := mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7})
 	if len(res.Patterns) == 0 || res.Patterns[0].NV() < 25 {
 		got := 0
 		if len(res.Patterns) > 0 {
@@ -106,8 +107,8 @@ func TestRecoversInjectedPatterns(t *testing.T) {
 
 func TestRestartsAccumulate(t *testing.T) {
 	g, _ := gid1()
-	r1 := Mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7, Restarts: 1})
-	r3 := Mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7, Restarts: 3})
+	r1 := mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7, Restarts: 1})
+	r3 := mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7, Restarts: 3})
 	if len(r3.Patterns) < len(r1.Patterns) {
 		t.Fatalf("restarts lost patterns: %d vs %d", len(r3.Patterns), len(r1.Patterns))
 	}
@@ -115,8 +116,8 @@ func TestRestartsAccumulate(t *testing.T) {
 
 func TestSpiderSetPruningAblation(t *testing.T) {
 	g, _ := gid1()
-	on := Mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7})
-	off := Mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7, DisableSpiderSetPruning: true})
+	on := mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7})
+	off := mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7, DisableSpiderSetPruning: true})
 	// Same final answer.
 	if len(on.Patterns) != len(off.Patterns) {
 		t.Fatalf("ablation changed result count: %d vs %d", len(on.Patterns), len(off.Patterns))
@@ -133,7 +134,7 @@ func TestSpiderSetPruningAblation(t *testing.T) {
 
 func TestKeepUnmergedAblation(t *testing.T) {
 	g, _ := gid1()
-	res := Mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7, KeepUnmerged: true})
+	res := mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7, KeepUnmerged: true})
 	if len(res.Patterns) == 0 {
 		t.Fatal("keep-unmerged returned nothing")
 	}
@@ -141,7 +142,7 @@ func TestKeepUnmergedAblation(t *testing.T) {
 
 func TestHarmfulOverlapMeasureRuns(t *testing.T) {
 	g, _ := gid1()
-	res := Mine(g, Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 7, Measure: support.HarmfulOverlap})
+	res := mine(g, Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 7, Measure: support.HarmfulOverlap})
 	for _, p := range res.Patterns {
 		if support.Of(p.G, p.Emb, support.HarmfulOverlap) < 2 {
 			t.Fatal("measure not honored in output")
@@ -162,13 +163,13 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestTinyGraphNoPanics(t *testing.T) {
 	g := graph.FromEdges([]graph.Label{0, 0, 0}, []graph.Edge{{U: 0, W: 1}, {U: 1, W: 2}})
-	res := Mine(g, Config{MinSupport: 2, K: 3, Dmax: 2, Seed: 1})
+	res := mine(g, Config{MinSupport: 2, K: 3, Dmax: 2, Seed: 1})
 	_ = res // empty or not, must terminate cleanly
 }
 
 func TestEmptyGraph(t *testing.T) {
 	b := graph.NewBuilder(0, 0)
-	res := Mine(b.Build(), Config{MinSupport: 2, K: 3, Dmax: 4, Seed: 1})
+	res := mine(b.Build(), Config{MinSupport: 2, K: 3, Dmax: 4, Seed: 1})
 	if len(res.Patterns) != 0 {
 		t.Fatal("patterns from empty graph")
 	}
@@ -201,7 +202,7 @@ func TestTransactionSetting(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	g, _ := gid1()
-	res := Mine(g, Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 7})
+	res := mine(g, Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 7})
 	s := res.Stats
 	if s.NumSpiders == 0 || s.M == 0 || s.GrowIterations == 0 {
 		t.Fatalf("stats not populated: %v", s)
@@ -216,8 +217,8 @@ func TestStatsPopulated(t *testing.T) {
 
 func TestParallelGrowthIdenticalResults(t *testing.T) {
 	g, _ := gid1()
-	seq := Mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7})
-	par := Mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7, Workers: -1})
+	seq := mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7})
+	par := mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 7, Workers: -1})
 	if len(seq.Patterns) != len(par.Patterns) {
 		t.Fatalf("parallel run differs: %d vs %d patterns", len(seq.Patterns), len(par.Patterns))
 	}
@@ -237,11 +238,17 @@ func TestRadius2Seeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res := Mine(g, Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 7, Radius: 2, MaxSpiders: 6000})
+	res := mine(g, Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 7, Radius: 2, MaxSpiders: 6000})
 	if len(res.Patterns) == 0 {
 		t.Fatal("radius-2 mining returned nothing")
 	}
 	if res.Patterns[0].NV() < 10 {
 		t.Fatalf("radius-2 largest pattern only %d vertices", res.Patterns[0].NV())
 	}
+}
+
+// mine runs MineContext under a context that never fires.
+func mine(g *graph.Graph, cfg Config) *Result {
+	res, _ := MineContext(context.Background(), g, cfg)
+	return res
 }

@@ -79,13 +79,13 @@ func TestParallelEqualsSequential(t *testing.T) {
 		for _, seed := range seeds {
 			cfg := tc.cfg
 			cfg.Seed = seed
-			seq := Mine(tc.g, cfg)
+			seq := mine(tc.g, cfg)
 			want, wantStats := fingerprint(t, seq), workStats(seq.Stats)
 			for _, w := range workerCounts {
 				t.Run(fmt.Sprintf("%s/seed=%d/workers=%d", tc.name, seed, w), func(t *testing.T) {
 					cfgW := cfg
 					cfgW.Workers = w
-					res := Mine(tc.g, cfgW)
+					res := mine(tc.g, cfgW)
 					got := fingerprint(t, res)
 					if got != want {
 						t.Errorf("workers=%d result differs from sequential run\nseq: %.200s...\npar: %.200s...", w, want, got)
@@ -107,11 +107,11 @@ func TestParallelEqualsSequentialHigherRadius(t *testing.T) {
 	}
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 42))
 	cfg := Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 7, Radius: 2, MaxSpiders: 4000}
-	want := fingerprint(t, Mine(g, cfg))
+	want := fingerprint(t, mine(g, cfg))
 	for _, w := range []int{2, 4} {
 		cfgW := cfg
 		cfgW.Workers = w
-		if got := fingerprint(t, Mine(g, cfgW)); got != want {
+		if got := fingerprint(t, mine(g, cfgW)); got != want {
 			t.Errorf("radius-2 workers=%d result differs from sequential run", w)
 		}
 	}
@@ -125,9 +125,9 @@ func TestDeterminismRegressionFixedWorkers(t *testing.T) {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 42))
 	for _, w := range []int{1, 4, -1} {
 		cfg := Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 13, Workers: w}
-		want := fingerprint(t, Mine(g, cfg))
+		want := fingerprint(t, mine(g, cfg))
 		for run := 1; run < 3; run++ {
-			if got := fingerprint(t, Mine(g, cfg)); got != want {
+			if got := fingerprint(t, mine(g, cfg)); got != want {
 				t.Fatalf("workers=%d: run %d differs from run 0", w, run)
 			}
 		}

@@ -1,6 +1,7 @@
 package spidermine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -13,7 +14,7 @@ func TestPipelineStages(t *testing.T) {
 
 	m := New(g, Config{MinSupport: 2, K: 10, Dmax: 4, Epsilon: 0.1, Seed: 7})
 	m.cfg = m.cfg.withDefaults(g)
-	stars := spider.MineStars(g, spider.Options{MinSupport: 2})
+	stars, _ := spider.MineStarsContext(context.Background(), g, spider.Options{MinSupport: 2})
 	t.Logf("stars: %d", stars.Len())
 	m.indexStars(stars)
 	M := spider.ComputeM(g.N(), g.N()/10, 10, 0.1)

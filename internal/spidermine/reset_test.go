@@ -1,6 +1,7 @@
 package spidermine
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
@@ -36,8 +37,8 @@ func TestMinerResetReuse(t *testing.T) {
 		} else {
 			warm.Reset(h.g, h.cfg)
 		}
-		got := warm.Run()
-		want := New(h.g, h.cfg).Run()
+		got, _ := warm.RunContext(context.Background())
+		want, _ := New(h.g, h.cfg).RunContext(context.Background())
 		gj, err := json.Marshal(got.Patterns)
 		if err != nil {
 			t.Fatal(err)

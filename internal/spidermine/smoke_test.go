@@ -17,7 +17,7 @@ func TestSmokeGID1(t *testing.T) {
 	if len(injected) != 5 {
 		t.Fatalf("expected 5 injected large patterns, got %d", len(injected))
 	}
-	res := Mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Epsilon: 0.1, Seed: 7})
+	res := mine(g, Config{MinSupport: 2, K: 10, Dmax: 4, Epsilon: 0.1, Seed: 7})
 	if len(res.Patterns) == 0 {
 		t.Fatal("no patterns returned")
 	}

@@ -93,8 +93,8 @@ func TestMappedEqualsBuilt(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/seed=%d/workers=%d", c.name, seed, w), func(t *testing.T) {
 					cfgW := cfg
 					cfgW.Workers = w
-					want := resultFingerprint(t, spidermine.Mine(c.g, cfgW))
-					got := resultFingerprint(t, spidermine.Mine(mapped, cfgW))
+					want := resultFingerprint(t, mineGraph(c.g, cfgW))
+					got := resultFingerprint(t, mineGraph(mapped, cfgW))
 					if got != want {
 						t.Errorf("mapped result differs from built\nbuilt:  %.200s...\nmapped: %.200s...", want, got)
 					}
@@ -125,8 +125,8 @@ func TestOutOfCoreMillionEdge(t *testing.T) {
 		MinSupport: 2, K: 3, Dmax: 2, Seed: 1,
 		MaxLeavesPerStar: 2, MaxSpiders: 20000,
 	}
-	want := resultFingerprint(t, spidermine.Mine(g, cfg))
-	got := resultFingerprint(t, spidermine.Mine(mapped, cfg))
+	want := resultFingerprint(t, mineGraph(g, cfg))
+	got := resultFingerprint(t, mineGraph(mapped, cfg))
 	if got != want {
 		t.Error("million-edge mapped mine differs from built")
 	}
