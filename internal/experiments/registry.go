@@ -37,14 +37,20 @@ func scaleWorkers(workers int) int {
 type Runner func(ctx context.Context, p Params) *Report
 
 // Registry maps experiment ids (DESIGN.md's per-experiment index) to
-// drivers. Populated in init to allow aliases (fig12→fig11, fig17→fig13)
-// without an initialization cycle.
+// drivers. Populated in init to allow aliases without an initialization
+// cycle.
 var Registry map[string]Runner
+
+// aliases maps each experiment id whose artifact another experiment's
+// report already holds to that experiment's id: Fig. 12 is read off the
+// Fig. 11 sweep, and Fig. 17 off the Fig. 13 one.
+var aliases = map[string]string{"fig12": "fig11", "fig17": "fig13"}
 
 func init() {
 	Registry = registryEntries()
-	Registry["fig12"] = func(ctx context.Context, p Params) *Report { return Registry["fig11"](ctx, p) }
-	Registry["fig17"] = func(ctx context.Context, p Params) *Report { return Registry["fig13"](ctx, p) }
+	for id, to := range aliases {
+		Registry[id] = func(ctx context.Context, p Params) *Report { return Registry[to](ctx, p) }
+	}
 }
 
 func registryEntries() map[string]Runner {

@@ -297,22 +297,27 @@ func Claims() []Claim {
 }
 
 // VerifyAll regenerates each claimed artifact under ctx (caching reports
-// shared by multiple claims) and checks every claim. It returns one line
-// per claim, "PASS"/"FAIL"-prefixed, plus the failure count. Once ctx
-// fires, every claim not yet run fails with ctx's error, unmined.
+// shared by multiple claims, an alias's under the id it aliases, so each
+// experiment runs at most once) and checks every claim. It returns one
+// line per claim, "PASS"/"FAIL"-prefixed, plus the failure count. Once
+// ctx fires, every claim not yet run fails with ctx's error, unmined.
 func VerifyAll(ctx context.Context, p Params) (lines []string, failures int) {
 	cache := map[string]*Report{}
 	for _, c := range Claims() {
-		rep, ok := cache[c.ID]
+		id := c.ID
+		if to, ok := aliases[id]; ok {
+			id = to
+		}
+		rep, ok := cache[id]
 		if !ok {
 			var err error
-			rep, err = RunContext(ctx, c.ID, p)
+			rep, err = RunContext(ctx, id, p)
 			if err != nil {
 				lines = append(lines, fmt.Sprintf("FAIL %s: %v", c.ID, err))
 				failures++
 				continue
 			}
-			cache[c.ID] = rep
+			cache[id] = rep
 		}
 		if err := c.Check(rep); err != nil {
 			lines = append(lines, fmt.Sprintf("FAIL %s: %s — %v", c.ID, c.Statement, err))

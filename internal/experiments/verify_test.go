@@ -107,6 +107,38 @@ func TestVerifyAllHonorsContext(t *testing.T) {
 	}
 }
 
+// TestVerifyAllRunsEachDriverOnce: one VerifyAll runs every experiment
+// driver at most once, so the fig12 claim reads the report its fig11
+// claim already mined rather than mining the Fig. 11 sweep again. The
+// drivers are stubbed with counters returning a small filler table (the
+// verdicts are not checked); the aliases are left as registered.
+func TestVerifyAllRunsEachDriverOnce(t *testing.T) {
+	drivers := registryEntries()
+	row := []string{"1", "1", "1", "1", "1", "1", "1", "1"}
+	stub := &Report{Rows: [][]string{row, row}}
+	runs := map[string]int{}
+	saved := Registry
+	Registry = make(map[string]Runner, len(saved))
+	for id, r := range saved {
+		if _, ok := drivers[id]; !ok {
+			Registry[id] = r
+			continue
+		}
+		Registry[id] = func(context.Context, Params) *Report { runs[id]++; return stub }
+	}
+	defer func() { Registry = saved }()
+
+	VerifyAll(context.Background(), Params{Seed: 1, Quick: true})
+	for id, n := range runs {
+		if n > 1 {
+			t.Errorf("driver %s ran %d times in one VerifyAll, want once", id, n)
+		}
+	}
+	if runs["fig11"] != 1 {
+		t.Errorf("fig11's driver ran %d times, want 1", runs["fig11"])
+	}
+}
+
 // verifySubset mirrors VerifyAll for a subset of claim ids (test helper).
 func verifySubset(p Params, ids map[string]bool) (lines []string, failures int) {
 	cache := map[string]*Report{}

@@ -61,11 +61,11 @@ func TestGrowScratchWarmGrowPattern(t *testing.T) {
 
 // TestMergeScratchWarmNoAlloc pins scratch reuse in the merge engine: a
 // warm tryMerge over a candidate group whose unions all either repeat an
-// earlier union or fail Dmax must not allocate. The prepared parent
-// images and their per-embedding index, the merged union, the union-hash
-// set, the in-place union subgraph and the BFS are all length-reset
-// worker scratch; only a union that founds a bucket (a clone) or joins
-// one (a retained embedding) may allocate.
+// earlier union or fail Dmax must not allocate. The merged union, the
+// union-hash set, the in-place union subgraph and the BFS are all
+// length-reset worker scratch, and the parent images are read from the
+// round's arena; only a union that founds a bucket (a clone) or joins one
+// (a retained embedding) may allocate.
 func TestMergeScratchWarmNoAlloc(t *testing.T) {
 	// Host: a labeled path 0-1-...-8. Both parents are 3-vertex paths, so
 	// every union of two overlapping images is a 5-vertex path of
@@ -86,13 +86,15 @@ func TestMergeScratchWarmNoAlloc(t *testing.T) {
 		{a: 0, b: 1, ea: 1, eb: 0}, // union 2..6: fails Dmax
 		{a: 0, b: 1, ea: 1, eb: 1}, // a repeat
 	}
+	ws := []*grown{{p: pa}, {p: pb}}
+	m.images.prepare(ws, []int32{0, 2, 4}, []pairGroup{{pk: pairKey{0, 1}, hi: int32(len(cands))}}, cands)
 	sc := m.mergeWS.For(1)[0]
 	var isoRun int64
-	if m.tryMerge(pa, pb, cands, sc, &isoRun) != nil { // warm every buffer first
+	if m.tryMerge(&m.images, cands, sc, &isoRun) != nil { // warm every buffer first
 		t.Fatal("merge accepted a union beyond Dmax")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if m.tryMerge(pa, pb, cands, sc, &isoRun) != nil {
+		if m.tryMerge(&m.images, cands, sc, &isoRun) != nil {
 			t.Fatal("merge accepted a union beyond Dmax")
 		}
 	})

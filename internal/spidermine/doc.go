@@ -55,25 +55,41 @@
 //     pass, because a merge may replace the graph before the next one.
 //     Extended images are deduped by the set hash canon.ImageHash, so no
 //     image is sorted.
+//   - Merge round state (Miner-owned, grown once): the candidate scan
+//     builds its usage index as a CSR over the touched host vertices (a
+//     count pass and a fill pass; a host-sized sparse set maps a vertex to
+//     its touched position and is never cleared), then pairs each scanned
+//     embedding with the later ones of other patterns at its vertices,
+//     deduping by a per-embedding stamp. No map is consulted, and a pair
+//     that mergePairCap cuts keeps its first candidates in discovery order
+//     (touched-vertex order, then slot order), recomputed only for cut
+//     pairs. Every parent image a round's groups name is prepared at most
+//     once per round, on first use, into one arena sized from the
+//     candidates before the waves; no image outlives its round, since a
+//     pattern may grow before the next. A wave's groups share no pattern,
+//     so a worker writes only its own group's two patterns' images,
+//     unlocked. A group whose ordered pattern-ID pair failed in the
+//     previous round of the restart, whose patterns are both done, and
+//     whose candidates the cap did not cut is resolved as failed without
+//     evaluation (Stats.MergeSkipped); the failures live in two reused
+//     sorted slices. A warm round's scan and image preparation allocate
+//     nothing (TestMergeRoundWarmNoAlloc).
 //   - Merge scratch (mergeScratch, one per worker): building a candidate
-//     union sorts nothing. Each parent image is prepared once per distinct
-//     embedding per tryMerge call — its edges sorted and its endpoints
-//     sorted — pa's per run of equal ea (a group's candidates are sorted
-//     by (ea, eb)) and pb's kept for the whole call behind a per-embedding
-//     index that is cleared on entry, not a map. A union is then two
-//     linear merges (graph.AppendMergedEdges, graph.AppendMergedVerts);
-//     the union subgraph is rebuilt in place in a graph.SubgraphScratch,
-//     whose host-sized table renumbers the given endpoints in O(1) and
-//     whose CSR fill is the one Builder.Build uses; a single
-//     DiameterAtMost pass in the worker's own graph.BFS checks
-//     connectivity and Dmax together; and the union is WL-refined once
-//     (canon.Iso.Invariant, sort-free), its colors reused for every
-//     bucket comparison (canon.Iso.MapColored). A bucket keeps the colors
-//     of the union that founded it, so its representative is never
-//     refined again, and a union is cloned only when it founds a bucket.
-//     A warm tryMerge whose unions all repeat or fail Dmax allocates
-//     nothing (TestMergeScratchWarmNoAlloc), under -race as well: warm
-//     growth and merge never borrow from a sync.Pool.
+//     union sorts nothing. It reads the parents' prepared images from the
+//     round's arena, pa's per run of equal ea (a group's candidates are
+//     sorted by (ea, eb)); a union is then two linear merges
+//     (graph.AppendMergedEdges, graph.AppendMergedVerts); the union
+//     subgraph is rebuilt in place in a graph.SubgraphScratch, whose
+//     host-sized table renumbers the given endpoints in O(1) and whose CSR
+//     fill is the one Builder.Build uses; a single DiameterAtMost pass in
+//     the worker's own graph.BFS checks connectivity and Dmax together;
+//     and the union is WL-refined once (canon.Iso.Invariant, sort-free),
+//     its colors reused for every bucket comparison (canon.Iso.MapColored).
+//     A bucket keeps the colors of the union that founded it, so its
+//     representative is never refined again, and a union is cloned only
+//     when it founds a bucket. A warm tryMerge whose unions all repeat or
+//     fail Dmax allocates nothing (TestMergeScratchWarmNoAlloc), under
+//     -race as well: warm growth and merge never borrow from a sync.Pool.
 //   - Worker-indexed accumulators (par.Slots): progress flags and iso-run
 //     counters, zero-filled on For and reduced after each join, plus the
 //     merge waves' per-pattern consumed flags and wave stamps. Growth and
@@ -88,8 +104,9 @@
 //
 // The allocation budgets are pinned by TestStageIAllocBudget and
 // TestFullPipelineAllocBudget (repo root), the warm 0-alloc contracts by
-// TestStarMinerWarmNoAlloc (internal/spider), TestGrowScratchWarm* and
-// TestMergeScratchWarmNoAlloc (this package), and the cross-run reuse
+// TestStarMinerWarmNoAlloc (internal/spider), TestGrowScratchWarm*,
+// TestMergeScratchWarmNoAlloc and TestMergeRoundWarmNoAlloc (this
+// package), and the cross-run reuse
 // contract by TestMinerResetReuse
 // and TestStarMinerWarmAcrossHosts. The measured baseline is the
 // repository benchmark, `bash bench/run.sh` (see bench/README.md).

@@ -8,12 +8,13 @@ import (
 )
 
 // seedSet returns a Miner for g and cfg and its working set of frequent
-// seeds, before any growth.
+// seeds, numbered as runOnce numbers them, before any growth.
 func seedSet(tb testing.TB, g *graph.Graph, cfg Config) (*Miner, []*grown) {
 	tb.Helper()
 	m, M := stagedMiner(tb, g, cfg)
 	var ws []*grown
 	for _, p := range drawSeeds(tb, m, M) {
+		p.ID = m.newID()
 		p.DedupeEmbeddings()
 		if m.supFn(p.G, p.Emb) >= m.cfg.MinSupport {
 			ws = append(ws, &grown{p: p, radius: 1})
@@ -41,10 +42,11 @@ func baMergeSet(tb testing.TB) (*Miner, []*grown) {
 }
 
 // BenchmarkTryMerge times one sequential merge round's candidate
-// evaluation over a fixed BA working set: every pattern pair's group
-// goes through tryMerge (no pair is consumed, so the work per op is
-// fixed). It reports allocations, which a warm run pays only for the
-// unions that found or join a bucket.
+// evaluation over a fixed BA working set: the round's image arena is
+// prepared afresh and every pattern pair's group goes through tryMerge
+// (no pair is consumed, so the work per op is fixed). It reports
+// allocations, which a warm run pays only for the unions that found or
+// join a bucket.
 func BenchmarkTryMerge(b *testing.B) {
 	m, ws := baMergeSet(b)
 	groups, _ := m.mergeGroups(ws)
@@ -56,11 +58,90 @@ func BenchmarkTryMerge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		m.images.prepare(ws, m.scan.base, groups, m.mergeCands)
 		for _, gp := range groups {
-			m.tryMerge(ws[gp.pk.a].p, ws[gp.pk.b].p, m.mergeCands[gp.lo:gp.hi], sc, &isoRun)
+			m.tryMerge(&m.images, m.mergeCands[gp.lo:gp.hi], sc, &isoRun)
 		}
 	}
 	b.ReportMetric(float64(len(m.mergeCands)), "cands")
+}
+
+// BenchmarkMergeRounds times whole merge rounds with the growth passes
+// between them, as runOnce runs them from a mine's first merge round: the
+// rest of Stage II's rounds, the prune to merged patterns, and Stage III's
+// rounds until a growth pass grows nothing. It starts from a fixed working
+// set, mergeSet's on the BA recipe host and on a serve-mixed host; each op
+// runs on fresh shallow copies of the set, with IDs rewound and the
+// restart's failures forgotten, so the work per op is fixed. It reports
+// the groups evaluated and those resolved as known failures, per op.
+func BenchmarkMergeRounds(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		g    *graph.Graph
+		cfg  Config
+	}{
+		{"ba", baHost(2000), baRecipe},
+		{"serve100", serveHost(100), serveRecipe},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m, set := mergeSet(b, bc.g, bc.cfg)
+			pats, gs := make([]pattern.Pattern, len(set)), make([]grown, len(set))
+			ws := make([]*grown, len(set))
+			id0 := m.nextID
+			evaluated, skipped0 := 0, m.stats.MergeSkipped
+			m.waveSeen = func(wave []waveItem) { evaluated += len(wave) }
+			iters := (m.cfg.Dmax + 2*m.cfg.Radius - 1) / (2 * m.cfg.Radius)
+			round := func(ws []*grown) []*grown {
+				out, err := m.checkMerges(ws)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return out
+			}
+			grow := func(ws []*grown) bool {
+				grew, err := m.growAll(ws)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return grew
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, w := range set {
+					pats[j], gs[j] = *w.p, *w
+					gs[j].p, ws[j] = &pats[j], &gs[j]
+				}
+				m.nextID = id0
+				m.failed.reset()
+				working := ws
+				for it := 0; it < iters; it++ {
+					if it > 0 {
+						grow(working)
+					}
+					working = round(working)
+				}
+				var survivors []*grown
+				for _, w := range working {
+					if w.p.Merged {
+						survivors = append(survivors, w)
+					}
+				}
+				if len(survivors) == 0 {
+					survivors = fallbackLargest(working, m.cfg.K)
+				}
+				for it := 0; it < maxGrowIters; it++ {
+					grew := grow(survivors)
+					survivors = round(survivors)
+					if !grew {
+						break
+					}
+				}
+			}
+			b.ReportMetric(float64(evaluated)/float64(b.N), "evaluated/op")
+			b.ReportMetric(float64(m.stats.MergeSkipped-skipped0)/float64(b.N), "skipped/op")
+		})
+	}
 }
 
 // BenchmarkExtendAt times one sequential SpiderGrow pass over a fixed BA

@@ -139,6 +139,7 @@ type Stats struct {
 	M              int           // seed draw size (Lemma 2)
 	GrowIterations int           // total SpiderGrow iterations
 	Merges         int           // successful CheckMerge events
+	MergeSkipped   int           // merge groups resolved as failed without evaluation: the pair failed last round and neither pattern grew since
 	IsoSkipped     int64         // isomorphism tests skipped by spider-set pruning
 	IsoRun         int64         // exact isomorphism tests executed (work counter)
 	CanonRun       int64         // canonical-code computations by the miner's Canonizer (spider-set signatures + exact identity checks)
@@ -149,8 +150,8 @@ type Stats struct {
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("stats{spiders=%d M=%d iters=%d merges=%d isoSkip=%d isoRun=%d canonRun=%d canonNodes=%d tI=%v tII=%v tIII=%v}",
-		s.NumSpiders, s.M, s.GrowIterations, s.Merges, s.IsoSkipped, s.IsoRun, s.CanonRun, s.CanonNodes, s.StageI, s.StageII, s.StageIII)
+	return fmt.Sprintf("stats{spiders=%d M=%d iters=%d merges=%d mergeSkip=%d isoSkip=%d isoRun=%d canonRun=%d canonNodes=%d tI=%v tII=%v tIII=%v}",
+		s.NumSpiders, s.M, s.GrowIterations, s.Merges, s.MergeSkipped, s.IsoSkipped, s.IsoRun, s.CanonRun, s.CanonNodes, s.StageI, s.StageII, s.StageIII)
 }
 
 // Result is the output of a mining run.
@@ -206,18 +207,16 @@ type Miner struct {
 	// selBFS is the coordinator's BFS scratch for selection's diameter
 	// filter.
 	selBFS graph.BFS
-	// mergeUsage is checkMerges' per-host-vertex overlap index, reused
-	// across rounds (truncated, never reallocated). Overlap detection runs
-	// sequentially; only pair evaluation is sharded.
-	mergeUsage [][]usageSlot
-	// Pooled checkMerges round state: candidate (pair, embedding-pair)
-	// entries, their dedupe set and per-pair cap counters, the touched
-	// host-vertex list, and the group table handed to the evaluators.
+	// Merge-round state, grown once and reused across rounds, runs and
+	// hosts (checkMerges): the overlap index and candidate scan, the
+	// candidate (pair, embedding-pair) entries and the group table handed
+	// to the evaluators, the prepared parent images, and the restart's
+	// failed pairs.
+	scan       mergeScan
 	mergeCands []mergeCand
-	candSeen   map[mergeCand]struct{}
-	pairCount  map[pairKey]int
-	touched    []graph.V
 	pairGroups []pairGroup
+	images     mergeImages
+	failed     failedPairs
 	// Merge-wave state (mergeWaves): per-pattern consumed flags and wave
 	// stamps, the current wave's groups with their results, and the
 	// round's accepted merges.
@@ -226,8 +225,10 @@ type Miner struct {
 	wave      []waveItem
 	accepted  []waveItem
 	// waveSeen, when set (tests only), observes every evaluated merge wave
-	// on the coordinator, before its merges consume their patterns.
-	waveSeen func(wave []waveItem)
+	// on the coordinator, before its merges consume their patterns, and
+	// roundSeen every working set checkMerges is handed, before its round.
+	waveSeen  func(wave []waveItem)
+	roundSeen func(ws []*grown)
 	// Per-worker scratch arenas: worker i owns slot i for the duration of
 	// one parallel pass (the par.Do ownership contract). Allocated
 	// per-worker-once, reused across iterations, runs, and restarts.
@@ -302,7 +303,7 @@ func (m *Miner) Reset(g *graph.Graph, cfg Config) {
 		}
 	}
 	// Host-graph-sized tables shrink lazily: a larger host reallocates, a
-	// smaller one just truncates (checkMerges sizes mergeUsage itself).
+	// smaller one just truncates (mergeGroups sizes its index itself).
 }
 
 // MineContext runs the full three-stage algorithm under ctx and returns
@@ -435,6 +436,7 @@ const maxGrowIters = 64
 func (m *Miner) runOnce(restart, M int) ([]*pattern.Pattern, error) {
 	// Stage II: random seeds, ⌈Dmax/2r⌉ growth+merge iterations.
 	t1 := time.Now()
+	m.failed.reset()
 	seeds, err := m.seedPatterns(M, m.trees, m.rng)
 	if err != nil {
 		m.stats.StageII += time.Since(t1)

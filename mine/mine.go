@@ -239,6 +239,7 @@ type Stats struct {
 	SeedDraws      int           `json:"seed_draws,omitempty"`      // Lemma 2's M (SpiderMine)
 	GrowIterations int           `json:"grow_iterations,omitempty"` // growth iterations executed
 	Merges         int           `json:"merges,omitempty"`          // successful merges
+	MergeSkipped   int           `json:"merge_skipped,omitempty"`   // merge groups resolved as failed without evaluation (SpiderMine)
 	IsoSkipped     int64         `json:"iso_skipped,omitempty"`     // isomorphism tests pruned away
 	IsoRun         int64         `json:"iso_run,omitempty"`         // exact isomorphism tests executed
 	CanonRun       int64         `json:"canon_run,omitempty"`       // canonical-code computations (SpiderMine identity checks)

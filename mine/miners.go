@@ -177,6 +177,7 @@ func mineSpiderMine(ctx context.Context, host Host, opts Options) (*Result, erro
 		SeedDraws:      res.Stats.M,
 		GrowIterations: res.Stats.GrowIterations,
 		Merges:         res.Stats.Merges,
+		MergeSkipped:   res.Stats.MergeSkipped,
 		IsoSkipped:     res.Stats.IsoSkipped,
 		IsoRun:         res.Stats.IsoRun,
 		CanonRun:       res.Stats.CanonRun,
