@@ -241,11 +241,11 @@ func BenchmarkComputeM(b *testing.B) {
 // BenchmarkScaleFree10k times a full run on a 10k-vertex BA graph — the
 // Figure 11-style scalability point kept cheap enough for -bench=.
 func BenchmarkScaleFree10k(b *testing.B) {
-	n, el := experiments.SpiderCountOnly(context.Background(), 10000, 1, 0)
+	n, el := experiments.SpiderCountOnly(context.Background(), 10000, 1)
 	b.Logf("10k BA graph: %d spiders mined in %v", n, el)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, _ := experiments.SpiderCountOnly(context.Background(), 10000, int64(i), 0)
+		n, _ := experiments.SpiderCountOnly(context.Background(), 10000, int64(i))
 		if n == 0 {
 			b.Fatal("no spiders")
 		}

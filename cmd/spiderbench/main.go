@@ -40,7 +40,7 @@ func main() {
 		all        = flag.Bool("all", false, "run every experiment")
 		quick      = flag.Bool("quick", false, "shrink workloads for a fast pass")
 		seed       = flag.Int64("seed", 1, "random seed (runs are deterministic per seed)")
-		workers    = flag.Int("workers", 0, "mining parallelism: 0/1 sequential, N goroutines, -1 all CPUs (mined patterns and work counters are identical across settings; timings differ)")
+		workers    = flag.Int("workers", 0, "mining parallelism: 0/1 sequential, N goroutines, -1 all CPUs (mined patterns and work counters are identical across settings; timings differ); -host mode ignores it, since Stage I runs on one goroutine")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the whole invocation; exceeding it renders partial tables and exits non-zero (0 = no limit)")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		verify     = flag.Bool("verify", false, "check every paper claim against regenerated artifacts")
@@ -96,7 +96,7 @@ func main() {
 	defer cancel()
 	if *hostPath != "" {
 		if err := benchHost(ctx, *hostPath, *useMmap, spider.Options{
-			MinSupport: *minSup, MaxLeaves: *maxLeaves, MaxSpiders: *maxSpiders, Workers: *workers,
+			MinSupport: *minSup, MaxLeaves: *maxLeaves, MaxSpiders: *maxSpiders,
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "spiderbench: -host: %v\n", err)
 			os.Exit(1)

@@ -173,8 +173,10 @@
 //     (the matcher stays 0 allocs/op; sequential stage benchmarks are
 //     unchanged). Checks stay cheap: internal/par makes one non-blocking
 //     receive before every item sequentially and reads one watcher-set
-//     atomic flag per item claim in parallel mode, so the mining stages
-//     see a cancel at the next pattern, merge group or iteration.
+//     atomic flag per item claim in parallel mode, and Stage I makes one
+//     non-blocking receive before every frontier star, so the mining
+//     stages see a cancel at the next star, pattern, merge group or
+//     iteration.
 //   - Deterministic partials when cancelled: SpiderMine commits its
 //     reduced working set at every grow+merge and recovery iteration
 //     boundary (shallow pattern snapshots, taken only when the context is
@@ -253,9 +255,11 @@
 //     lists in one array, in the order the seed draw indexes. A star's
 //     leaves are the last leaves along its parent chain, so the garbage
 //     collector has nothing in the table to scan, and the StarMiner reuses
-//     it across runs. Each level's frontier is expanded in blocks of 4,096
-//     stars, and with MaxSpiders set the table stops growing inside the
-//     block that fills it: at most one block is built beyond the cap.
+//     it across runs. Stage I runs on one goroutine and writes each star
+//     straight into the table, so no star is copied. Each level's frontier
+//     is expanded one star at a time, and with MaxSpiders set the star
+//     that fills the table is cut there: at most one star's extensions are
+//     built beyond the cap.
 //
 // # Pattern identity
 //
@@ -279,10 +283,13 @@
 //
 // # Concurrency architecture
 //
-// Config.Workers shards all three mining stages over the deterministic
-// worker-pool substrate in internal/par, under three invariants that every
-// future parallel change must preserve (TestParallelEqualsSequential in
-// internal/spidermine is the enforcing harness):
+// Config.Workers shards Stages II and III (the seed draw, growth and merge
+// rounds) over the deterministic worker-pool substrate in internal/par;
+// Stage I runs on the coordinating goroutine, since its sharding did not
+// pay on the cores it was measured on. The sharded stages keep three
+// invariants that every future parallel change must preserve
+// (TestParallelEqualsSequential in internal/spidermine is the enforcing
+// harness):
 //
 //   - Shared-immutable: the host graph (whose label index builds lazily
 //     behind a sync.Once, so first use may happen on any worker), the
@@ -298,8 +305,7 @@
 //     paths. Scratch contents may
 //     affect allocation behavior, never results.
 //   - Ordered reduction: parallel stages write results into item-indexed
-//     slots (par.Map) and all cross-worker combination — copying each
-//     block of Stage I expansions into the star table, accepting Stage II
+//     slots (par.Map) and all cross-worker combination — accepting Stage II
 //     merges, assigning pattern
 //     IDs — happens afterwards in item order (pattern/vertex id order),
 //     never completion order and never map-iteration order. One code

@@ -15,7 +15,7 @@ import (
 // on one graph (the paper uses 600 edges, 30 labels) as r grows — runtime
 // explodes exponentially (the paper's r=4 ran out of memory). Scale
 // shrinks the graph and the tree fanout for quick runs.
-func AppC3(ctx context.Context, rs []int, seed int64, scale float64, workers int) *Report {
+func AppC3(ctx context.Context, rs []int, seed int64, scale float64) *Report {
 	cfg := gen.SyntheticConfig{
 		N: scaled(300, scale), AvgDeg: 4, NumLabels: scaled(30, scale), Seed: seed,
 		Large: gen.InjectSpec{NV: 20, Count: 2, Support: 2},
@@ -35,7 +35,7 @@ func AppC3(ctx context.Context, rs []int, seed int64, scale float64, workers int
 		t0 := time.Now()
 		var count int
 		if r == 1 {
-			stars, _ := spider.MineStarsContext(ctx, g, spider.Options{MinSupport: 2, Workers: workers})
+			stars, _ := spider.MineStarsContext(ctx, g, spider.Options{MinSupport: 2})
 			count = stars.Len()
 		} else {
 			trees, _ := spider.MineTreesContext(ctx, g, spider.TreeOptions{

@@ -94,7 +94,7 @@ func TestFig9QuickShape(t *testing.T) {
 }
 
 func TestAppC3Growth(t *testing.T) {
-	rep := AppC3(context.Background(), []int{1, 2}, 1, 0.4, 0)
+	rep := AppC3(context.Background(), []int{1, 2}, 1, 0.4)
 	if len(rep.Rows) != 2 {
 		t.Fatal("rows")
 	}

@@ -300,12 +300,12 @@ func Fig19(ctx context.Context, ds []int, seed int64, scale float64, workers int
 // lattice explode combinatorially (the Fig. 17 phenomenon), so an
 // uncapped run on a 10k-vertex BA graph does not terminate in reasonable
 // time.
-func SpiderCountOnly(ctx context.Context, n int, seed int64, workers int) (int, time.Duration) {
+func SpiderCountOnly(ctx context.Context, n int, seed int64) (int, time.Duration) {
 	rng := randFor(seed, int64(n))
 	g := gen.BarabasiAlbert(n, 2, 100, rng)
 	t0 := time.Now()
 	stars, _ := spider.MineStarsContext(ctx, g, spider.Options{
-		MinSupport: 2, MaxLeaves: 6, MaxSpiders: 500_000, Workers: scaleWorkers(workers),
+		MinSupport: 2, MaxLeaves: 6, MaxSpiders: 500_000,
 	})
 	return stars.Len(), time.Since(t0)
 }

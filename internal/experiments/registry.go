@@ -120,7 +120,7 @@ func registryEntries() map[string]Runner {
 			if p.Quick {
 				rs = []int{1, 2}
 			}
-			return AppC3(ctx, rs, p.Seed, scaleOf(p), p.Workers)
+			return AppC3(ctx, rs, p.Seed, scaleOf(p))
 		},
 		"appC4": func(ctx context.Context, p Params) *Report {
 			return AppC4(ctx, []float64{0.45, 0.25, 0.05}, p.Seed, scaleOf(p), p.Workers)

@@ -165,31 +165,3 @@ func Map[T any](ctx context.Context, n, workers int, fn func(worker, item int) T
 	})
 	return out, err
 }
-
-// AppendChunks appends to dst a split of [0, n) into at most `workers`
-// contiguous near-equal [lo, hi) ranges, for stages that shard a vertex
-// or head range rather than a work list (Stage I partitions spider heads
-// this way). The ranges cover [0, n) exactly, in ascending order, so
-// concatenating per-chunk results in chunk order preserves the sequential
-// item order. Callers keep a pooled chunk list across runs by passing
-// dst[:0].
-func AppendChunks(dst [][2]int, n, workers int) [][2]int {
-	if n <= 0 {
-		return dst
-	}
-	workers = Bound(n, workers)
-	if workers <= 1 {
-		return append(dst, [2]int{0, n})
-	}
-	size, rem := n/workers, n%workers
-	lo := 0
-	for c := 0; c < workers; c++ {
-		hi := lo + size
-		if c < rem {
-			hi++
-		}
-		dst = append(dst, [2]int{lo, hi})
-		lo = hi
-	}
-	return dst
-}

@@ -174,27 +174,3 @@ func TestDoDeadline(t *testing.T) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
-
-func TestChunks(t *testing.T) {
-	for _, tc := range []struct {
-		n, workers int
-	}{{0, 4}, {1, 4}, {7, 3}, {100, 8}, {5, 5}, {3, 16}} {
-		chunks := AppendChunks(nil, tc.n, tc.workers)
-		next := 0
-		for _, c := range chunks {
-			if c[0] != next {
-				t.Fatalf("n=%d workers=%d: chunk starts at %d, want %d", tc.n, tc.workers, c[0], next)
-			}
-			if c[1] <= c[0] {
-				t.Fatalf("n=%d workers=%d: empty chunk %v", tc.n, tc.workers, c)
-			}
-			next = c[1]
-		}
-		if next != tc.n {
-			t.Fatalf("n=%d workers=%d: chunks cover [0,%d), want [0,%d)", tc.n, tc.workers, next, tc.n)
-		}
-		if len(chunks) > Resolve(tc.workers) {
-			t.Fatalf("n=%d workers=%d: %d chunks", tc.n, tc.workers, len(chunks))
-		}
-	}
-}

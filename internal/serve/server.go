@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -408,7 +409,9 @@ func (o optionsJSON) toOptions() mine.Options {
 // looser in places (mine.Options treats Workers < 0 as "use GOMAXPROCS")
 // but the serving surface owns its capacity policy, so a negative knob in
 // a request is a client mistake to surface as 400 at submit time — not a
-// queued job that fails (or silently commandeers every core) later.
+// queued job that fails (or silently commandeers every core) later. A
+// workers value above GOMAXPROCS is not an error: handleSubmitJob lowers
+// it to GOMAXPROCS.
 func (o optionsJSON) validate() error {
 	for _, f := range []struct {
 		name string
@@ -492,11 +495,14 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The default cap goes in before Submit keys the job, so the cache key
-	// and the job record name the run that happens.
+	// The default cap and the worker bound go in before Submit keys the
+	// job, so the cache key and the job record name the run that happens.
+	// Workers beyond the cores never change a result; each only adds a
+	// goroutine and its scratch (a growth worker's is host-sized).
 	if req.Miner == "spidermine" && opts.MaxSpiders == 0 {
 		opts.MaxSpiders = defaultJobMaxSpiders
 	}
+	opts.Workers = min(opts.Workers, runtime.GOMAXPROCS(0))
 	job, err := s.sched.Submit(sg, req.Miner, opts)
 	if err != nil {
 		s.writeSubmitError(w, err)

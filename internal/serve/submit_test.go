@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -56,7 +57,9 @@ func TestSubmitWallClockBound(t *testing.T) {
 
 // TestSubmitDefaultSpiderCap: a spidermine job that sets no max_spiders
 // runs, and is keyed and recorded, with the default Stage I cap; a job
-// that sets its own keeps it, and other miners are left alone.
+// that sets its own keeps it, and other miners are left alone. A job of
+// any miner whose workers exceed GOMAXPROCS runs, and is keyed, with
+// GOMAXPROCS; one at or below it, or without workers, keeps its value.
 func TestSubmitDefaultSpiderCap(t *testing.T) {
 	srv := New(Config{Runners: 1, QueueCap: 8, CacheCap: 8})
 	defer srv.Shutdown(context.Background())
@@ -75,14 +78,18 @@ func TestSubmitDefaultSpiderCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	procs := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct {
 		miner, options string
-		want           int
+		want, workers  int
 	}{
-		{"testminer", `{"seed":1}`, 0},
-		{"spidermine", `{"seed":2}`, defaultJobMaxSpiders},
-		{"", `{"seed":3,"max_leaves_per_star":4}`, defaultJobMaxSpiders},
-		{"spidermine", `{"seed":4,"max_spiders":1000}`, 1000},
+		{"testminer", `{"seed":1}`, 0, 0},
+		{"spidermine", `{"seed":2}`, defaultJobMaxSpiders, 0},
+		{"", `{"seed":3,"max_leaves_per_star":4}`, defaultJobMaxSpiders, 0},
+		{"spidermine", `{"seed":4,"max_spiders":1000}`, 1000, 0},
+		{"testminer", `{"seed":5,"workers":1048576}`, 0, procs},
+		{"spidermine", `{"seed":6,"workers":1048576}`, defaultJobMaxSpiders, procs},
+		{"spidermine", `{"seed":7,"workers":1}`, defaultJobMaxSpiders, 1},
 	} {
 		rec := submitRaw(srv, fmt.Sprintf(`{"graph":%q,"miner":%q,"options":%s}`, sg.ID, tc.miner, tc.options))
 		if rec.Code != http.StatusAccepted {
@@ -98,6 +105,9 @@ func TestSubmitDefaultSpiderCap(t *testing.T) {
 		}
 		if j.Opts.MaxSpiders != tc.want {
 			t.Errorf("%s %s: runs with max_spiders %d, want %d", tc.miner, tc.options, j.Opts.MaxSpiders, tc.want)
+		}
+		if j.Opts.Workers != tc.workers {
+			t.Errorf("%s %s: runs with workers %d, want %d", tc.miner, tc.options, j.Opts.Workers, tc.workers)
 		}
 		if j.Key != Key(sg.ID, j.Miner, j.Opts) {
 			t.Errorf("%s %s: keyed %+v, not by the options it runs with", tc.miner, tc.options, j.Key)

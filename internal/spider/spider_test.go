@@ -279,20 +279,6 @@ func TestCombinations(t *testing.T) {
 	combinations([]graph.V{1}, 5, func([]graph.V) bool { t.Fatal("k>n must not call"); return false })
 }
 
-func TestMineStarsParallelIdentical(t *testing.T) {
-	g := twoStarsGraph()
-	seq := listStars(mineStars(g, Options{MinSupport: 2}))
-	par := listStars(mineStars(g, Options{MinSupport: 2, Workers: -1}))
-	if len(seq) != len(par) {
-		t.Fatalf("parallel mining differs: %d vs %d stars", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i].Star.Key() != par[i].Star.Key() || seq[i].Support() != par[i].Support() {
-			t.Fatalf("star %d differs between sequential and parallel runs", i)
-		}
-	}
-}
-
 // mineStars runs MineStarsContext under a context that never fires.
 func mineStars(g *graph.Graph, opt Options) *Stars {
 	stars, _ := MineStarsContext(context.Background(), g, opt)

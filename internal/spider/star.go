@@ -4,13 +4,14 @@
 //
 // For the default radius r=1 a spider is a star: a head label plus a
 // multiset of leaf labels. Stars are enumerated level-wise over the leaf
-// multiset with apriori pruning on head-count support, into one flat
-// table without pointers (Stars): a fixed-size int32 record per star,
-// whose leaves are read off its parent chain, and all host lists in one
-// array. With a spider cap, Stage I stops building once the table is
-// full. Deeper spiders (r >= 2) are rooted label trees mined by composing
-// stars (see tree.go); their cost grows exponentially in r, matching
-// Appendix C(3).
+// multiset with apriori pruning on head-count support, on one goroutine,
+// each star written straight into one flat table without pointers
+// (Stars): a fixed-size int32 record per star, whose leaves are read off
+// its parent chain, and all host lists in one array. With a spider cap,
+// Stage I stops building once the table is full. Of this package only
+// the seed draw shards across workers. Deeper spiders (r >= 2) are
+// rooted label trees mined by composing stars (see tree.go); their cost
+// grows exponentially in r, matching Appendix C(3).
 package spider
 
 import (
@@ -144,11 +145,9 @@ type Options struct {
 	// building there (0 = unlimited); scale-free graphs can produce
 	// millions (Fig. 17).
 	MaxSpiders int
-	// Workers parallelizes Stage I: 0/1 sequential, > 1 that many
-	// goroutines, < 0 GOMAXPROCS. The level-1 scan partitions head
-	// vertices across workers (contiguous chunks merged in chunk order)
-	// and level expansion shards parent stars (outputs reduced in frontier
-	// order), so the star table is identical across settings.
+	// Workers is read by nothing: Stage I runs on the caller's
+	// goroutine. The field stays only because the benchmark module sets
+	// it.
 	Workers int
 }
 
@@ -163,16 +162,18 @@ type Options struct {
 // sorted; no later level needs a sort, because each parent's extensions
 // come out in ascending new-leaf order with the parent's leaves as a
 // prefix, concatenated in parent order. MaxSpiders keeps a prefix: each
-// level's frontier is expanded in order, in blocks of expandBlock stars,
-// and building stops inside the block that fills the table, so at most
-// one block's extensions are built beyond the cap. The seed draw indexes
-// the stars in this order, so it is part of every result.
+// level's frontier is expanded in order, one star at a time, the star
+// that fills the table is cut there, and no later star is expanded, so
+// at most one star's extensions (at most the host's distinct-label
+// count) are built beyond the cap. The seed draw indexes the stars in
+// this order, so it is part of every result.
 //
-// Cancellation is observed between blocks and inside each block's
-// sharded expansion; on ctx expiry the stars of every *completed* level
-// are returned alongside ctx.Err() — levels commit atomically, so the
-// partial table is deterministic for a cancellation observed at any given
-// level.
+// Stage I runs on the caller's goroutine. Cancellation is polled before
+// the level-1 scan, before its sort, and before every frontier star's
+// expansion; on ctx
+// expiry the stars of every *completed* level are returned alongside
+// ctx.Err() — levels commit atomically, so the partial table is
+// deterministic for a cancellation observed at any given level.
 //
 // Each call runs on a throwaway StarMiner, and the returned table is
 // caller-owned; it keeps none of the miner's scratch alive. Loops that

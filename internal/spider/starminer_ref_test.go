@@ -2,6 +2,7 @@ package spider
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -156,8 +157,8 @@ func relabeled(g *graph.Graph, f func(graph.Label) graph.Label) *graph.Graph {
 }
 
 // TestStarMinerMatchesReference compares every star, its host list and
-// the order of both against the reference enumeration, at 1 and 2
-// workers, on random hosts, hub-heavy BA hosts, and hosts whose labels are
+// the order of both against the reference enumeration, on random hosts,
+// hub-heavy BA hosts, and hosts whose labels are
 // negative, sparse (multiples of 10^6) or at the ends of int32. One
 // StarMiner is reused across all of them, so stale per-rank tallies would
 // show too.
@@ -194,9 +195,8 @@ func TestStarMinerMatchesReference(t *testing.T) {
 		add(fmt.Sprintf("ba%d", i), gen.BarabasiAlbert(150+100*i, 2+i%2, 3+2*i, rng), Options{MinSupport: 2 + i%3, MaxLeaves: 5})
 	}
 	add("ba-capped", gen.BarabasiAlbert(800, 2, 6, rng), Options{MinSupport: 3, MaxLeaves: 6, MaxSpiders: 3000})
-	// Caps below level 1's 1874 stars, at the end of level 2 (5541), and in
-	// the second and third of the three blocks level 4 is expanded in; see
-	// capHost.
+	// Caps below level 1's 1874 stars, at the end of level 2 (5541), and
+	// at two points inside level 4; see capHost.
 	for _, c := range []int{1000, 5541, 34834, 47834} {
 		add(fmt.Sprintf("sf-cap%d", c), capHost(), Options{MinSupport: 2, MaxLeaves: 6, MaxSpiders: c})
 	}
@@ -206,68 +206,136 @@ func TestStarMinerMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	var sm StarMiner
 	for _, h := range hosts {
-		want := mineStarsReference(h.g, h.opt)
-		for _, workers := range []int{1, 2} {
-			opt := h.opt
-			opt.Workers = workers
-			stars, err := sm.Mine(ctx, h.g, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := listStars(stars)
-			if len(got) != len(want) {
-				t.Fatalf("%s workers=%d: %d stars, reference %d", h.name, workers, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Star.Head != want[i].Star.Head || !slices.Equal(got[i].Star.Leaves, want[i].Star.Leaves) ||
-					!slices.Equal(got[i].Hosts, want[i].Hosts) {
-					t.Fatalf("%s workers=%d: star %d is %v hosts %v, reference %v hosts %v",
-						h.name, workers, i, got[i].Star, got[i].Hosts, want[i].Star, want[i].Hosts)
-				}
-			}
+		stars, err := sm.Mine(ctx, h.g, h.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameStars(listStars(stars), mineStarsReference(h.g, h.opt)); err != nil {
+			t.Fatalf("%s: %v", h.name, err)
 		}
 	}
 }
 
+// sameStars reports the first difference between two star lists: a
+// star, its host list, or the order of either.
+func sameStars(got, want []minedStar) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d stars, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Star.Head != want[i].Star.Head || !slices.Equal(got[i].Star.Leaves, want[i].Star.Leaves) ||
+			!slices.Equal(got[i].Hosts, want[i].Hosts) {
+			return fmt.Errorf("star %d is %v hosts %v, want %v hosts %v",
+				i, got[i].Star, got[i].Hosts, want[i].Star, want[i].Hosts)
+		}
+	}
+	return nil
+}
+
 // capHost is a scale-free host whose star lattice outgrows any cap a test
 // sets. At σ=2 and 6 leaves its levels hold 1874, 3667, 9293, 34177,
-// 119950 and 375360 stars (544,321 in all). Level 4 grows from 9293
-// frontier stars, three blocks of expansion, whose extensions fill the
-// table to 31203, 47454 and 49011 stars.
+// 119950 and 375360 stars (544,321 in all), so the table holds 14,834
+// stars before level 4 and 49,011 after it.
 func capHost() *graph.Graph {
 	return gen.BarabasiAlbert(2000, 2, 50, rand.New(rand.NewSource(2)))
 }
 
-// TestStarMinerCapBuildsOneBlock: with MaxSpiders set, Stage I stops
-// building inside the block that fills the table, so no block starts once
-// the cap is reached and at most one block's extensions are built beyond
-// it. The cap here is under a fifteenth of the host's uncapped Stage I
-// (see capHost) and falls in the second of level 4's blocks.
-func TestStarMinerCapBuildsOneBlock(t *testing.T) {
+// TestStarMinerCapBuildsOneStar: with MaxSpiders set, Stage I expands no
+// frontier star once the table is full and cuts the star that filled it,
+// so at most one star's extensions, at most the host's distinct-label
+// count, are built beyond the cap. The cap here is under a fifteenth of
+// the host's uncapped Stage I (see capHost) and falls inside level 4.
+func TestStarMinerCapBuildsOneStar(t *testing.T) {
 	g := capHost()
 	const maxSpiders = 34834
-	for _, workers := range []int{1, 2} {
+	var sm StarMiner
+	found, late := 0, 0
+	sm.starSeen = func(_, n int) {
+		if sm.out.Len() >= maxSpiders {
+			late++
+		}
+		found += n
+	}
+	stars, err := sm.Mine(context.Background(), g, Options{MinSupport: 2, MaxLeaves: 6, MaxSpiders: maxSpiders})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stars.Len() != maxSpiders {
+		t.Fatalf("%d stars kept, want the cap %d", stars.Len(), maxSpiders)
+	}
+	if late != 0 {
+		t.Fatalf("%d frontier stars expanded with the table full", late)
+	}
+	built := found // level 1 is written straight from the level-1 scan
+	for i := 0; i < stars.Len() && stars.NumLeaves(i) == 1; i++ {
+		built++
+	}
+	if over, labels := built-maxSpiders, len(stars.labels); over > labels {
+		t.Fatalf("built %d stars for a cap of %d: %d beyond it, more than one star's %d labels", built, maxSpiders, over, labels)
+	}
+	t.Logf("built %d stars for a cap of %d", built, maxSpiders)
+}
+
+// TestStarMinerCancelKeepsWholeLevels: a Stage I cancelled while it
+// expands a level returns context.Canceled and exactly the levels it
+// completed, as the reference enumerates them. The cancel fires from the
+// per-star hook, after that star is counted; the star's own extensions
+// are still placed, and the poll before the next frontier star sees the
+// cancel. Cancelled at the last star of a level, the level it builds is
+// complete, and the cancel is seen before the next level starts. Each
+// cancelled run leaves the StarMiner ready: its next run equals a fresh
+// miner's.
+func TestStarMinerCancelKeepsWholeLevels(t *testing.T) {
+	g := gen.BarabasiAlbert(400, 2, 8, rand.New(rand.NewSource(5)))
+	opt := Options{MinSupport: 3, MaxLeaves: 6}
+	want := mineStarsReference(g, opt)
+	var first []int // first[k]: index of the first star with k+1 leaves
+	for i, ms := range want {
+		if len(ms.Star.Leaves) > len(first) {
+			first = append(first, i)
+		}
+	}
+	if len(first) < 4 {
+		t.Fatalf("host has %d levels, want at least 4", len(first))
+	}
+	upTo := func(leaves int) []minedStar { // the levels of at most leaves leaves
+		if leaves < len(first) {
+			return want[:first[leaves]]
+		}
+		return want
+	}
+	for _, tc := range []struct {
+		name string
+		at   int // the frontier star whose hook cancels
+		kept int // the levels returned
+	}{
+		{"first star of level 2", first[1], 2},
+		{"inside level 3", (first[2] + first[3]) / 2, 3},
+		{"last star of level 2", first[2] - 1, 3},
+	} {
 		var sm StarMiner
-		var blocks []int
-		sm.blockSeen = func(_, built int) { blocks = append(blocks, built) }
-		stars, err := sm.Mine(context.Background(), g, Options{MinSupport: 2, MaxLeaves: 6, MaxSpiders: maxSpiders, Workers: workers})
+		ctx, cancel := context.WithCancel(context.Background())
+		sm.starSeen = func(p, _ int) {
+			if p == tc.at {
+				cancel()
+			}
+		}
+		stars, err := sm.Mine(ctx, g, opt)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err %v, want context.Canceled", tc.name, err)
+		}
+		if err := sameStars(listStars(stars), upTo(tc.kept)); err != nil {
+			t.Fatalf("%s: cancelled table against the reference's first %d levels: %v", tc.name, tc.kept, err)
+		}
+		sm.starSeen = nil
+		stars, err = sm.Mine(context.Background(), g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stars.Len() != maxSpiders {
-			t.Fatalf("workers=%d: %d stars kept, want the cap %d", workers, stars.Len(), maxSpiders)
+		if err := sameStars(listStars(stars), listStars(mineStars(g, opt))); err != nil {
+			t.Fatalf("%s: the next run against a fresh miner's: %v", tc.name, err)
 		}
-		built := 0 // level 1 is written straight from the level-1 scan
-		for built < stars.Len() && stars.NumLeaves(built) == 1 {
-			built++
-		}
-		for i, b := range blocks {
-			if built >= maxSpiders {
-				t.Fatalf("workers=%d: block %d of %d started with %d stars built, cap %d", workers, i+1, len(blocks), built, maxSpiders)
-			}
-			built += b
-		}
-		t.Logf("workers=%d: %d blocks built %d stars for a cap of %d", workers, len(blocks), built, maxSpiders)
 	}
 }
 

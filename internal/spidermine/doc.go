@@ -8,7 +8,8 @@
 //	Stage I   — mine all frequent r-spiders (internal/spider).
 //	Stage II  — draw M random seed spiders (M from Lemma 2), grow each by
 //	            SpiderGrow for ⌈Dmax/2r⌉ iterations, merging patterns whose
-//	            embeddings start to overlap; prune everything unmerged.
+//	            embeddings start to overlap, or until an iteration grows
+//	            nothing and merges nothing; prune everything unmerged.
 //	Stage III — grow survivors to maximality; return the K largest.
 //
 // # Performance notes: pooled mining state
@@ -28,10 +29,11 @@
 //     read-only — and therefore safely shared across workers — once
 //     mining starts.
 //   - Stage I tables: the spider.StarMiner is held by value and owns its
-//     CSR neighbor-rank table, per-worker block scratch, and the flat star
+//     CSR neighbor-rank table, its per-rank tallies, and the flat star
 //     table it returns (spider.Stars: one int32 record per star and all
-//     host lists in one array, no pointers), rebuilt in place by the next
-//     run. The Miner keeps the table as is (level by level, each level in
+//     host lists in one array, no pointers), into which it writes each
+//     star once, on the coordinator; the table is rebuilt in place by the
+//     next run. The Miner keeps the table as is (level by level, each level in
 //     head-then-leaves order); the seed draw indexes it directly, so that
 //     order is part of every result, and the frequent-pair index reads its
 //     first level.

@@ -27,7 +27,6 @@ func stagedMiner(tb testing.TB, g *graph.Graph, cfg Config) (*Miner, int) {
 		MaxLeaves:  m.cfg.MaxLeavesPerStar,
 		Radius:     1,
 		MaxSpiders: m.cfg.MaxSpiders,
-		Workers:    m.cfg.Workers,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -61,14 +61,15 @@ type Config struct {
 	// combinatorially; trimming makes counted support a lower bound, which
 	// can only lose patterns, never admit false ones.
 	MaxEmbPerPattern int
-	// Workers sets mining parallelism across all three stages: 0/1
-	// sequential, > 1 that many goroutines, < 0 GOMAXPROCS. Stage I
-	// partitions spider heads across workers, Stage II parallelizes seed
-	// materialization and merge-pair evaluation, Stage III shards pattern
-	// growth; every stage reduces its per-worker results in a fixed item
-	// order, so the Result and every Stats counter except the stage
-	// durations are the same for any setting (see
-	// TestParallelEqualsSequential).
+	// Workers sets the mining parallelism of Stages II and III: 0/1
+	// sequential, > 1 that many goroutines, < 0 GOMAXPROCS. Stage II
+	// shards seed materialization, growth and merge-group evaluation,
+	// Stage III growth and merging; every stage reduces its per-worker
+	// results in a fixed item order, so the Result and every Stats counter
+	// except the stage durations are the same for any setting (see
+	// TestParallelEqualsSequential). Stage I runs on the calling
+	// goroutine: its sharding did not pay on the 2 vCPUs it was measured
+	// on.
 	Workers int
 	// OnProgress, when non-nil, receives streaming stage events: Stage I
 	// completion, each restart's seed draw, and every grow+merge /
@@ -367,7 +368,6 @@ func (m *Miner) RunContext(ctx context.Context) (*Result, error) {
 		MaxLeaves:  m.cfg.MaxLeavesPerStar,
 		Radius:     1,
 		MaxSpiders: m.cfg.MaxSpiders,
-		Workers:    m.cfg.Workers,
 	})
 	if starErr != nil {
 		m.stats.StageI = time.Since(t0)
@@ -434,7 +434,11 @@ const maxGrowIters = 64
 // cancellation it returns the patterns of the last committed iteration
 // (see RunContext) together with the context error.
 func (m *Miner) runOnce(restart, M int) ([]*pattern.Pattern, error) {
-	// Stage II: random seeds, ⌈Dmax/2r⌉ growth+merge iterations.
+	// Stage II: random seeds, then at most ⌈Dmax/2r⌉ growth+merge
+	// iterations. An iteration that grows no pattern and accepts no merge
+	// ends it: every pattern is then done, so each later iteration would
+	// scan the same patterns, resolve the same failures and evaluate the
+	// same cut groups, to the same end.
 	t1 := time.Now()
 	m.failed.reset()
 	seeds, err := m.seedPatterns(M, m.trees, m.rng)
@@ -459,10 +463,12 @@ func (m *Miner) runOnce(restart, M int) ([]*pattern.Pattern, error) {
 			m.stats.StageII += time.Since(t1)
 			return patternsOf(committed), err
 		}
-		if _, err := m.growAll(working); err != nil {
+		grew, err := m.growAll(working)
+		if err != nil {
 			m.stats.StageII += time.Since(t1)
 			return patternsOf(committed), err
 		}
+		merges := m.stats.Merges
 		working, err = m.checkMerges(working)
 		if err != nil {
 			m.stats.StageII += time.Since(t1)
@@ -471,6 +477,9 @@ func (m *Miner) runOnce(restart, M int) ([]*pattern.Pattern, error) {
 		m.stats.GrowIterations++
 		committed = m.commit(working)
 		m.progress(StageEvent{Stage: StageGrowth, Restart: restart, Iteration: i + 1, Patterns: len(working), Merges: m.stats.Merges})
+		if !grew && m.stats.Merges == merges {
+			break
+		}
 	}
 	// Prune unmerged patterns (Algorithm 1 line 10).
 	var survivors []*grown

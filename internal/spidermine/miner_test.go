@@ -2,7 +2,9 @@ package spidermine
 
 import (
 	"context"
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/canon"
 	"repro/internal/gen"
@@ -251,4 +253,71 @@ func TestRadius2Seeds(t *testing.T) {
 func mine(g *graph.Graph, cfg Config) *Result {
 	res, _ := MineContext(context.Background(), g, cfg)
 	return res
+}
+
+// TestStageIIEndsAtFixedPoint: Stage II stops after the first iteration
+// that grows no pattern and accepts no merge, since every later iteration
+// would repeat it, and runs every other iteration up to ⌈Dmax/2r⌉. So
+// raising Dmax past the point where the patterns stop changing changes
+// neither the patterns nor the iterations run, and a Dmax of 2^31−1
+// returns the same patterns promptly instead of running ⌈Dmax/2⌉ idle
+// iterations. An iteration is idle when every pattern is done as its
+// merge round starts and the round accepts no merge.
+func TestStageIIEndsAtFixedPoint(t *testing.T) {
+	for _, gid := range []int{1, 2} {
+		g, _ := gen.Synthetic(gen.GIDConfig(gid, 1))
+		var want *Result
+		for _, dmax := range []int{40, 400, math.MaxInt32} {
+			type iteration struct {
+				restart int
+				idle    bool
+			}
+			var (
+				its          []iteration
+				allDone      bool
+				mergesBefore int
+			)
+			cfg := Config{MinSupport: 2, K: 10, Seed: 1, Dmax: dmax}
+			cfg.OnProgress = func(ev StageEvent) {
+				if ev.Stage == StageGrowth {
+					its = append(its, iteration{ev.Restart, allDone && ev.Merges == mergesBefore})
+				}
+			}
+			m := New(g, cfg)
+			m.roundSeen = func(ws []*grown) {
+				allDone, mergesBefore = true, m.stats.Merges
+				for _, w := range ws {
+					allDone = allDone && w.done
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			res, err := m.RunContext(ctx)
+			cancel()
+			if err != nil {
+				t.Fatalf("GID-%d Dmax %d: %v", gid, dmax, err)
+			}
+			iters := (dmax + 1) / 2
+			for k, it := range its {
+				last := k+1 == len(its) || its[k+1].restart != it.restart
+				n := 1 // the iteration's number within its restart
+				for j := k - 1; j >= 0 && its[j].restart == it.restart; j-- {
+					n++
+				}
+				if last != (it.idle || n == iters) {
+					t.Fatalf("GID-%d Dmax %d restart %d: Stage II iteration %d (idle %v) is last %v", gid, dmax, it.restart, n, it.idle, last)
+				}
+			}
+			if want == nil {
+				want = res
+				t.Logf("GID-%d: %d grow iterations at Dmax %d", gid, res.Stats.GrowIterations, dmax)
+				continue
+			}
+			if fingerprint(t, res) != fingerprint(t, want) {
+				t.Fatalf("GID-%d: Dmax %d mines other patterns than Dmax 40", gid, dmax)
+			}
+			if res.Stats.GrowIterations != want.Stats.GrowIterations {
+				t.Fatalf("GID-%d: Dmax %d runs %d grow iterations, Dmax 40 %d", gid, dmax, res.Stats.GrowIterations, want.Stats.GrowIterations)
+			}
+		}
+	}
 }

@@ -2,9 +2,10 @@ package spidermine
 
 import "repro/internal/par"
 
-// This file is the miner's worker-sharding layer. Every stage runs on
-// par.Do at every worker count (inline at one worker), under the same
-// ownership discipline (documented in doc.go and ROADMAP.md):
+// This file is the miner's worker-sharding layer. The seed draw, growth
+// and merge rounds run on par.Do at every worker count (inline at one
+// worker), under the same ownership discipline (documented in doc.go and
+// ROADMAP.md); Stage I runs on the coordinator, before any of them:
 //
 //   - shared-immutable: the host graph (its label index builds lazily
 //     behind a sync.Once), the frequent-pair index, Stage I's star list,
