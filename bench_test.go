@@ -129,6 +129,9 @@ func BenchmarkStageISpiderMining(b *testing.B) {
 }
 
 // BenchmarkFullPipelineGID1 times one complete SpiderMine run on GID 1.
+// Every op after the first reads an earlier op's Stage I table while it
+// is alive (spider.MineStarsShared), as repeated mines of one host do;
+// BenchmarkStageISpiderMining times Stage I cold.
 func BenchmarkFullPipelineGID1(b *testing.B) {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 1))
 	b.ResetTimer()
@@ -146,7 +149,7 @@ func BenchmarkFullPipelineGID1(b *testing.B) {
 // baseline). The parallel engine is deterministic, so every sub-benchmark
 // computes the identical result; only the sharding changes. On a
 // single-core host the metric hovers around 1.0 — the interesting read is
-// on multicore hardware, where Stages I–III all shard.
+// on multicore hardware, where Stages II–III shard.
 func BenchmarkFullPipelineParallel(b *testing.B) {
 	g, _ := gen.Synthetic(gen.GIDConfig(1, 1))
 	cfg := spidermine.Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 1}

@@ -254,12 +254,23 @@
 //     last-leaf rank and run, leaf count, host-list end) and all host
 //     lists in one array, in the order the seed draw indexes. A star's
 //     leaves are the last leaves along its parent chain, so the garbage
-//     collector has nothing in the table to scan, and the StarMiner reuses
-//     it across runs. Stage I runs on one goroutine and writes each star
-//     straight into the table, so no star is copied. Each level's frontier
-//     is expanded one star at a time, and with MaxSpiders set the star
-//     that fills the table is cut there: at most one star's extensions are
-//     built beyond the cap.
+//     collector has nothing in the table to scan. Stage I runs on one
+//     goroutine and writes each star straight into the table, so no star
+//     is copied; level 1's triples are ordered by two counting passes, not
+//     a comparison sort. Each level's frontier is expanded one star at a
+//     time, and with MaxSpiders set the star that fills the table is cut
+//     there: at most one star's extensions are built beyond the cap.
+//   - Stage I depends only on the host and σ and the two Stage I caps, so
+//     a mine reuses the table of an earlier mine of the same host object
+//     under equal Stage I options while that table is still alive
+//     (spider.MineStarsShared): repeated façade mines of one host, such as
+//     the seed sweeps of the benchmark or jobs on one stored graph, skip
+//     Stage I. Built graphs are immutable, so the host pointer is the key.
+//     The table map holds hosts and tables weakly and retains nothing: a
+//     table no mine holds is reclaimed by the next GC, and the next mine
+//     runs Stage I cold. A table cut by its context is never recorded, and
+//     a shared table is byte-identical to a cold one, so every result is
+//     too.
 //
 // # Pattern identity
 //
@@ -294,7 +305,10 @@
 //   - Shared-immutable: the host graph (whose label index builds lazily
 //     behind a sync.Once, so first use may happen on any worker), the
 //     frequent-pair table, Stage I's star table, and the run Config are
-//     only read by workers. Randomness is drawn on the coordinating goroutine
+//     only read by workers. The star table is also read by every
+//     concurrent mine of the same host that shares it
+//     (spider.MineStarsShared), so nothing writes to it once Stage I
+//     returns. Randomness is drawn on the coordinating goroutine
 //     before any fan-out — workers never touch the rng (and rng streams
 //     are consumed in full before any cancellable section, so a cancelled
 //     run leaves the stream where an uncancelled one would).

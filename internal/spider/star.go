@@ -8,10 +8,13 @@
 // each star written straight into one flat table without pointers
 // (Stars): a fixed-size int32 record per star, whose leaves are read off
 // its parent chain, and all host lists in one array. With a spider cap,
-// Stage I stops building once the table is full. Of this package only
-// the seed draw shards across workers. Deeper spiders (r >= 2) are
-// rooted label trees mined by composing stars (see tree.go); their cost
-// grows exponentially in r, matching Appendix C(3).
+// Stage I stops building once the table is full. Stage I depends only on
+// the host and its options, so MineStarsShared hands later mines of the
+// same host object the table an earlier one mined, while that table is
+// still alive; it holds hosts and tables weakly and retains nothing. Of
+// this package only the seed draw shards across workers. Deeper spiders
+// (r >= 2) are rooted label trees mined by composing stars (see
+// tree.go); their cost grows exponentially in r, matching Appendix C(3).
 package spider
 
 import (
@@ -20,6 +23,8 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync"
+	"weak"
 
 	"repro/internal/graph"
 )
@@ -74,6 +79,12 @@ func (s Star) Size() int { return len(s.Leaves) }
 // int32: a Stage I whose host lists would pass 2^31−1 entries fails with
 // an error. Every star has at least one host, so the star count stays
 // below that bound too.
+//
+// A table from MineStarsContext or MineStarsShared is read-only, and
+// MineStarsShared hands one table to every mine of its host that asks
+// while it is alive, so concurrent mines read it at once. Its readers
+// (Len, Head, NumLeaves, AppendLeaves, Hosts) and everything built on
+// them (Seeder.Draw, Materializer) only read; nothing may write to it.
 type Stars struct {
 	labels []graph.Label // rank -> label: the host's sorted distinct labels
 	recs   []starRec
@@ -159,29 +170,94 @@ type Options struct {
 // level to level so each extension only scans its parent's host list.
 //
 // The table holds the stars in the order the Stars doc gives. Level 1 is
-// sorted; no later level needs a sort, because each parent's extensions
-// come out in ascending new-leaf order with the parent's leaves as a
-// prefix, concatenated in parent order. MaxSpiders keeps a prefix: each
-// level's frontier is expanded in order, one star at a time, the star
-// that fills the table is cut there, and no later star is expanded, so
-// at most one star's extensions (at most the host's distinct-label
-// count) are built beyond the cap. The seed draw indexes the stars in
-// this order, so it is part of every result.
+// put in order by two counting passes; no later level needs ordering,
+// because each parent's extensions come out in ascending new-leaf order
+// with the parent's leaves as a prefix, concatenated in parent order.
+// MaxSpiders keeps a prefix: each level's frontier is expanded in order,
+// one star at a time, the star that fills the table is cut there, and no
+// later star is expanded, so at most one star's extensions (at most the
+// host's distinct-label count) are built beyond the cap. The seed draw
+// indexes the stars in this order, so it is part of every result.
 //
 // Stage I runs on the caller's goroutine. Cancellation is polled before
-// the level-1 scan, before its sort, and before every frontier star's
-// expansion; on ctx
-// expiry the stars of every *completed* level are returned alongside
-// ctx.Err() — levels commit atomically, so the partial table is
-// deterministic for a cancellation observed at any given level.
+// the level-1 scan, before each of the two passes that order level 1,
+// and before every frontier star's expansion; on ctx expiry the stars of
+// every *completed* level are returned alongside ctx.Err() — levels
+// commit atomically, so the partial table is deterministic for a
+// cancellation observed at any given level.
 //
 // Each call runs on a throwaway StarMiner, and the returned table is
-// caller-owned; it keeps none of the miner's scratch alive. Loops that
-// mine repeatedly should hold a StarMiner and call its Mine method to
-// reuse the table and the scratch (minding its ownership contract).
+// caller-owned; it keeps none of the miner's scratch alive, and nothing
+// writes to it after the call. Loops that mine repeatedly should hold a
+// StarMiner and call its Mine method to reuse the table and the scratch
+// (minding its ownership contract), or call MineStarsShared, which hands
+// out a table already mined for the same host while one is still alive.
 func MineStarsContext(ctx context.Context, g *graph.Graph, opt Options) (*Stars, error) {
 	var sm StarMiner
 	stars, err := sm.Mine(ctx, g, opt)
 	out := *stars
 	return &out, err
+}
+
+// sharedKey names a Stage I table: the host object and the options
+// Stage I reads (Radius and Workers are read by nothing). The host is
+// held weakly, so a key keeps no host alive.
+type sharedKey struct {
+	host                         weak.Pointer[graph.Graph]
+	sigma, maxLeaves, maxSpiders int
+}
+
+// sharedTables maps each key to the last table MineStarsShared recorded
+// for it, held weakly: an entry keeps neither its host nor its table
+// alive. It is package state, like a sync.Pool, so that mines of one host
+// from any caller (façade calls, server jobs) find each other's tables;
+// what it hands out is byte-identical to what a miss would mine.
+// sharedMu guards it.
+var (
+	sharedMu     sync.Mutex
+	sharedTables = map[sharedKey]weak.Pointer[Stars]{}
+)
+
+// MineStarsShared returns the Stage I table of g under opt. If a table
+// mined earlier for the same host object under the same MinSupport,
+// MaxLeaves and MaxSpiders is still alive (some mine still holds it, or
+// no garbage collection has reclaimed it yet), that table is returned;
+// otherwise the table comes from MineStarsContext. A shared table is
+// byte-identical to a fresh one, so every result built on it is too.
+//
+// The host is keyed by its pointer: a built graph is immutable
+// (graph.Builder.Build returns a fresh *Graph every time), so one object
+// always has one table per options. The one graph rebuilt in place,
+// graph.SubgraphScratch's, must never be passed here. Options are keyed
+// as given: values Stage I treats alike (σ 0 and 1, MaxLeaves 0 and the
+// host's max degree) are keyed apart, which costs only a miss.
+//
+// Nothing is retained for reuse: the table map holds hosts and tables
+// weakly, and an entry whose host or table has died is removed on the
+// next insert, so it stays bounded by the live tables. A table is
+// recorded only when Stage I finished without an error, so a table cut by
+// ctx is never handed out. Two concurrent misses on one key both mine;
+// the last to finish is recorded. A shared table is read by many mines at
+// once, so nothing may write to it (see Stars).
+func MineStarsShared(ctx context.Context, g *graph.Graph, opt Options) (*Stars, error) {
+	k := sharedKey{weak.Make(g), opt.MinSupport, opt.MaxLeaves, opt.MaxSpiders}
+	sharedMu.Lock()
+	t := sharedTables[k].Value()
+	sharedMu.Unlock()
+	if t != nil {
+		return t, nil
+	}
+	t, err := MineStarsContext(ctx, g, opt)
+	if err != nil {
+		return t, err
+	}
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	for old, w := range sharedTables {
+		if old.host.Value() == nil || w.Value() == nil {
+			delete(sharedTables, old)
+		}
+	}
+	sharedTables[k] = weak.Make(t)
+	return t, nil
 }

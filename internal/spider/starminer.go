@@ -18,8 +18,8 @@ import (
 // host slice read from it — is the StarMiner's own and is valid until the
 // next Mine call on the same StarMiner, which rebuilds it in place. The
 // package function MineStarsContext uses a throwaway StarMiner, so its
-// output is caller-owned forever; the spidermine Miner holds a StarMiner
-// across runs and reads each run's stars only until its next Mine.
+// output is caller-owned forever; the spidermine Miner gets its table
+// from MineStarsShared, which mines on MineStarsContext.
 //
 // Internals:
 //
@@ -30,8 +30,10 @@ import (
 //     and never negative whatever the labels are, so per-rank tallies are
 //     plain arrays;
 //   - nbrOff/nbrFlat: CSR-shaped per-vertex sorted neighbor-rank table;
-//   - level 1: flat (head, leaf, host) triples sorted by the total order
-//     (head, leaf, host), then counted and written to the table;
+//   - level 1: one (head, leaf, host) observation per vertex and
+//     distinct neighbor rank, put in the total order (head, leaf, host)
+//     by two stable counting passes (orderLevel1), then counted and
+//     written to the table;
 //   - expansion: a level's frontier — the previous level's stars, a range
 //     of the table — is expanded one star at a time, in order, and each
 //     star's extensions are written straight into the table (see expand).
@@ -40,14 +42,17 @@ type StarMiner struct {
 	rank    []int32 // vertex -> rank of its label
 	nbrFlat []int32
 	nbrOff  []int32
-	triples []pairTriple
+	byLeaf  []graph.V  // orderLevel1's first pass: hosts by leaf rank
+	pairs   []leafHost // level 1's observations in (head, leaf, host) order
+	heads   []int32    // orderLevel1's per-head-rank cursors
 
 	// expand's per-rank tallies: cnt[r] counts the hosts that can take one
 	// more leaf of rank r, seen marks each counted rank with one bit, obs
 	// records every (rank, host) observation, ranks lists the frequent
 	// ranks and pos[r] is rank r's placement cursor. cnt and seen are zero
 	// between calls (expand clears what it set); pos is read only where
-	// expand set it. They only ever grow: a new array starts zeroed.
+	// expand, or orderLevel1, which keeps its leaf cursors there, set it.
+	// They only ever grow: a new array starts zeroed.
 	cnt   []int32
 	pos   []int32
 	seen  []uint64
@@ -60,21 +65,11 @@ type StarMiner struct {
 	starSeen func(p, found int)
 }
 
-// pairTriple is one level-1 observation: head vertex v (label rank head)
-// has at least one neighbor of label rank leaf.
-type pairTriple struct {
-	head, leaf int32
-	v          graph.V
-}
-
-func cmpTriple(a, b pairTriple) int {
-	if a.head != b.head {
-		return int(a.head) - int(b.head)
-	}
-	if a.leaf != b.leaf {
-		return int(a.leaf) - int(b.leaf)
-	}
-	return int(a.v) - int(b.v)
+// leafHost is one level-1 observation: host v has at least one neighbor
+// of label rank leaf. Its head rank is v's label rank.
+type leafHost struct {
+	leaf int32
+	v    graph.V
 }
 
 // rankHost is one expansion observation: host v can take one more leaf
@@ -84,9 +79,10 @@ type rankHost struct {
 	v graph.V
 }
 
-func growI32(b []int32, n int) []int32 {
+// resize returns b with length n, reallocated only if it is too small.
+func resize[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return b[:n]
 }
@@ -120,48 +116,55 @@ func (sm *StarMiner) Mine(ctx context.Context, g *graph.Graph, opt Options) (*St
 	t.labels = append(t.labels[:0], g.Labels()...)
 	slices.Sort(t.labels)
 	t.labels = slices.Compact(t.labels)
-	sm.rank = growI32(sm.rank, n)
+	sm.rank = resize(sm.rank, n)
 	for v, l := range g.Labels() {
 		r, _ := slices.BinarySearch(t.labels, l)
 		sm.rank[v] = int32(r)
 	}
-	if nl := len(t.labels); len(sm.cnt) < nl {
+	nl := len(t.labels)
+	if len(sm.cnt) < nl {
 		sm.cnt = make([]int32, nl)
 		sm.pos = make([]int32, nl)
+		sm.heads = make([]int32, nl)
 		sm.seen = make([]uint64, (nl+63)/64)
 	}
 
-	// Per-vertex sorted neighbor-rank table, CSR-shaped, and level 1's
-	// (head, leaf, host) triples, one per vertex and distinct neighbor
-	// rank, sorted by the total order.
-	sm.nbrOff = growI32(sm.nbrOff, n+1)
+	// Per-vertex sorted neighbor-rank table, CSR-shaped. Level 1 observes
+	// one (head, leaf, host) triple per vertex and distinct neighbor rank;
+	// this sweep counts them per leaf rank (pos) and per head rank (heads).
+	leafAt, headAt := sm.pos[:nl], sm.heads[:nl]
+	clear(leafAt)
+	clear(headAt)
+	sm.nbrOff = resize(sm.nbrOff, n+1)
 	total := 0
 	for v := 0; v < n; v++ {
 		sm.nbrOff[v] = int32(total)
 		total += g.Degree(graph.V(v))
 	}
 	sm.nbrOff[n] = int32(total)
-	sm.nbrFlat = growI32(sm.nbrFlat, total)
-	triples := sm.triples[:0]
+	sm.nbrFlat = resize(sm.nbrFlat, total)
+	triples := 0
 	for v := 0; v < n; v++ {
 		seg := sm.nbrRanks(graph.V(v))
 		for i, w := range g.Neighbors(graph.V(v)) {
 			seg[i] = sm.rank[w]
 		}
 		slices.Sort(seg)
+		distinct := 0
 		prev := int32(-1) // no rank is negative
 		for _, r := range seg {
 			if r != prev {
-				triples = append(triples, pairTriple{head: sm.rank[v], leaf: r, v: graph.V(v)})
+				leafAt[r]++
+				distinct++
 				prev = r
 			}
 		}
+		headAt[sm.rank[v]] += int32(distinct)
+		triples += distinct
 	}
-	sm.triples = triples
-	if err := poll(ctx, done); err != nil {
+	if err := sm.orderLevel1(ctx, done, n, triples); err != nil {
 		return t, err
 	}
-	slices.SortFunc(triples, cmpTriple)
 	if err := sm.level1(sigma, opt.MaxSpiders); err != nil {
 		return t, err
 	}
@@ -196,22 +199,74 @@ func poll(ctx context.Context, done <-chan struct{}) error {
 	}
 }
 
+// orderLevel1 writes level 1's triples to pairs in the total order
+// (head, leaf, host) without a comparison, given their counts per leaf
+// rank in pos and per head rank in heads: a stable counting pass writes
+// the hosts to byLeaf grouped by leaf rank, in host order, and a second
+// one moves them from there to their head rank's span of pairs, in leaf
+// order. Ranks are dense, so each pass is O(triples + labels). ctx is
+// polled before each pass.
+func (sm *StarMiner) orderLevel1(ctx context.Context, done <-chan struct{}, n, triples int) error {
+	nl := len(sm.out.labels)
+	leafAt, headAt := sm.pos[:nl], sm.heads[:nl]
+	if err := poll(ctx, done); err != nil {
+		return err
+	}
+	startsOf(leafAt)
+	sm.byLeaf = resize(sm.byLeaf, triples)
+	for v := 0; v < n; v++ {
+		prev := int32(-1)
+		for _, r := range sm.nbrRanks(graph.V(v)) {
+			if r != prev {
+				sm.byLeaf[leafAt[r]] = graph.V(v)
+				leafAt[r]++
+				prev = r
+			}
+		}
+	}
+	if err := poll(ctx, done); err != nil {
+		return err
+	}
+	// leafAt[r] is now the end of leaf rank r's hosts in byLeaf.
+	startsOf(headAt)
+	sm.pairs = resize(sm.pairs, triples)
+	lo := int32(0)
+	for r, hi := range leafAt {
+		for _, v := range sm.byLeaf[lo:hi] {
+			h := sm.rank[v]
+			sm.pairs[headAt[h]] = leafHost{leaf: int32(r), v: v}
+			headAt[h]++
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// startsOf turns per-rank counts into each rank's start offset.
+func startsOf(c []int32) {
+	var sum int32
+	for r, k := range c {
+		c[r] = sum
+		sum += k
+	}
+}
+
 // level1 writes the frequent single-leaf stars to the empty table, up to
 // maxSpiders (0 = all): one star per (head, leaf) run of at least σ
-// triples, hosts ascending because triples are sorted. A first pass
-// counts them, so the table grows to exactly their size.
+// pairs, hosts ascending because pairs are in (head, leaf, host) order. A
+// first pass counts them, so the table grows to exactly their size.
 func (sm *StarMiner) level1(sigma, maxSpiders int) error {
-	t, triples := &sm.out, sm.triples
+	t, pairs := &sm.out, sm.pairs
 	runEnd := func(i int) int {
 		j := i + 1
-		for j < len(triples) && triples[j].head == triples[i].head && triples[j].leaf == triples[i].leaf {
+		for j < len(pairs) && pairs[j].leaf == pairs[i].leaf && sm.rank[pairs[j].v] == sm.rank[pairs[i].v] {
 			j++
 		}
 		return j
 	}
 	full := func(stars int) bool { return maxSpiders > 0 && stars >= maxSpiders }
 	stars, hosts := 0, 0
-	for i := 0; i < len(triples) && !full(stars); {
+	for i := 0; i < len(pairs) && !full(stars); {
 		j := runEnd(i)
 		if j-i >= sigma {
 			stars++
@@ -224,13 +279,13 @@ func (sm *StarMiner) level1(sigma, maxSpiders int) error {
 	}
 	t.recs = growTo(t.recs, stars, stars, 0)
 	t.hosts = growTo(t.hosts, hosts, hosts, 0)
-	for i := 0; i < len(triples) && !full(len(t.recs)); {
+	for i := 0; i < len(pairs) && !full(len(t.recs)); {
 		j := runEnd(i)
 		if j-i >= sigma {
-			for _, tr := range triples[i:j] {
-				t.hosts = append(t.hosts, tr.v)
+			for _, p := range pairs[i:j] {
+				t.hosts = append(t.hosts, p.v)
 			}
-			t.recs = append(t.recs, starRec{head: triples[i].head, parent: -1, leaf: triples[i].leaf, run: 1, leaves: 1, hostEnd: int32(len(t.hosts))})
+			t.recs = append(t.recs, starRec{head: sm.rank[pairs[i].v], parent: -1, leaf: pairs[i].leaf, run: 1, leaves: 1, hostEnd: int32(len(t.hosts))})
 		}
 		i = j
 	}

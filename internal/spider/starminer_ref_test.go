@@ -131,6 +131,25 @@ func mineStarsReference(g *graph.Graph, opt Options) []minedStar {
 	return all
 }
 
+// pairTriple is one level-1 observation of the reference: head vertex v
+// (label head) has at least one neighbor of label leaf.
+type pairTriple struct {
+	head, leaf int32
+	v          graph.V
+}
+
+// cmpTriple is the comparison the reference sorts its level-1 triples
+// with: the total order (head, leaf, host).
+func cmpTriple(a, b pairTriple) int {
+	if a.head != b.head {
+		return int(a.head) - int(b.head)
+	}
+	if a.leaf != b.leaf {
+		return int(a.leaf) - int(b.leaf)
+	}
+	return int(a.v) - int(b.v)
+}
+
 // cmpStars orders mined stars by head label, then leaf multiset
 // (lexicographic, shorter first on common prefix): the order of every
 // level StarMiner returns.

@@ -5,7 +5,9 @@
 //
 // The three stages:
 //
-//	Stage I   — mine all frequent r-spiders (internal/spider).
+//	Stage I   — mine all frequent r-spiders (internal/spider); a mine of
+//	            a host reuses an earlier mine's table of it while that
+//	            table is alive (spider.MineStarsShared).
 //	Stage II  — draw M random seed spiders (M from Lemma 2), grow each by
 //	            SpiderGrow for ⌈Dmax/2r⌉ iterations, merging patterns whose
 //	            embeddings start to overlap, or until an iteration grows
@@ -14,9 +16,9 @@
 //
 // # Performance notes: pooled mining state
 //
-// The Miner owns every table and scratch buffer the pipeline needs and
-// reuses them across iterations, restarts, and (via Reset) runs on new
-// hosts. The per-iteration engines allocate only for retained output —
+// The Miner owns every table and scratch buffer Stages II and III need
+// and reuses them across iterations, restarts, and (via Reset) runs on
+// new hosts. The per-iteration engines allocate only for retained output —
 // the patterns, graphs, and embedding lists that outlive the iteration —
 // never for intermediate state. The pooled structures and their
 // invariants:
@@ -28,12 +30,16 @@
 //     searches within it). Rebuilt in place at the start of every run;
 //     read-only — and therefore safely shared across workers — once
 //     mining starts.
-//   - Stage I tables: the spider.StarMiner is held by value and owns its
-//     CSR neighbor-rank table, its per-rank tallies, and the flat star
-//     table it returns (spider.Stars: one int32 record per star and all
-//     host lists in one array, no pointers), into which it writes each
-//     star once, on the coordinator; the table is rebuilt in place by the
-//     next run. The Miner keeps the table as is (level by level, each level in
+//   - Stage I table: the Miner owns no Stage I state. RunContext takes
+//     the flat star table (spider.Stars: one int32 record per star and all
+//     host lists in one array, no pointers) from spider.MineStarsShared,
+//     which hands out the table of an earlier mine of the same host object
+//     under equal σ, MaxLeavesPerStar and MaxSpiders while that table is
+//     still alive, and otherwise mines one cold on a throwaway
+//     spider.StarMiner. The map behind it holds hosts and tables weakly,
+//     so it retains nothing, and it never records a table cut by its
+//     context. Several mines may read one table at once, so the Miner only
+//     reads it. It keeps the table as is (level by level, each level in
 //     head-then-leaves order); the seed draw indexes it directly, so that
 //     order is part of every result, and the frequent-pair index reads its
 //     first level.
@@ -108,8 +114,10 @@
 // TestFullPipelineAllocBudget (repo root), the warm 0-alloc contracts by
 // TestStarMinerWarmNoAlloc (internal/spider), TestGrowScratchWarm*,
 // TestMergeScratchWarmNoAlloc and TestMergeRoundWarmNoAlloc (this
-// package), and the cross-run reuse
-// contract by TestMinerResetReuse
-// and TestStarMinerWarmAcrossHosts. The measured baseline is the
+// package), the cross-run reuse contract by TestMinerResetReuse and
+// TestStarMinerWarmAcrossHosts, and the shared Stage I table by
+// TestSharedStarsEqualCold, TestSharedStarsKeyedByOptions and
+// TestSharedStarsConcurrent (this package) and TestMineStarsShared*
+// (internal/spider). The measured baseline is the
 // repository benchmark, `bash bench/run.sh` (see bench/README.md).
 package spidermine

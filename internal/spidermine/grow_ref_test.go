@@ -22,7 +22,7 @@ func stagedMiner(tb testing.TB, g *graph.Graph, cfg Config) (*Miner, int) {
 	tb.Helper()
 	m := New(g, cfg)
 	m.ctx, m.start = context.Background(), time.Now()
-	stars, err := m.sm.Mine(m.ctx, g, spider.Options{
+	stars, err := spider.MineStarsContext(m.ctx, g, spider.Options{
 		MinSupport: m.cfg.MinSupport,
 		MaxLeaves:  m.cfg.MaxLeavesPerStar,
 		Radius:     1,

@@ -194,11 +194,10 @@ type Miner struct {
 	// leaves within it. Rebuilt from the Stage I stars each run into the
 	// same backing array.
 	freqPairs []labelPair
-	// sm is the reusable Stage I engine. stars is its output, S_all, as
-	// returned: level by level, each level in head-then-leaves order. It
-	// is sm's own table, so it is valid until sm's next Mine (see
-	// spider.StarMiner's ownership contract).
-	sm    spider.StarMiner
+	// stars is Stage I's output, S_all, as spider.MineStarsShared returns
+	// it: level by level, each level in head-then-leaves order. It may be
+	// the table of an earlier mine of the same host, read by other mines
+	// at once, so the Miner only reads it.
 	stars *spider.Stars
 	// sd owns the Stage II seed-draw scratch (permutation buffer,
 	// per-worker Materializers).
@@ -279,10 +278,12 @@ func New(g *graph.Graph, cfg Config) *Miner {
 
 // Reset re-targets the Miner at a host graph and configuration, zeroing
 // all per-run state (stats, ID counter, rng, canonizer counters) while
-// keeping every scratch arena — the Stage I tables, per-worker grow/merge
-// scratch, seed-draw buffers — so repeated runs allocate per-structure
-// once, not per run. A Reset Miner produces byte-identical results to a
-// freshly New'd one (see TestMinerResetReuse).
+// keeping every scratch arena — per-worker grow/merge scratch, merge
+// round state, seed-draw buffers — so repeated runs allocate
+// per-structure once, not per run. The Miner owns no Stage I state: each
+// run's star table comes from spider.MineStarsShared. A Reset Miner
+// produces byte-identical results to a freshly New'd one (see
+// TestMinerResetReuse).
 func (m *Miner) Reset(g *graph.Graph, cfg Config) {
 	cfg = cfg.withDefaults(g)
 	m.g = g
@@ -361,9 +362,15 @@ func (m *Miner) RunContext(ctx context.Context) (*Result, error) {
 	// Stage I: mine all r-spiders. Stars always back the growth procedure
 	// (growth proceeds in radius-1 steps); with Radius >= 2, tree spiders
 	// are additionally mined as the seed population — at exponentially
-	// higher Stage I cost, as Appendix C(3) documents.
+	// higher Stage I cost, as Appendix C(3) documents. The star table is
+	// shared: an earlier mine's table of the same host and Stage I options
+	// is reused while it is alive, so a context that has already fired is
+	// polled first.
 	t0 := time.Now()
-	stars, starErr := m.sm.Mine(ctx, m.g, spider.Options{
+	if err := m.cancelled(); err != nil {
+		return &Result{Stats: m.stats}, err
+	}
+	stars, starErr := spider.MineStarsShared(ctx, m.g, spider.Options{
 		MinSupport: m.cfg.MinSupport,
 		MaxLeaves:  m.cfg.MaxLeavesPerStar,
 		Radius:     1,

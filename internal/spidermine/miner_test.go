@@ -2,6 +2,8 @@ package spidermine
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -318,6 +320,41 @@ func TestStageIIEndsAtFixedPoint(t *testing.T) {
 			if res.Stats.GrowIterations != want.Stats.GrowIterations {
 				t.Fatalf("GID-%d: Dmax %d runs %d grow iterations, Dmax 40 %d", gid, dmax, res.Stats.GrowIterations, want.Stats.GrowIterations)
 			}
+		}
+	}
+}
+
+// TestStageIIManyIterationsPinned pins mines whose Stage II runs every one
+// of its ⌈Dmax/2⌉ grow+merge iterations: the Table 1 hosts GID-1 and GID-2
+// (host seed 1) at Dmax 6 and 8, seed 1. Each digest is the SHA-256 of
+// the result's patterns as JSON (graphs, embeddings and growth state),
+// recorded when the cases were added. TestStageIIEndsAtFixedPoint checks
+// where Stage II stops; this test fails if Stage II stops early, for
+// example after its first iteration, which changes every digest here.
+func TestStageIIManyIterationsPinned(t *testing.T) {
+	for _, c := range []struct {
+		gid, dmax, stageII int
+		digest             string
+	}{
+		{1, 6, 3, "04c4184df2c08f4672c45bde78115ef4a6a85fc4141a3d408737f82b7af1793c"},
+		{1, 8, 4, "3abcc7756004e4a0642af6f842ae4ddcfb97ceb0859b1b3bd7d8f7fa68950efd"},
+		{2, 6, 3, "6f4ee6405e6cabce6fdff87bf370b83c0e9a24b4abecf3af014027b0376dab73"},
+		{2, 8, 4, "add465490f026016b5fa764f5385e816015dbc1630442bdef39b0e076e117526"},
+	} {
+		g, _ := gen.Synthetic(gen.GIDConfig(c.gid, 1))
+		stageII := 0
+		cfg := Config{MinSupport: 2, K: 10, Dmax: c.dmax, Seed: 1}
+		cfg.OnProgress = func(ev StageEvent) {
+			if ev.Stage == StageGrowth {
+				stageII++
+			}
+		}
+		res := mine(g, cfg)
+		if stageII != c.stageII {
+			t.Errorf("GID-%d Dmax %d: Stage II ran %d iterations, want %d", c.gid, c.dmax, stageII, c.stageII)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fingerprint(t, res)))); got != c.digest {
+			t.Errorf("GID-%d Dmax %d: result digest %s, want %s", c.gid, c.dmax, got, c.digest)
 		}
 	}
 }

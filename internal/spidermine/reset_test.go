@@ -15,6 +15,12 @@ import (
 // and must produce byte-identical results to a fresh Miner on every host.
 // This is the contract Reset documents — pooled tables, arenas, and
 // per-worker scratch may carry capacity between runs but never content.
+// The fresh Miner may reuse the warm one's Stage I table (the Miner owns
+// no Stage I state; see spider.MineStarsShared), so this compares the
+// Stages II–III state; TestSharedStarsEqualCold covers reuse on its own.
+// The BA hosts carry 50 and 40 labels: with 5 and 4 their patterns grew
+// to 270–394 edges of a 300-vertex host, and those two mines took most of
+// a minute under the race detector.
 func TestMinerResetReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	gid1, _ := gen.Synthetic(gen.GIDConfig(1, 42))
@@ -24,10 +30,10 @@ func TestMinerResetReuse(t *testing.T) {
 		cfg  Config
 	}{
 		{"er100", gen.ErdosRenyi(100, 3, 4, rng), Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 1}},
-		{"ba300", gen.BarabasiAlbert(300, 3, 5, rng), Config{MinSupport: 2, K: 8, Dmax: 4, Seed: 2}},
+		{"ba300", gen.BarabasiAlbert(300, 3, 50, rng), Config{MinSupport: 2, K: 8, Dmax: 4, Seed: 2}},
 		{"gid1", gid1, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 3}},
 		{"gid1-workers", gid1, Config{MinSupport: 2, K: 10, Dmax: 4, Seed: 3, Workers: 3}},
-		{"ba300-again", gen.BarabasiAlbert(300, 2, 4, rng), Config{MinSupport: 2, K: 8, Dmax: 6, Seed: 4}},
+		{"ba300-again", gen.BarabasiAlbert(300, 2, 40, rng), Config{MinSupport: 2, K: 8, Dmax: 6, Seed: 4}},
 		{"er60", gen.ErdosRenyi(60, 3, 3, rng), Config{MinSupport: 2, K: 5, Dmax: 4, Seed: 5}},
 	}
 	var warm *Miner
