@@ -172,11 +172,9 @@
 //     pre-context code path — byte-identical results, no hot-path cost
 //     (the matcher stays 0 allocs/op; sequential stage benchmarks are
 //     unchanged). Checks stay cheap: internal/par makes one non-blocking
-//     receive before every item sequentially and reads one watcher-set
-//     atomic flag per item claim in parallel mode, and Stage I makes one
-//     non-blocking receive before every frontier star, so the mining
-//     stages see a cancel at the next star, pattern, merge group or
-//     iteration.
+//     receive before every item claim, inline and on every worker, and
+//     Stage I one before every frontier star, so the mining stages see a
+//     cancel at the next star, seed, pattern, merge group or iteration.
 //   - Deterministic partials when cancelled: SpiderMine commits its
 //     reduced working set at every grow+merge and recovery iteration
 //     boundary (shallow pattern snapshots, taken only when the context is
@@ -294,11 +292,11 @@
 //
 // # Concurrency architecture
 //
-// Config.Workers shards Stages II and III (the seed draw, growth and merge
-// rounds) over the deterministic worker-pool substrate in internal/par;
-// Stage I runs on the coordinating goroutine, since its sharding did not
-// pay on the cores it was measured on. The sharded stages keep three
-// invariants that every future parallel change must preserve
+// Config.Workers shards growth and merge rounds (Stages II and III) over
+// the deterministic worker-pool substrate in internal/par; Stage I and
+// the seed draw run on the coordinating goroutine, since sharding them
+// did not pay on the cores they were measured on. The sharded stages keep
+// three invariants that every future parallel change must preserve
 // (TestParallelEqualsSequential in internal/spidermine is the enforcing
 // harness):
 //
@@ -312,23 +310,21 @@
 //     before any fan-out — workers never touch the rng (and rng streams
 //     are consumed in full before any cancellable section, so a cancelled
 //     run leaves the stream where an uncancelled one would).
-//   - Per-worker scratch: each worker owns its canon.Matcher,
-//     spider.Materializer, grow and merge scratch (BFS state included),
-//     and accumulator slot; package sync.Pools (BFS buffers, pooled
-//     matchers) remain as race-free backstops for code off the sharded
-//     paths. Scratch contents may
-//     affect allocation behavior, never results.
+//   - Per-worker scratch: each worker owns its grow and merge scratch
+//     (BFS state included) and accumulator slot; package sync.Pools (BFS
+//     buffers, pooled matchers) remain as race-free backstops for code off
+//     the sharded paths. Scratch contents may affect allocation behavior,
+//     never results.
 //   - Ordered reduction: parallel stages write results into item-indexed
-//     slots (par.Map) and all cross-worker combination — accepting Stage II
-//     merges, assigning pattern
-//     IDs — happens afterwards in item order (pattern/vertex id order),
-//     never completion order and never map-iteration order. One code
-//     path serves every worker count: growth and merge rounds run on
-//     par.Do, inline at one worker. A merge round runs in waves, each
-//     holding only pattern-pair groups whose fate the key-order walk of
-//     Algorithm 4 has already decided, so it evaluates exactly the
-//     walk's groups, none speculatively; accepted merges are numbered in
-//     key order once the round ends.
+//     slots and all cross-worker combination — accepting Stage II merges,
+//     assigning pattern IDs — happens afterwards in item order
+//     (pattern/vertex id order), never completion order and never
+//     map-iteration order. One code path serves every worker count:
+//     growth and merge rounds run on par.Do, inline at one worker. A
+//     merge round runs in waves, each holding only pattern-pair groups
+//     whose fate the key-order walk of Algorithm 4 has already decided,
+//     so it evaluates exactly the walk's groups, none speculatively;
+//     accepted merges are numbered in key order once the round ends.
 //
 // Consequence: for a fixed Config (including Seed), the Result and every
 // Stats work counter are identical for every Workers setting; only

@@ -185,8 +185,9 @@ func Synthetic(cfg SyntheticConfig) (*graph.Graph, []*graph.Graph) {
 }
 
 // EmbedInto plants one embedding of p into builder b, avoiding vertices
-// already claimed by earlier injections (tracked in used). Exported for
-// the transaction-database generator.
+// already claimed by earlier injections (tracked in used). used must hold
+// only vertices of b, each mapped to true: the free vertices are counted
+// as b.N() - len(used). Exported for the transaction-database generator.
 func EmbedInto(b *graph.Builder, p *graph.Graph, used map[graph.V]bool, rng *rand.Rand) {
 	embedPattern(b, p, used, rng)
 }
@@ -199,13 +200,7 @@ func EmbedInto(b *graph.Builder, p *graph.Graph, used map[graph.V]bool, rng *ran
 // generator prefers terminating over strict separation on tiny graphs).
 func embedPattern(b *graph.Builder, p *graph.Graph, used map[graph.V]bool, rng *rand.Rand) {
 	n := b.N()
-	free := 0
-	for v := 0; v < n; v++ {
-		if !used[graph.V(v)] {
-			free++
-		}
-	}
-	allowReuse := free < p.N()
+	allowReuse := n-len(used) < p.N()
 	chosen := make([]graph.V, 0, p.N())
 	seen := make(map[graph.V]bool, p.N())
 	for len(chosen) < p.N() {

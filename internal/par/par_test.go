@@ -9,18 +9,21 @@ import (
 	"time"
 )
 
-func TestResolve(t *testing.T) {
-	if got := Resolve(0); got != 1 {
-		t.Fatalf("Resolve(0) = %d, want 1", got)
-	}
-	if got := Resolve(1); got != 1 {
-		t.Fatalf("Resolve(1) = %d, want 1", got)
-	}
-	if got := Resolve(7); got != 7 {
-		t.Fatalf("Resolve(7) = %d, want 7", got)
-	}
-	if got := Resolve(-1); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Resolve(-1) = %d, want GOMAXPROCS", got)
+func TestBound(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ n, workers, want int }{
+		{100, 0, 1},
+		{100, 1, 1},
+		{100, 7, 7},
+		{100, -1, min(procs, 100)},
+		{3, 7, 3},
+		{1, -1, 1},
+		{0, 4, 1},
+		{0, 0, 1},
+	} {
+		if got := Bound(c.n, c.workers); got != c.want {
+			t.Errorf("Bound(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
+		}
 	}
 }
 
@@ -45,25 +48,6 @@ func TestDoNilContext(t *testing.T) {
 	ran := 0
 	if err := Do(nil, 10, 1, func(_, _ int) { ran++ }); err != nil || ran != 10 {
 		t.Fatalf("Do(nil ctx) err=%v ran=%d, want nil/10", err, ran)
-	}
-}
-
-func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
-	const n = 500
-	want, err := Map(context.Background(), n, 1, func(_, i int) int { return i * i })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8, -1} {
-		got, err := Map(context.Background(), n, workers, func(_, i int) int { return i * i })
-		if err != nil {
-			t.Fatalf("workers=%d: Map: %v", workers, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])
-			}
-		}
 	}
 }
 
@@ -98,8 +82,7 @@ func TestDoEmptyAndSingle(t *testing.T) {
 }
 
 // TestDoCancelPreCancelled: a context cancelled before the call returns
-// ctx.Err() without running every item (sequential path may run up to one
-// check stride; parallel path may race a few claims).
+// ctx.Err() without running any item, at any worker count.
 func TestDoCancelPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -109,9 +92,33 @@ func TestDoCancelPreCancelled(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		if n := ran.Load(); int(n) >= 100000 {
-			t.Fatalf("workers=%d: cancelled Do ran all %d items", workers, n)
+		if n := ran.Load(); n != 0 {
+			t.Fatalf("workers=%d: cancelled Do ran %d items", workers, n)
 		}
+	}
+}
+
+// TestDoParallelCancelNextClaim: every worker polls the context before
+// each claim. Item 0 cancels and every other item waits for the cancel,
+// so each worker holds at most one item when it lands, finishes it and
+// claims no other: no more items run than there are workers.
+func TestDoParallelCancelNextClaim(t *testing.T) {
+	const workers = 4
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran atomic.Int32
+	err := Do(ctx, 1000, workers, func(_, i int) {
+		ran.Add(1)
+		if i == 0 {
+			cancel()
+		}
+		<-ctx.Done()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := ran.Load(); n > workers {
+		t.Fatalf("%d items ran after a cancel with %d workers", n, workers)
 	}
 }
 

@@ -3,10 +3,10 @@ package par
 // Workspace is a per-worker scratch arena: one lazily-constructed *T per
 // worker slot, kept across parallel passes so a stage allocates
 // per-worker-once, not per-item. For(workers) returns the first `workers`
-// slots; worker i owns slot i for the duration of one pass (the Do/Map
+// slots; worker i owns slot i for the duration of one pass (Do's
 // ownership contract). The zero value is ready to use; Workspace itself is
 // not safe for concurrent use — callers size it sequentially before the
-// fan-out, exactly like the historical ensureGrowScratch.
+// fan-out.
 type Workspace[T any] struct {
 	slots []*T
 }
@@ -20,10 +20,10 @@ func (ws *Workspace[T]) For(workers int) []*T {
 }
 
 // Slots is a reusable value-slot slice for worker-indexed accumulators
-// (progress flags, counters) and item-indexed result slots: For(n) returns
-// a zeroed length-n slice backed by a buffer grown once and reused across
-// passes. The zero value is ready to use; not safe for concurrent resizing
-// (call For before the fan-out, then index freely).
+// (counters) and item-indexed flags and stamps: For(n) returns a zeroed
+// length-n slice backed by a buffer grown once and reused across passes.
+// The zero value is ready to use; not safe for concurrent resizing (call
+// For before the fan-out, then index freely).
 type Slots[T any] struct {
 	buf []T
 }

@@ -47,7 +47,7 @@ func BenchmarkRandomSeed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sd Seeder
-		if _, err := sd.Draw(context.Background(), g, stars, 86, rng, 0); err != nil {
+		if _, err := sd.Draw(context.Background(), g, stars, 86, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/pattern"
 )
 
@@ -53,13 +52,13 @@ func PSuccess(numVertices, vmin, k, m int) float64 {
 	return math.Pow(1-pfail, float64(k))
 }
 
-// Seeder owns the random-draw scratch — the permutation buffer and the
-// per-worker Materializers — so repeated draws (one per restart, every
-// run) stop allocating per-call tables. The zero value is ready to use;
-// a Seeder is not safe for concurrent use.
+// Seeder owns the random-draw scratch — the permutation buffer and one
+// Materializer — so repeated draws (one per restart) stop allocating
+// per-call tables. The zero value is ready to use; a Seeder is not safe
+// for concurrent use.
 type Seeder struct {
 	perm []int32 // the table bounds the star count by int32
-	ws   par.Workspace[Materializer]
+	mz   Materializer
 }
 
 // Draw draws up to m distinct stars uniformly at random from stars (S_all,
@@ -67,13 +66,11 @@ type Seeder struct {
 // embeddings in g, up to MaxEmbPerHost per hosting head. IDs are assigned
 // 0..len-1 in draw order.
 //
-// The draw consumes rng sequentially; materialization shards across
-// workers (0/1 sequential, < 0 GOMAXPROCS), each worker owning one
-// Materializer. Results land in draw-order slots, so the seed list is
-// identical for any worker count. The rng is consumed in full before any
-// cancellable work, so a cancelled draw (nil result + ctx.Err()) leaves
-// the caller's rng stream exactly where an uncancelled draw would.
-func (sd *Seeder) Draw(ctx context.Context, g *graph.Graph, stars *Stars, m int, rng *rand.Rand, workers int) ([]*pattern.Pattern, error) {
+// The draw consumes rng in full first; the seeds are then materialized on
+// the calling goroutine, in draw order, with ctx polled before each. So a
+// cancelled draw (nil result + ctx.Err()) leaves the caller's rng stream
+// exactly where an uncancelled draw would.
+func (sd *Seeder) Draw(ctx context.Context, g *graph.Graph, stars *Stars, m int, rng *rand.Rand) ([]*pattern.Pattern, error) {
 	n := stars.Len()
 	if m > n {
 		m = n
@@ -91,16 +88,13 @@ func (sd *Seeder) Draw(ctx context.Context, g *graph.Graph, stars *Stars, m int,
 		perm[i] = perm[j]
 		perm[j] = int32(i)
 	}
-	idx := perm[:m]
-	wk := par.Bound(len(idx), workers)
-	mats := sd.ws.For(wk) // per-worker enumeration scratch
-	seeds, err := par.Map(ctx, len(idx), wk, func(w, i int) *pattern.Pattern {
-		p := mats[w].Materialize(g, stars, int(idx[i]))
-		p.ID = i
-		return p
-	})
-	if err != nil {
-		return nil, err
+	seeds := make([]*pattern.Pattern, m)
+	for i, s := range perm[:m] {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		seeds[i] = sd.mz.Materialize(g, stars, int(s))
+		seeds[i].ID = i
 	}
 	return seeds, nil
 }

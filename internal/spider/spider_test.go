@@ -2,6 +2,7 @@ package spider
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -175,8 +176,8 @@ func TestRandomSeedDeterminism(t *testing.T) {
 	g := twoStarsGraph()
 	stars := mineStars(g, Options{MinSupport: 2})
 	var sd Seeder
-	a, _ := sd.Draw(context.Background(), g, stars, 3, rand.New(rand.NewSource(1)), 0)
-	b, _ := sd.Draw(context.Background(), g, stars, 3, rand.New(rand.NewSource(1)), 0)
+	a, _ := sd.Draw(context.Background(), g, stars, 3, rand.New(rand.NewSource(1)))
+	b, _ := sd.Draw(context.Background(), g, stars, 3, rand.New(rand.NewSource(1)))
 	if len(a) != len(b) {
 		t.Fatal("draw size differs")
 	}
@@ -184,6 +185,30 @@ func TestRandomSeedDeterminism(t *testing.T) {
 		if a[i].G.N() != b[i].G.N() || len(a[i].Emb) != len(b[i].Emb) {
 			t.Fatal("seeded draws differ")
 		}
+	}
+}
+
+// TestDrawCancelledKeepsRNG: a draw under a context that has already
+// fired returns nil and ctx.Err() and leaves the rng where an uncancelled
+// draw leaves it, so a cancelled restart does not shift later draws.
+func TestDrawCancelledKeepsRNG(t *testing.T) {
+	g := twoStarsGraph()
+	stars := mineStars(g, Options{MinSupport: 2})
+	var sd Seeder
+	rng := rand.New(rand.NewSource(1))
+	if seeds, err := sd.Draw(context.Background(), g, stars, 3, rng); err != nil || len(seeds) != 3 {
+		t.Fatalf("uncancelled draw: %d seeds, err %v; want 3, nil", len(seeds), err)
+	}
+	want := rng.Int63()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rng = rand.New(rand.NewSource(1))
+	seeds, err := sd.Draw(ctx, g, stars, 3, rng)
+	if seeds != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled draw: %d seeds, err %v; want nil, context.Canceled", len(seeds), err)
+	}
+	if got := rng.Int63(); got != want {
+		t.Fatalf("after a cancelled draw the rng yields %d, after an uncancelled one %d", got, want)
 	}
 }
 

@@ -11,10 +11,10 @@
 // Stage I stops building once the table is full. Stage I depends only on
 // the host and its options, so MineStarsShared hands later mines of the
 // same host object the table an earlier one mined, while that table is
-// still alive; it holds hosts and tables weakly and retains nothing. Of
-// this package only the seed draw shards across workers. Deeper spiders
-// (r >= 2) are rooted label trees mined by composing stars (see
-// tree.go); their cost grows exponentially in r, matching Appendix C(3).
+// still alive; it holds hosts and tables weakly and retains nothing.
+// Deeper spiders (r >= 2) are rooted label trees mined by composing stars
+// (see tree.go); their cost grows exponentially in r, matching Appendix
+// C(3).
 package spider
 
 import (

@@ -12,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/pattern"
+	"repro/internal/spider"
 )
 
 // TestRunContextUncancelledEqualsRun: the cancellation plumbing must be
@@ -281,5 +282,38 @@ func TestMergeCancelSeenAtNextGroup(t *testing.T) {
 	}
 	if len(out) != len(ws) || m.stats.Merges != 0 {
 		t.Fatalf("cancelled round returned %d patterns and %d merges, want the %d inputs and none", len(out), m.stats.Merges, len(ws))
+	}
+}
+
+// TestSeedPatternsCancelledKeepsRNG: a radius-2 Miner's seed draw under a
+// context that has already fired returns nil and ctx.Err(), and leaves the
+// rng where an uncancelled draw leaves it. Stage I's trees are capped:
+// uncapped, radius-2 trees on GID-1 run into gigabytes.
+func TestSeedPatternsCancelledKeepsRNG(t *testing.T) {
+	g, _ := gen.Synthetic(gen.GIDConfig(1, 42))
+	trees, err := spider.MineTreesContext(context.Background(), g, spider.TreeOptions{MinSupport: 2, Radius: 2, MaxFanout: 4, MaxSpiders: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// draw returns the seeds and the rng's next value after the draw.
+	draw := func(ctx context.Context) ([]*pattern.Pattern, int64, error) {
+		m := New(g, Config{MinSupport: 2, Radius: 2, Seed: 3})
+		m.ctx, m.done = ctx, ctx.Done()
+		rng := rand.New(rand.NewSource(5))
+		seeds, err := m.seedPatterns(20, trees, rng)
+		return seeds, rng.Int63(), err
+	}
+	seeds, want, err := draw(context.Background())
+	if err != nil || len(seeds) == 0 {
+		t.Fatalf("uncancelled draw: %d seeds, err %v", len(seeds), err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	seeds, got, err := draw(ctx)
+	if seeds != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled draw: %d seeds, err %v; want nil, context.Canceled", len(seeds), err)
+	}
+	if got != want {
+		t.Fatalf("after a cancelled draw the rng yields %d, after an uncancelled one %d", got, want)
 	}
 }

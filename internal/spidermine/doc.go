@@ -16,20 +16,18 @@
 //
 // # Performance notes: pooled mining state
 //
-// The Miner owns every table and scratch buffer Stages II and III need
-// and reuses them across iterations, restarts, and (via Reset) runs on
-// new hosts. The per-iteration engines allocate only for retained output —
-// the patterns, graphs, and embedding lists that outlive the iteration —
-// never for intermediate state. The pooled structures and their
-// invariants:
+// A Miner serves one run. It owns every table and scratch buffer Stages II
+// and III need and reuses them across iterations and restarts. The
+// per-iteration engines allocate only for retained output — the patterns,
+// graphs, and embedding lists that outlive the iteration — never for
+// intermediate state. The pooled structures and their invariants:
 //
 //   - Frequent-pair index (freqPairs): the Stage I single-leaf stars as a
 //     flat (head, leaf) list sorted by cmpLabelPair, replacing the
 //     historical per-run map[[2]Label]bool. Lookups are binary searches
 //     (freqLeavesOf returns the contiguous run for a head; leafIndex
-//     searches within it). Rebuilt in place at the start of every run;
-//     read-only — and therefore safely shared across workers — once
-//     mining starts.
+//     searches within it). Built when the run starts; read-only — and
+//     therefore safely shared across workers — once mining starts.
 //   - Stage I table: the Miner owns no Stage I state. RunContext takes
 //     the flat star table (spider.Stars: one int32 record per star and all
 //     host lists in one array, no pointers) from spider.MineStarsShared,
@@ -44,12 +42,14 @@
 //     order is part of every result, and the frequent-pair index reads its
 //     first level.
 //   - Per-worker scratch arenas (par.Workspace): one growScratch /
-//     mergeScratch / canon.Matcher per worker, allocated per-worker-once
-//     and reused across passes, runs, and restarts. Scratch contents are
-//     epoch-stamped (mark arrays) or length-reset; nothing in a scratch
-//     may be referenced by retained output — anything that survives the
-//     call is copied out (e.g. merge winners copy their embedding lists
-//     out of the pooled buckets).
+//     mergeScratch per worker, allocated per-worker-once and reused across
+//     passes and restarts. The seed draw runs on the coordinator, in draw
+//     order, with one spider.Materializer (star seeds) and one
+//     canon.Matcher (tree seeds). Scratch contents are epoch-stamped (mark
+//     arrays) or length-reset; nothing in a scratch may be referenced by
+//     retained output — anything that survives the call is copied out
+//     (e.g. merge winners copy their embedding lists out of the pooled
+//     buckets).
 //   - Grow scratch (growScratch, one per worker): the greedy leaf tally is
 //     two []int32 indexed by a label's position in the head's
 //     frequent-leaf run (freqLeavesOf; leafIndex finds it by the binary
@@ -98,14 +98,16 @@
 //     when it founds a bucket. A warm tryMerge whose unions all repeat or
 //     fail Dmax allocates nothing (TestMergeScratchWarmNoAlloc), under
 //     -race as well: warm growth and merge never borrow from a sync.Pool.
-//   - Worker-indexed accumulators (par.Slots): progress flags and iso-run
-//     counters, zero-filled on For and reduced after each join, plus the
-//     merge waves' per-pattern consumed flags and wave stamps. Growth and
-//     merging run on par.Do at every worker count (inline at one worker);
-//     a merge wave holds only groups whose fate is decided, its results
-//     sit in slots indexed by wave position, and accepted merges are
-//     numbered in key order once the round ends (mergeWaves), so results
-//     and every work counter are the same for any worker count.
+//   - Worker-indexed accumulators (par.Slots): iso-run counters,
+//     zero-filled on For and reduced after each join, plus the merge
+//     waves' per-pattern consumed flags and wave stamps. A growth pass
+//     reads whether any pattern grew off the patterns' done flags after
+//     the join. Growth and merging run on par.Do at every worker count
+//     (inline at one worker); a merge wave holds only groups whose fate is
+//     decided, its results sit in slots indexed by wave position, and
+//     accepted merges are numbered in key order once the round ends
+//     (mergeWaves), so results and every work counter are the same for
+//     any worker count.
 //   - Retained embeddings are carved from exact-capacity flat backing
 //     ([]graph.V sized before the append loop), so growing one pattern's
 //     embedding list can never reallocate under a neighbor's sub-slice.
@@ -114,7 +116,7 @@
 // TestFullPipelineAllocBudget (repo root), the warm 0-alloc contracts by
 // TestStarMinerWarmNoAlloc (internal/spider), TestGrowScratchWarm*,
 // TestMergeScratchWarmNoAlloc and TestMergeRoundWarmNoAlloc (this
-// package), the cross-run reuse contract by TestMinerResetReuse and
+// package), a StarMiner's reuse across hosts by
 // TestStarMinerWarmAcrossHosts, and the shared Stage I table by
 // TestSharedStarsEqualCold, TestSharedStarsKeyedByOptions and
 // TestSharedStarsConcurrent (this package) and TestMineStarsShared*

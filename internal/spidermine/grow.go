@@ -14,30 +14,24 @@ import (
 // par.Do (inline at one worker), reporting whether any pattern was
 // extended. Each pattern is grown independently against shared-immutable
 // state (host graph, frequent-pair index) with worker-owned scratch, so
-// the result is the same for any worker count; progress flags are
-// worker-indexed and reduced after the join.
+// the result is the same for any worker count. A pattern that does not
+// grow is marked done and never grown again, so after the join the
+// patterns not done are exactly those that grew in this pass.
 //
 // On cancellation growAll returns ctx.Err() with the pass partially
 // applied; the caller rolls back to its last committed snapshot. par.Do
 // checks before every pattern, and not at all for uncancellable runs.
 func (m *Miner) growAll(ws []*grown) (bool, error) {
-	workers := m.workerCount(len(ws))
+	workers := par.Bound(len(ws), m.cfg.Workers)
 	scs := m.growWS.For(workers)
-	grew := m.anyFlag.For(workers)
 	if err := par.Do(m.ctx, len(ws), workers, func(wk, i int) {
-		w := ws[i]
-		if w.done {
-			return
-		}
-		if m.growPattern(w, scs[wk]) {
-			grew[wk] = true
-		} else {
+		if w := ws[i]; !w.done && !m.growPattern(w, scs[wk]) {
 			w.done = true
 		}
 	}); err != nil {
 		return false, err
 	}
-	return slices.Contains(grew, true), nil
+	return slices.ContainsFunc(ws, func(w *grown) bool { return !w.done }), nil
 }
 
 // growPattern performs one radius-increasing growth step (Algorithm 2 +

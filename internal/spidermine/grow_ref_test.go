@@ -39,7 +39,7 @@ func stagedMiner(tb testing.TB, g *graph.Graph, cfg Config) (*Miner, int) {
 // worker.
 func drawSeeds(tb testing.TB, m *Miner, M int) []*pattern.Pattern {
 	tb.Helper()
-	seeds, err := m.sd.Draw(context.Background(), m.g, m.stars, M, m.rng, 0)
+	seeds, err := m.sd.Draw(context.Background(), m.g, m.stars, M, m.rng)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -159,14 +159,14 @@ func (f *failedPairs) reset() { f.prev, f.cur = f.prev[:0], f.cur[:0] }
 // both its patterns (a known failure consumes nothing, so it stamps
 // none). The first unresolved group is always resolved or ready, so every
 // wave makes progress. The ready groups run through tryMerge on par.Do
-// (inline at one worker, which checks for cancellation before every
-// group), and then the patterns of the wave's merges are marked consumed.
+// (inline at one worker), which checks for cancellation before every
+// group, and then the patterns of the wave's merges are marked consumed.
 // Pending groups are compacted in place in groups. Every failure, known
 // or evaluated, is recorded for the next round.
 //
 // On cancellation mergeWaves returns ctx.Err(); the round is discarded.
 func (m *Miner) mergeWaves(ws []*grown, groups []pairGroup, consumed []bool) ([]waveItem, error) {
-	workers := m.workerCount(len(groups))
+	workers := par.Bound(len(groups), m.cfg.Workers)
 	scs := m.mergeWS.For(workers)
 	isoRuns := m.isoRuns.For(workers)
 	stamp := m.waveStamp.For(len(ws))
@@ -197,7 +197,7 @@ func (m *Miner) mergeWaves(ws []*grown, groups []pairGroup, consumed []bool) ([]
 			stamp[a], stamp[b] = n, n
 		}
 		groups = pending
-		if err = par.Do(m.ctx, len(wave), m.workerCount(len(wave)), eval); err != nil {
+		if err = par.Do(m.ctx, len(wave), m.cfg.Workers, eval); err != nil {
 			break
 		}
 		if m.waveSeen != nil {
@@ -230,7 +230,7 @@ const mergeScanEmb = 256
 const mergePairCap = 4096
 
 // mergeScan is the overlap index and candidate scan state of a merge
-// round, grown once per Miner and reused across rounds, runs and hosts.
+// round, grown once per Miner and reused across rounds and restarts.
 // Scan slots number the scanned embeddings of the round's working set:
 // the first mergeScanEmb embeddings of pattern w are slots base[w] on.
 type mergeScan struct {
@@ -326,11 +326,9 @@ func (m *Miner) mergeGroups(ws []*grown) ([]pairGroup, error) {
 	k = 0
 	for wi, w := range ws {
 		for ei, e := range scanned(w.p) {
-			if m.done != nil {
-				if err := m.cancelled(); err != nil {
-					m.mergeCands = cands[:0]
-					return nil, err
-				}
+			if err := m.cancelled(); err != nil {
+				m.mergeCands = cands[:0]
+				return nil, err
 			}
 			self := sc.base[wi] + int32(ei) + 1
 			for _, hv := range e {

@@ -62,14 +62,13 @@ type Config struct {
 	// can only lose patterns, never admit false ones.
 	MaxEmbPerPattern int
 	// Workers sets the mining parallelism of Stages II and III: 0/1
-	// sequential, > 1 that many goroutines, < 0 GOMAXPROCS. Stage II
-	// shards seed materialization, growth and merge-group evaluation,
-	// Stage III growth and merging; every stage reduces its per-worker
+	// sequential, > 1 that many goroutines, < 0 GOMAXPROCS. It shards
+	// growth and merge-group evaluation; every pass reduces its per-worker
 	// results in a fixed item order, so the Result and every Stats counter
 	// except the stage durations are the same for any setting (see
-	// TestParallelEqualsSequential). Stage I runs on the calling
-	// goroutine: its sharding did not pay on the 2 vCPUs it was measured
-	// on.
+	// TestParallelEqualsSequential). Stage I and the seed draw run on the
+	// calling goroutine: sharding them did not pay on the 2 vCPUs they
+	// were measured on.
 	Workers int
 	// OnProgress, when non-nil, receives streaming stage events: Stage I
 	// completion, each restart's seed draw, and every grow+merge /
@@ -191,8 +190,7 @@ type Miner struct {
 	// freqPairs is the flat, sorted (head label, leaf label) index of
 	// frequent spider edges — the unit of growth. extendAt resolves the
 	// head's contiguous run once per boundary vertex, then binary-searches
-	// leaves within it. Rebuilt from the Stage I stars each run into the
-	// same backing array.
+	// leaves within it. Built from the Stage I stars when the run starts.
 	freqPairs []labelPair
 	// stars is Stage I's output, S_all, as spider.MineStarsShared returns
 	// it: level by level, each level in head-then-leaves order. It may be
@@ -200,15 +198,17 @@ type Miner struct {
 	// at once, so the Miner only reads it.
 	stars *spider.Stars
 	// sd owns the Stage II seed-draw scratch (permutation buffer,
-	// per-worker Materializers).
-	sd spider.Seeder
+	// Materializer), and matcher the search state that materializes tree
+	// seeds; both serve every restart.
+	sd      spider.Seeder
+	matcher canon.Matcher
 	// trees holds the r-spider seed population when cfg.Radius >= 2.
 	trees []*spider.MinedTree
 	// selBFS is the coordinator's BFS scratch for selection's diameter
 	// filter.
 	selBFS graph.BFS
-	// Merge-round state, grown once and reused across rounds, runs and
-	// hosts (checkMerges): the overlap index and candidate scan, the
+	// Merge-round state, grown once and reused across rounds and restarts
+	// (checkMerges): the overlap index and candidate scan, the
 	// candidate (pair, embedding-pair) entries and the group table handed
 	// to the evaluators, the prepared parent images, and the restart's
 	// failed pairs.
@@ -231,12 +231,10 @@ type Miner struct {
 	roundSeen func(ws []*grown)
 	// Per-worker scratch arenas: worker i owns slot i for the duration of
 	// one parallel pass (the par.Do ownership contract). Allocated
-	// per-worker-once, reused across iterations, runs, and restarts.
-	growWS    par.Workspace[growScratch]
-	mergeWS   par.Workspace[mergeScratch]
-	matcherWS par.Workspace[canon.Matcher]
-	anyFlag   par.Slots[bool]
-	isoRuns   par.Slots[int64]
+	// per-worker-once, reused across iterations and restarts.
+	growWS  par.Workspace[growScratch]
+	mergeWS par.Workspace[mergeScratch]
+	isoRuns par.Slots[int64]
 }
 
 // labelPair is one frequent (head, leaf) spider-edge entry of the flat
@@ -269,34 +267,10 @@ func leafIndex(run []labelPair, l graph.Label) (int, bool) {
 
 const minInt32 = -1 << 31
 
-// New prepares a Miner for the host graph.
+// New prepares a Miner for one run on the host graph.
 func New(g *graph.Graph, cfg Config) *Miner {
-	m := &Miner{}
-	m.Reset(g, cfg)
-	return m
-}
-
-// Reset re-targets the Miner at a host graph and configuration, zeroing
-// all per-run state (stats, ID counter, rng, canonizer counters) while
-// keeping every scratch arena — per-worker grow/merge scratch, merge
-// round state, seed-draw buffers — so repeated runs allocate
-// per-structure once, not per run. The Miner owns no Stage I state: each
-// run's star table comes from spider.MineStarsShared. A Reset Miner
-// produces byte-identical results to a freshly New'd one (see
-// TestMinerResetReuse).
-func (m *Miner) Reset(g *graph.Graph, cfg Config) {
 	cfg = cfg.withDefaults(g)
-	m.g = g
-	m.cfg = cfg
-	m.rng = rand.New(rand.NewSource(cfg.Seed))
-	m.stats = Stats{}
-	m.nextID = 0
-	m.trees = nil
-	if m.cz == nil {
-		m.cz = canon.NewCanonizer()
-	} else {
-		m.cz.Runs, m.cz.Nodes = 0, 0
-	}
+	m := &Miner{g: g, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), cz: canon.NewCanonizer()}
 	if cfg.Measure == support.CountAll {
 		m.supFn = func(_ *graph.Graph, embs []pattern.Embedding) int { return len(embs) }
 	} else {
@@ -304,8 +278,7 @@ func (m *Miner) Reset(g *graph.Graph, cfg Config) {
 			return support.Of(pg, embs, cfg.Measure)
 		}
 	}
-	// Host-graph-sized tables shrink lazily: a larger host reallocates, a
-	// smaller one just truncates (mergeGroups sizes its index itself).
+	return m
 }
 
 // MineContext runs the full three-stage algorithm under ctx and returns

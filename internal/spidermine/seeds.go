@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/canon"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/pattern"
 	"repro/internal/spider"
 )
@@ -17,31 +16,23 @@ import (
 // the radius only affects Stage I cost and seed shape — mirroring the
 // paper's finding that r=1 or 2 is the right trade-off (Appendix C(3)).
 //
-// The random draw itself is sequential (it consumes the run's rng);
-// materialization — the expensive anchored matching — shards across
-// workers, each owning one Matcher, with results reduced in draw order.
-// The rng is always consumed in full before the cancellable
-// materialization, so a cancelled draw leaves the rng stream where an
-// uncancelled draw would.
+// The draw consumes rng in full first; the seeds are then materialized on
+// the coordinator, in draw order, with the context polled before each
+// (tree seeds through the Miner's one Matcher). So a cancelled draw
+// leaves the rng stream where an uncancelled draw would.
 func (m *Miner) seedPatterns(M int, trees []*spider.MinedTree, rng *rand.Rand) ([]*pattern.Pattern, error) {
 	if m.cfg.Radius <= 1 || len(trees) == 0 {
-		return m.sd.Draw(m.ctx, m.g, m.stars, M, rng, m.cfg.Workers)
+		return m.sd.Draw(m.ctx, m.g, m.stars, M, rng)
 	}
 	if M > len(trees) {
 		M = len(trees)
 	}
-	idx := rng.Perm(len(trees))[:M]
-	workers := m.workerCount(len(idx))
-	matchers := m.matcherWS.For(workers) // one search state per worker
-	drawn, err := par.Map(m.ctx, len(idx), workers, func(wk, i int) *pattern.Pattern {
-		return materializeTree(matchers[wk], m.g, trees[idx[i]])
-	})
-	if err != nil {
-		return nil, err
-	}
 	out := make([]*pattern.Pattern, 0, M)
-	for _, p := range drawn {
-		if p != nil {
+	for _, t := range rng.Perm(len(trees))[:M] {
+		if err := m.cancelled(); err != nil {
+			return nil, err
+		}
+		if p := materializeTree(&m.matcher, m.g, trees[t]); p != nil {
 			out = append(out, p)
 		}
 	}

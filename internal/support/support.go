@@ -29,7 +29,6 @@ package support
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/canon"
 	"repro/internal/graph"
@@ -155,31 +154,6 @@ func edgeDisjoint(p *graph.Graph, embs []pattern.Embedding) int {
 	return count
 }
 
-// colorCache memoizes the WL colors of the most recent pattern graph per
-// goroutine-free call path. Growth loops evaluate the same pattern graph
-// against many candidate embedding subsets; recomputing refinement each
-// time dominated profile traces. The cache is keyed by pointer identity —
-// pattern graphs are immutable once built.
-type colorCache struct {
-	mu     sync.Mutex
-	g      *graph.Graph
-	colors []uint64
-}
-
-var lastColors colorCache
-
-func colorsOf(p *graph.Graph) []uint64 {
-	lastColors.mu.Lock()
-	defer lastColors.mu.Unlock()
-	if lastColors.g == p {
-		return lastColors.colors
-	}
-	c := canon.VertexColors(p)
-	lastColors.g = p
-	lastColors.colors = c
-	return c
-}
-
 // harmfulOverlap greedily selects embeddings such that no selected pair
 // harmfully overlaps. Overlap of host vertex hv between embeddings e1
 // (at pattern position i) and e2 (at position j) is harmful when pattern
@@ -189,7 +163,7 @@ func harmfulOverlap(p *graph.Graph, embs []pattern.Embedding) int {
 	if len(embs) <= 1 {
 		return len(embs)
 	}
-	colors := colorsOf(p)
+	colors := canon.VertexColors(p)
 	order := sortedOrder(p, embs)
 	// For selected embeddings, remember which (host vertex, color) slots
 	// are occupied; a new embedding conflicts if it wants an occupied slot.
