@@ -78,7 +78,11 @@
 // storage faults (failpoints store/disk/put, store/disk/get,
 // store/disk/sync) surface as 503 backpressure on upload or silent
 // cache degradation on reads — never a 404, never a dead daemon
-// (persist_test.go asserts this through the HTTP surface).
+// (persist_test.go asserts this through the HTTP surface). Every read
+// re-verifies its frame's CRC. store.Disk.GetPrefix verifies a whole
+// frame through a fixed 64 KiB buffer but returns only the blob's
+// first n bytes: recovery uses it for a host that maps from its image,
+// where only the blob's name and upload time are needed.
 //
 // # Out-of-core
 //
@@ -93,15 +97,17 @@
 // worker count (TestMappedEqualsBuilt, TestOutOfCoreMillionEdge at the
 // repo root are the enforcing gates; FuzzOpenImage holds the
 // hostile-input never-panic line). Verification is two-tier: OpenMapped
-// runs an allocation-free streaming validation of checksums, CSR
-// monotonicity, neighbor order, adjacency symmetry and sketches;
-// OpenMappedTrusted skips it (O(1)) for images already verified.
+// runs a streaming validation of checksums, CSR monotonicity, neighbor
+// order and sketches, then an exact linear sweep for adjacency symmetry
+// whose cursor table, 4 bytes per vertex, is its one allocation;
+// OpenMappedTrusted skips both (O(1)) for images already verified.
 // Platforms without mmap fall back to a heap read transparently, and
 // Clone always deep-copies a mapped graph onto the heap. The serving
 // layer write-throughs an SPC1 image for hosts past
 // serve.DefaultImageEdgeThreshold into the disk's file tier
 // (store.Disk.PutFile, one file per graph) and recovery remaps it
-// — fingerprint-re-verified, falling back to SPG1 decode and rebuilding
+// — fingerprint-re-verified, its SPG1 frame still CRC-verified whole but
+// only the blob's head kept, falling back to SPG1 decode and rebuilding
 // the image if it is missing or corrupt. The mine façade re-exports the
 // open functions (mine.OpenMapped); cmd/gengraph -format spc1 writes
 // images, and cmd/spidermine / cmd/spiderbench take -mmap.

@@ -85,7 +85,10 @@ func (g *Graph) Degree(v V) int { return int(g.offs[v+1] - g.offs[v]) }
 // shared with the graph and must not be modified.
 func (g *Graph) Neighbors(v V) []V { return g.nbrs[g.offs[v]:g.offs[v+1]] }
 
-// HasEdge reports whether the undirected edge {u, w} exists.
+// HasEdge reports whether the undirected edge {u, w} exists. It assumes
+// symmetric adjacency, as every Build output and verified image has, and
+// answers from the shorter of the two lists. So it must not be used to
+// verify an image: on asymmetric lists an entry can vouch for itself.
 func (g *Graph) HasEdge(u, w V) bool {
 	n := V(len(g.labels))
 	if u >= n || w >= n || u < 0 || w < 0 {

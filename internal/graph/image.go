@@ -37,11 +37,14 @@ package graph
 // them so stale images never alias under a different interpretation.
 //
 // Verification tiers. OpenImage and OpenMapped fully verify the image —
-// the O(1) header checks plus one streaming pass over the sections
-// (section checksums, offset monotonicity, neighbor bounds/sortedness/
-// symmetry, sketch consistency) — so arbitrary bytes either error or
-// yield a graph indistinguishable from a Builder.Build output; the pass
-// is zero-decode and allocation-free but costs O(V+E) reads.
+// the O(1) header checks, the section checksums, one streaming pass over
+// the CSR (offset monotonicity, neighbor bounds and sortedness, sketch
+// consistency) and one linear sweep that checks adjacency symmetry
+// exactly — so arbitrary bytes either error or yield a graph
+// indistinguishable from a Builder.Build output. The tier is zero-decode
+// and costs O(V+E) reads; its only scratch is the symmetry sweep's
+// cursor table, 4 bytes per vertex in one allocation, so an open still
+// makes a constant number of allocations.
 // OpenMappedTrusted performs only the O(1) header validation and is for
 // images the caller already verified (or wrote itself): open time is
 // independent of graph size, but a corrupt trusted image can crash the
@@ -390,9 +393,10 @@ func openImage(data []byte, verify bool) (g *Graph, aliased bool, err error) {
 // later access of the graph in-bounds and every mining result identical
 // to the built twin: a monotone offset table covering exactly the
 // neighbor array, per-vertex strictly-ascending neighbor lists (no
-// self-loops, no duplicates) of in-range vertices, symmetric adjacency,
-// and sketches matching the adjacency. One streaming pass, zero
-// allocations.
+// self-loops, no duplicates) of in-range vertices, sketches matching the
+// adjacency, and symmetric adjacency. The first three take one streaming
+// pass; symmetry takes a second, linear sweep (verifySymmetric) whose
+// cursor table is the tier's one allocation, 4 bytes per vertex.
 func verifyImageGraph(g *Graph) error {
 	n := g.N()
 	offs, nbrs := g.offs, g.nbrs
@@ -426,15 +430,41 @@ func verifyImageGraph(g *Graph) error {
 			return fmt.Errorf("%w: sketch mismatch at vertex %d", ErrBadImage, v)
 		}
 	}
-	// Symmetry: every listed edge must be listed from both endpoints.
-	// Checking the u<w half against the reverse direction covers all of
-	// it, and with the total length already pinned to 2m the two halves
-	// must pair up exactly.
+	return verifySymmetric(offs, nbrs)
+}
+
+// verifySymmetric reports whether every entry w of u's neighbor list is
+// matched by an entry u of w's list, in one linear sweep. It needs the
+// structural pass's guarantees: monotone offsets covering nbrs, and
+// strictly ascending lists of in-range vertices without self-loops.
+//
+// A vertex w's sorted list starts with its down-prefix, the entries
+// below w. Sweeping u ascending, the up-entries u→w (u < w) that reach w
+// arrive in ascending u, which is the order of w's down-prefix, so each
+// must be the next unconsumed entry of that prefix; cur[w] is the index
+// of that entry. When the sweep reaches u, every vertex below it has
+// been swept and no later vertex can consume u's prefix, so the prefix
+// must be used up: cur[u] then sits at u's first up-entry, where u's own
+// up-entries begin. That pairs each up-entry with a distinct down-entry
+// and leaves no down-entry unpaired, which is symmetry exactly. (The
+// check it replaces searched the shorter of the two lists, so an entry
+// whose own list was the shorter one vouched for itself, and entries
+// below their vertex were never checked.)
+func verifySymmetric(offs []int32, nbrs []V) error {
+	n := len(offs) - 1
+	cur := make([]int32, n)
+	copy(cur, offs[:n])
 	for u := 0; u < n; u++ {
-		for _, w := range nbrs[offs[u]:offs[u+1]] {
-			if w > V(u) && !g.HasEdge(w, V(u)) {
-				return fmt.Errorf("%w: edge (%d,%d) not symmetric", ErrBadImage, u, w)
+		c, hi := cur[u], offs[u+1]
+		if c < hi && nbrs[c] < V(u) {
+			return fmt.Errorf("%w: vertex %d lists %d, which does not list it back", ErrBadImage, u, nbrs[c])
+		}
+		for _, w := range nbrs[c:hi] {
+			k := cur[w]
+			if k == offs[w+1] || nbrs[k] != V(u) {
+				return fmt.Errorf("%w: vertex %d lists %d, which does not list it back", ErrBadImage, u, w)
 			}
+			cur[w] = k + 1
 		}
 	}
 	return nil
@@ -445,7 +475,8 @@ func verifyImageGraph(g *Graph) error {
 // caller must not modify data afterwards); the full verification tier
 // always runs, so arbitrary bytes either error or yield a graph
 // equivalent to a Builder.Build output — never a panic or an
-// out-of-bounds access later.
+// out-of-bounds access later. Verification allocates one 4-byte cursor
+// per vertex for its symmetry sweep, freed when OpenImage returns.
 func OpenImage(data []byte) (*Graph, error) {
 	g, _, err := openImage(data, true)
 	return g, err
@@ -511,10 +542,13 @@ func (m *Mapped) Close() error {
 // OpenMapped opens the SPC1 image at path by memory-mapping it and
 // aliasing the graph's CSR arrays onto the mapping: no decode, no heap
 // copy of the adjacency, O(1) allocations. The full verification tier
-// runs (one streaming pass; see the package comment), so a truncated,
-// corrupt, or hostile image errors — it never panics and never causes an
-// out-of-bounds access later. On platforms without mmap support the
-// image is read onto the heap instead (same validation, same graph).
+// runs (a streaming pass and a symmetry sweep; see the package comment),
+// so a truncated, corrupt, or hostile image errors — it never panics and
+// never causes an out-of-bounds access later. The sweep's cursor table,
+// 4 bytes per vertex, is the only heap the open uses beyond its fixed
+// bookkeeping, and it is garbage once OpenMapped returns. On platforms
+// without mmap support the image is read onto the heap instead (same
+// validation, same graph).
 func OpenMapped(path string) (*Mapped, error) {
 	return openMappedPath(path, true)
 }

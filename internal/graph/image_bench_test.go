@@ -24,8 +24,9 @@ func BenchmarkWriteImage(b *testing.B) {
 	}
 }
 
-// BenchmarkOpenMapped measures the default verified open: mmap + one
-// streaming validation pass, zero decode allocations.
+// BenchmarkOpenMapped measures the default verified open: mmap, one
+// streaming validation pass and the symmetry sweep, whose cursor table
+// (4 bytes per vertex) is the open's one size-dependent allocation.
 func BenchmarkOpenMapped(b *testing.B) {
 	g := benchImageGraph()
 	path := writeTempImage(b, g)

@@ -284,9 +284,10 @@ func TestOpenMappedFallback(t *testing.T) {
 }
 
 // TestOpenMappedO1Alloc is the open-cost gate: opening an image — even
-// with full verification, which is a streaming pass — performs a small
-// constant number of allocations regardless of graph size, and leaves
-// the lazy label index unbuilt.
+// with full verification, a streaming pass plus a symmetry sweep over a
+// 4-byte-per-vertex cursor table — performs a small constant number of
+// allocations regardless of graph size, and leaves the lazy label index
+// unbuilt.
 func TestOpenMappedO1Alloc(t *testing.T) {
 	small := randomTestGraph(200, 600, 8, 3)
 	big := randomTestGraph(20000, 120000, 8, 4)

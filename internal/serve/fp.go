@@ -24,7 +24,7 @@ import (
 	"repro/internal/graph"
 )
 
-// digest128 accumulates a stable 128-bit content fingerprint: SHA-256
+// tokenStream accumulates a stable 128-bit content fingerprint: SHA-256
 // over a canonical stream of big-endian u64 tokens, truncated to 128
 // bits. The store and cache deduplicate purely by fingerprint — requests
 // are routed by it — so the hash must be collision-resistant, not merely
@@ -33,23 +33,42 @@ import (
 // the matcher uses internally are fine for dedupe heuristics but not for
 // content addressing). The construction is frozen: fingerprints are
 // wire-visible (graph ids) and must be stable across releases.
-type digest128 struct {
+//
+// Tokens are staged in a 4 KiB block and handed to SHA-256 one block at
+// a time: the bytes hashed are exactly the token stream, with one Write
+// per 512 tokens instead of one per token.
+type tokenStream struct {
 	h   hash.Hash
-	buf [8]byte
+	n   int // bytes staged in blk
+	blk [4096]byte
 }
 
-func newDigest() digest128 {
-	return digest128{h: sha256.New()}
+// mix stages one token, first handing a full block to the hash. It is
+// small enough to inline into the fingerprint loops.
+func (d *tokenStream) mix(x uint64) {
+	if d.n == len(d.blk) {
+		d.flush()
+	}
+	binary.BigEndian.PutUint64(d.blk[d.n:], x)
+	d.n += 8
 }
 
-func (d *digest128) mix(x uint64) {
-	binary.BigEndian.PutUint64(d.buf[:], x)
-	d.h.Write(d.buf[:])
+// flush hands the staged tokens to the hash.
+func (d *tokenStream) flush() {
+	d.h.Write(d.blk[:d.n])
+	d.n = 0
 }
 
-// hex renders the truncated 128-bit digest as 32 lowercase hex digits.
-func (d *digest128) hex() string {
-	sum := d.h.Sum(nil)
+// hex flushes the staged tokens and renders the truncated 128-bit digest.
+func (d *tokenStream) hex() string {
+	d.flush()
+	return hex128(d.h)
+}
+
+// hex128 renders the first 128 bits of h's digest as 32 lowercase hex
+// digits.
+func hex128(h hash.Hash) string {
+	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:16])
 }
 
@@ -59,7 +78,7 @@ func (d *digest128) hex() string {
 // two graphs with identical content — regardless of input edge order or
 // the advisory LG name — fingerprint identically.
 func FingerprintGraph(g *graph.Graph) string {
-	d := newDigest()
+	d := &tokenStream{h: sha256.New()}
 	d.mix(uint64(g.N()))
 	d.mix(uint64(g.M()))
 	for _, l := range g.Labels() {
@@ -79,10 +98,13 @@ func FingerprintGraph(g *graph.Graph) string {
 }
 
 // FingerprintBytes returns the 128-bit fingerprint of a byte string —
-// used on canonical Options serializations for cache keys.
+// used on canonical Options serializations for cache keys. Its stream is
+// the length as one big-endian u64 token, then the bytes.
 func FingerprintBytes(p []byte) string {
-	d := newDigest()
-	d.mix(uint64(len(p)))
-	d.h.Write(p)
-	return d.hex()
+	h := sha256.New()
+	var n [8]byte
+	binary.BigEndian.PutUint64(n[:], uint64(len(p)))
+	h.Write(n[:])
+	h.Write(p)
+	return hex128(h)
 }

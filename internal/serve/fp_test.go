@@ -2,9 +2,11 @@ package serve
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/mine"
 )
 
@@ -149,5 +151,20 @@ func TestCacheDisabled(t *testing.T) {
 	c.Put(CacheKey{Host: "h"}, &mine.Result{})
 	if _, ok := c.Get(CacheKey{Host: "h"}); ok {
 		t.Error("disabled cache returned a hit")
+	}
+}
+
+// BenchmarkFingerprintGraph fingerprints the large host of the
+// restart-1m benchmark workload, a Barabási–Albert graph with 135,000
+// vertices, attach 8, 50 labels and host seed 1 (1,079,964 edges): the
+// fingerprint every recovery of that host pays. SetBytes counts the
+// token stream hashed.
+func BenchmarkFingerprintGraph(b *testing.B) {
+	g := gen.BarabasiAlbert(135000, 8, 50, rand.New(rand.NewSource(1)))
+	b.SetBytes(int64(8 * (2 + g.N() + g.M())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FingerprintGraph(g)
 	}
 }

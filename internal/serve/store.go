@@ -148,8 +148,9 @@ func encodeStoredGraph(sg *StoredGraph) []byte {
 
 // decodeStoredMeta parses a graph blob's metadata prefix (version byte,
 // advisory name, upload time) and returns the remaining SPG1 payload
-// undecoded — the mapped recovery path needs the metadata without
-// paying for (or allocating) the decode.
+// undecoded. The mapped recovery path hands it only the blob's first
+// storedMetaPrefix bytes, so a truncated name or timestamp there may just
+// mean the head was cut short.
 func decodeStoredMeta(id string, blob []byte) (name string, uploaded time.Time, spg1 []byte, err error) {
 	if len(blob) < 1 || blob[0] != 1 {
 		return "", time.Time{}, nil, fmt.Errorf("serve: graph blob %s: unknown version", id)
@@ -217,12 +218,16 @@ func (s *Store) Add(g *graph.Graph, name string) (sg *StoredGraph, existed bool,
 // bytes under a trusted id.
 //
 // A graph with a persisted SPC1 image in the file tier recovers by
-// mmap'ing the image (zero decode, zero heap) and
-// re-verifying the fingerprint of the mapped graph; any image problem —
-// missing file, failed open, wrong fingerprint — silently falls back to
-// decoding the SPG1 blob, because the image is a cache, not the durable
-// copy. mapped counts the graphs serving straight from the page cache.
-// Call before serving traffic.
+// mmap'ing the image (zero decode, no heap copy of the adjacency) and
+// re-verifying the fingerprint of the mapped graph. Its SPG1 blob is
+// then read through store.Disk.GetPrefix: the whole frame is read and
+// CRC-verified, so a rotted blob still fails recovery, but only the
+// blob's head (version, name, upload time) is kept; a name too long for
+// that head is read from the whole blob. Any image problem — missing
+// file, failed open, wrong fingerprint — silently falls back to reading
+// and decoding the SPG1 blob, because the image is a cache, not the
+// durable copy. mapped counts the graphs serving straight from the page
+// cache. Call before serving traffic.
 func (s *Store) Recover() (recovered, mapped int, err error) {
 	if s.disk == nil {
 		return 0, 0, nil
@@ -232,40 +237,9 @@ func (s *Store) Recover() (recovered, mapped int, err error) {
 		return 0, 0, fmt.Errorf("serve: recover graphs: %w", err)
 	}
 	for _, id := range keys {
-		blob, err := s.disk.Get(kindGraph, id)
-		if err != nil {
-			return recovered, mapped, fmt.Errorf("serve: recover graph %s: %w", id, err)
-		}
-		name, uploaded, spg1, err := decodeStoredMeta(id, blob)
+		sg, m, err := s.recoverGraph(id)
 		if err != nil {
 			return recovered, mapped, err
-		}
-		var sg *StoredGraph
-		m := s.openImage(id)
-		if m != nil {
-			sg = &StoredGraph{
-				ID: id, Name: name,
-				Vertices: m.Graph().N(), Edges: m.Graph().M(),
-				Uploaded: uploaded,
-				G:        m.Graph(),
-			}
-		} else {
-			g, derr := graph.DecodeBinary(spg1)
-			if derr != nil {
-				return recovered, mapped, fmt.Errorf("serve: graph blob %s: %w", id, derr)
-			}
-			if fp := FingerprintGraph(g); fp != id {
-				return recovered, mapped, fmt.Errorf("serve: recover graph %s: fingerprint mismatch (decoded %s)", id, fp)
-			}
-			sg = &StoredGraph{
-				ID: id, Name: name,
-				Vertices: g.N(), Edges: g.M(),
-				Uploaded: uploaded,
-				G:        g,
-			}
-			// The image was missing or bad but the host is image-worthy:
-			// rewrite it so the next restart maps instead of decoding.
-			s.putImage(id, g)
 		}
 		s.mu.Lock()
 		if _, ok := s.byID[id]; !ok {
@@ -284,6 +258,75 @@ func (s *Store) Recover() (recovered, mapped int, err error) {
 		}
 	}
 	return recovered, mapped, nil
+}
+
+// recoverGraph rebuilds the stored graph id, from its image when one
+// opens and matches (m is then its mapping) and from its SPG1 blob
+// otherwise.
+func (s *Store) recoverGraph(id string) (sg *StoredGraph, m *graph.Mapped, err error) {
+	if m = s.openImage(id); m != nil {
+		name, uploaded, err := s.storedMeta(id)
+		if err != nil {
+			m.Close()
+			return nil, nil, err
+		}
+		g := m.Graph()
+		return &StoredGraph{
+			ID: id, Name: name,
+			Vertices: g.N(), Edges: g.M(),
+			Uploaded: uploaded,
+			G:        g,
+		}, m, nil
+	}
+	blob, err := s.disk.Get(kindGraph, id)
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: recover graph %s: %w", id, err)
+	}
+	name, uploaded, spg1, err := decodeStoredMeta(id, blob)
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := graph.DecodeBinary(spg1)
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: graph blob %s: %w", id, err)
+	}
+	if fp := FingerprintGraph(g); fp != id {
+		return nil, nil, fmt.Errorf("serve: recover graph %s: fingerprint mismatch (decoded %s)", id, fp)
+	}
+	// The image was missing or bad but the host is image-worthy: rewrite
+	// it so the next restart maps instead of decoding.
+	s.putImage(id, g)
+	return &StoredGraph{
+		ID: id, Name: name,
+		Vertices: g.N(), Edges: g.M(),
+		Uploaded: uploaded,
+		G:        g,
+	}, nil, nil
+}
+
+// storedMetaPrefix is how much of a graph blob the mapped recovery path
+// keeps: the version byte, the name's length, a name of up to about 235
+// bytes and the upload time.
+const storedMetaPrefix = 256
+
+// storedMeta reads the name and upload time of graph id from the head
+// of its blob, verifying the whole frame. A head cut short of the
+// metadata means a longer name: the blob is then read whole.
+func (s *Store) storedMeta(id string) (name string, uploaded time.Time, err error) {
+	head, err := s.disk.GetPrefix(kindGraph, id, storedMetaPrefix)
+	if err != nil {
+		return "", time.Time{}, fmt.Errorf("serve: recover graph %s: %w", id, err)
+	}
+	name, uploaded, _, err = decodeStoredMeta(id, head)
+	if err == nil || len(head) < storedMetaPrefix {
+		return name, uploaded, err
+	}
+	blob, err := s.disk.Get(kindGraph, id)
+	if err != nil {
+		return "", time.Time{}, fmt.Errorf("serve: recover graph %s: %w", id, err)
+	}
+	name, uploaded, _, err = decodeStoredMeta(id, blob)
+	return name, uploaded, err
 }
 
 // openImage tries the file-tier SPC1 image for id: mmap, structural

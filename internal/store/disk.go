@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -23,8 +24,10 @@ import (
 //
 // A nil-error return from Put, Delete or Append means the mutation is
 // on disk. Slices passed to them may be reused by the caller once they
-// return; slices returned by Get and Journal are freshly read and owned
-// by the caller. A Disk is safe for concurrent use.
+// return; slices returned by Get, GetPrefix and Journal are freshly read
+// and owned by the caller. Every read re-verifies its frame's CRC;
+// GetPrefix verifies the whole frame but returns, and holds in memory,
+// only the head of the blob. A Disk is safe for concurrent use.
 //
 // Frame layout (all integers little-endian):
 //
@@ -380,23 +383,64 @@ func (d *Disk) Get(kind, key string) ([]byte, error) {
 	if err := fpDiskGet.Hit(); err != nil {
 		return nil, err
 	}
-	d.mu.Lock()
-	var (
-		ref frameRef
-		ok  bool
-	)
-	if k, has := d.kinds[kind]; has {
-		ref, ok = k.refs[key]
-	}
-	d.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, kind, key)
+	ref, err := d.lookup(kind, key)
+	if err != nil {
+		return nil, err
 	}
 	_, _, _, data, err := d.readFrame(ref)
 	if err != nil {
 		return nil, fmt.Errorf("store: get %s/%s: %w", kind, key, err)
 	}
 	return data, nil
+}
+
+// GetPrefix is Get for a caller that needs only the head of a blob: it
+// returns a fresh copy of the blob's first n bytes (all of it when the
+// blob is shorter). The whole frame is still read and its CRC verified,
+// through a buffer of at most prefixChunk bytes, so a large blob is never
+// held in memory; the read counts as one get of the frame's bytes, as
+// Get's does, and GetPrefix fails exactly when Get would.
+func (d *Disk) GetPrefix(kind, key string, n int) ([]byte, error) {
+	if err := fpDiskGet.Hit(); err != nil {
+		return nil, err
+	}
+	ref, err := d.lookup(kind, key)
+	if err != nil {
+		return nil, err
+	}
+	data, err := d.readFramePrefix(ref, max(n, 0))
+	if err != nil {
+		return nil, fmt.Errorf("store: get %s/%s: %w", kind, key, err)
+	}
+	return data, nil
+}
+
+// prefixChunk is the size of the buffer GetPrefix streams a frame
+// through.
+const prefixChunk = 64 << 10
+
+// lookup returns the frame indexed under (kind, key).
+func (d *Disk) lookup(kind, key string) (frameRef, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if k, ok := d.kinds[kind]; ok {
+		if ref, ok := k.refs[key]; ok {
+			return ref, nil
+		}
+	}
+	return frameRef{}, fmt.Errorf("%w: %s/%s", ErrNotFound, kind, key)
+}
+
+// checkFrameHeader checks a frame header read at ref against ref and
+// returns the payload CRC it records.
+func checkFrameHeader(hdr []byte, ref frameRef) (uint32, error) {
+	if binary.LittleEndian.Uint32(hdr[0:4]) != frameMagic {
+		return 0, errors.New("bad frame magic")
+	}
+	if int64(binary.LittleEndian.Uint32(hdr[4:8])) != ref.Len-frameHeaderSize {
+		return 0, errors.New("frame length mismatch")
+	}
+	return binary.LittleEndian.Uint32(hdr[8:12]), nil
 }
 
 // readFrame reads and verifies one whole frame. The returned data slice
@@ -406,19 +450,65 @@ func (d *Disk) readFrame(ref frameRef) (op byte, kind, key string, data []byte, 
 	if _, err := d.f.ReadAt(frame, ref.Off); err != nil {
 		return 0, "", "", nil, err
 	}
-	if binary.LittleEndian.Uint32(frame[0:4]) != frameMagic {
-		return 0, "", "", nil, errors.New("bad frame magic")
+	crc, err := checkFrameHeader(frame, ref)
+	if err != nil {
+		return 0, "", "", nil, err
 	}
 	payload := frame[frameHeaderSize:]
-	if int64(binary.LittleEndian.Uint32(frame[4:8])) != int64(len(payload)) {
-		return 0, "", "", nil, errors.New("frame length mismatch")
-	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[8:12]) {
+	if crc32.Checksum(payload, castagnoli) != crc {
 		return 0, "", "", nil, errors.New("frame CRC mismatch")
 	}
 	d.stats.bytesRead.Add(uint64(ref.Len))
 	d.stats.gets.Add(1)
 	return parsePayload(payload)
+}
+
+// readFramePrefix verifies one whole frame as readFrame does, streaming
+// it through a buffer of at most prefixChunk bytes, and returns a fresh
+// copy of at most the first n bytes of its data. The copy is taken from
+// the first chunk; a frame whose op, kind, key and n data bytes do not
+// fit in it is read whole instead.
+func (d *Disk) readFramePrefix(ref frameRef, n int) ([]byte, error) {
+	buf := make([]byte, min(ref.Len, prefixChunk))
+	if _, err := d.f.ReadAt(buf, ref.Off); err != nil {
+		return nil, err
+	}
+	want, err := checkFrameHeader(buf, ref)
+	if err != nil {
+		return nil, err
+	}
+	head := buf[frameHeaderSize:]
+	_, _, _, data, perr := parsePayload(head)
+	whole := int64(len(buf)) == ref.Len
+	if !whole && (perr != nil || len(data) < n) {
+		_, _, _, data, err := d.readFrame(ref)
+		if err != nil {
+			return nil, err
+		}
+		return bytes.Clone(data[:min(n, len(data))]), nil
+	}
+	var out []byte
+	if perr == nil {
+		out = bytes.Clone(data[:min(n, len(data))])
+	}
+	crc := crc32.Checksum(head, castagnoli)
+	for off := int64(len(buf)); off < ref.Len; {
+		chunk := buf[:min(ref.Len-off, int64(len(buf)))]
+		if _, err := d.f.ReadAt(chunk, ref.Off+off); err != nil {
+			return nil, err
+		}
+		crc = crc32.Update(crc, castagnoli, chunk)
+		off += int64(len(chunk))
+	}
+	if crc != want {
+		return nil, errors.New("frame CRC mismatch")
+	}
+	if perr != nil {
+		return nil, perr
+	}
+	d.stats.bytesRead.Add(uint64(ref.Len))
+	d.stats.gets.Add(1)
+	return out, nil
 }
 
 // List returns the keys of a kind in first-Put order.

@@ -260,6 +260,9 @@ func TestDiskFailpoints(t *testing.T) {
 	if _, err := d.Get("g", "a"); !fault.IsInjected(err) {
 		t.Fatalf("Get under store/disk/get: want injected error, got %v", err)
 	}
+	if _, err := d.GetPrefix("g", "a", 1); !fault.IsInjected(err) {
+		t.Fatalf("GetPrefix under store/disk/get: want injected error, got %v", err)
+	}
 	if _, err := d.Journal(); !fault.IsInjected(err) {
 		t.Fatalf("Journal under store/disk/get: want injected error, got %v", err)
 	}
@@ -384,8 +387,9 @@ func diskSeeds(f *testing.F) (log, idx []byte) {
 // FuzzOpenDisk opens a data dir holding hostile log and sidecar bytes.
 // OpenDisk may refuse it, but once it opens, every List, every Get of
 // an indexed key and the Journal read return data or an error, never
-// panic; and a clean Close followed by a reopen restores the same
-// index.
+// panic; every GetPrefix errors exactly when Get does and otherwise
+// returns the head of Get's bytes; and a clean Close followed by a
+// reopen restores the same index.
 func FuzzOpenDisk(f *testing.F) {
 	log, idx := diskSeeds(f)
 	f.Add(log, idx)
@@ -423,6 +427,7 @@ func FuzzOpenDisk(f *testing.F) {
 
 // readAll lists every kind, Gets every listed key and reads the
 // journal, rendering what each returned (an error counts as a result).
+// It also checks each key's GetPrefix against its Get.
 func readAll(t *testing.T, d *Disk) string {
 	t.Helper()
 	d.mu.Lock()
@@ -439,6 +444,15 @@ func readAll(t *testing.T, d *Disk) string {
 		for _, key := range keys {
 			data, err := d.Get(kind, key)
 			fmt.Fprintf(&b, "  %q: %x %v\n", key, data, err != nil)
+			for _, n := range []int{0, 3, len(data) + 1} {
+				p, perr := d.GetPrefix(kind, key, n)
+				if (perr != nil) != (err != nil) {
+					t.Fatalf("%q/%q: GetPrefix(%d) error %v, Get error %v", kind, key, n, perr, err)
+				}
+				if err == nil && !bytes.Equal(p, data[:min(n, len(data))]) {
+					t.Fatalf("%q/%q: GetPrefix(%d) = %x, Get = %x", kind, key, n, p, data)
+				}
+			}
 		}
 	}
 	recs, err := d.Journal()
