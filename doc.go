@@ -96,17 +96,16 @@
 // with flat heap growth, byte-identically to their built twins at every
 // worker count (TestMappedEqualsBuilt, TestOutOfCoreMillionEdge at the
 // repo root are the enforcing gates; FuzzOpenImage holds the
-// hostile-input never-panic line). Verification is two-tier: OpenMapped
-// runs a streaming validation of checksums, CSR monotonicity, neighbor
-// order and sketches, then an exact linear sweep for adjacency symmetry
-// whose cursor table, 4 bytes per vertex, is its one allocation;
-// OpenMappedTrusted skips both (O(1)) for images already verified.
-// Platforms without mmap fall back to a heap read transparently, and
-// Clone always deep-copies a mapped graph onto the heap. The serving
-// layer write-throughs an SPC1 image for hosts past
+// hostile-input never-panic line). Verification is one tier, run by
+// every open: a streaming validation of checksums, CSR monotonicity,
+// neighbor order and sketches, then an exact linear sweep for adjacency
+// symmetry whose cursor table, 4 bytes per vertex, is its one
+// allocation. Platforms without mmap fall back to a heap read
+// transparently, and Clone always deep-copies a mapped graph onto the
+// heap. The serving layer write-throughs an SPC1 image for hosts past
 // serve.DefaultImageEdgeThreshold into the disk's file tier
-// (store.Disk.PutFile, one file per graph) and recovery remaps it
-// — fingerprint-re-verified, its SPG1 frame still CRC-verified whole but
+// (store.Disk.PutFile, one file per graph) and recovery remaps it —
+// fingerprint-re-verified, its SPG1 frame still CRC-verified whole but
 // only the blob's head kept, falling back to SPG1 decode and rebuilding
 // the image if it is missing or corrupt. The mine façade re-exports the
 // open functions (mine.OpenMapped); cmd/gengraph -format spc1 writes
@@ -147,8 +146,9 @@
 // # Observability
 //
 // internal/obs is the zero-dependency metrics substrate: named counters,
-// gauges, and fixed-bucket histograms (p50/p95/p99 estimated from bucket
-// counts by linear interpolation) registered in a per-Server Registry.
+// scrape-time gauges, and fixed-bucket histograms (p50/p95/p99 estimated
+// from bucket counts by linear interpolation) registered in a per-Server
+// Registry.
 // Record sites follow internal/fault's discipline — a handful of atomic
 // operations and zero allocations on the hot path, enforced by an alloc
 // test — and all reads (Prometheus exposition, JSON snapshots,

@@ -357,8 +357,3 @@ func (s *Iso) MapColored(a *graph.Graph, ca, fa []uint64, b *graph.Graph, cb, fb
 	}
 	return nil
 }
-
-// Isomorphic is the scratch-backed form of the package-level Isomorphic.
-func (s *Iso) Isomorphic(a, b *graph.Graph) bool {
-	return s.MapInto(a, b) != nil
-}

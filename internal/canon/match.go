@@ -133,11 +133,6 @@ func CountEmbeddings(p, g *graph.Graph, limit int) int {
 	return n
 }
 
-// HasEmbedding reports whether p occurs in g at all.
-func HasEmbedding(p, g *graph.Graph) bool {
-	return CountEmbeddings(p, g, 1) > 0
-}
-
 // FindEmbeddings returns up to limit distinct embeddings of p in g
 // (limit <= 0 means all).
 func FindEmbeddings(p, g *graph.Graph, limit int) []Mapping {

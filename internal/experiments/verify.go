@@ -149,8 +149,8 @@ func Claims() []Claim {
 			Statement: "the number of r-spiders grows superlinearly with scale-free graph size",
 			Check: func(r *Report) error {
 				first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
-				sizeFactor := float64(cellInt(last[1])) / float64(max1(cellInt(first[1])))
-				spiderFactor := float64(cellInt(last[2])) / float64(max1(cellInt(first[2])))
+				sizeFactor := float64(cellInt(last[1])) / float64(max(cellInt(first[1]), 1))
+				spiderFactor := float64(cellInt(last[2])) / float64(max(cellInt(first[2]), 1))
 				if spiderFactor < sizeFactor {
 					return fmt.Errorf("spiders grew %.1fx over %.1fx edges", spiderFactor, sizeFactor)
 				}
@@ -350,11 +350,4 @@ func ratio(a, b time.Duration) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-func max1(x int) int {
-	if x < 1 {
-		return 1
-	}
-	return x
 }

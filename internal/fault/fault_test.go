@@ -189,20 +189,56 @@ func TestArmAllDSL(t *testing.T) {
 		t.Error("second DSL entry not armed")
 	}
 
-	for _, bad := range []string{
-		"fault-test/env-a",                   // no trigger
-		"fault-test/env-a=explode(x)",        // unknown kind
-		"fault-test/env-a=delay(notadur)",    // bad duration
-		"fault-test/env-a=error(x),0",        // non-positive modifier
-		"fault-test/env-a=error(x),1,2,3",    // too many modifiers
-		"fault-test/env-a=error(x)garbage",   // trailer without comma
-		"no/such/site=error(x)",              // unknown site
-		"fault-test/env-a=error(x);bogus=no", // second entry bad
-	} {
+	for _, bad := range malformedDSL {
 		if err := ArmAll(bad); err == nil {
 			t.Errorf("ArmAll(%q) succeeded, want parse error", bad)
 		}
 	}
+}
+
+// malformedDSL are arming strings ArmAll must refuse whole.
+var malformedDSL = []string{
+	"fault-test/env-a",                   // no trigger
+	"fault-test/env-a=explode(x)",        // unknown kind
+	"fault-test/env-a=delay(notadur)",    // bad duration
+	"fault-test/env-a=error(x),0",        // non-positive modifier
+	"fault-test/env-a=error(x),1,2,3",    // too many modifiers
+	"fault-test/env-a=error(x)garbage",   // trailer without comma
+	"no/such/site=error(x)",              // unknown site
+	"fault-test/env-a=error(x);bogus=no", // second entry bad
+}
+
+// FuzzArmAll drives ArmAll, the decoder of the SPIDERSERVED_FAULTS
+// environment variable, with arbitrary strings: it never panics, a call
+// that returns an error arms no site, and a call that succeeds arms
+// exactly the sites its entries name. It only arms sites, never hits
+// them, so no armed panic or delay fires.
+func FuzzArmAll(f *testing.F) {
+	f.Add("serve/cache/put=error(disk full),3;serve/miner/invoke=flake(io timeout),1,2") // the package doc's example
+	f.Add("fault-test/env-a=flake(io timeout),2,1; fault-test/env-b=delay(5ms)")
+	f.Add(" ; fault-test/error = panic(boom) ;;fault-test/env-a=error(x),1,1")
+	for _, bad := range malformedDSL {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, dsl string) {
+		DisarmAll()
+		defer DisarmAll()
+		err := ArmAll(dsl)
+		named := map[string]bool{}
+		if err == nil {
+			for _, entry := range strings.Split(dsl, ";") {
+				if name, _, ok := strings.Cut(strings.TrimSpace(entry), "="); ok {
+					named[strings.TrimSpace(name)] = true
+				}
+			}
+		}
+		for _, name := range Names() {
+			p, _ := Lookup(name)
+			if p.Armed() != named[name] {
+				t.Fatalf("ArmAll(%q) = %v: site %s armed %v, want %v", dsl, err, name, p.Armed(), named[name])
+			}
+		}
+	})
 }
 
 // TestConcurrentHit races arming, disarming, and evaluation; run under

@@ -310,10 +310,3 @@ func libraryMotif(size, classes int, rng *rand.Rand) *graph.Graph {
 	}
 	return b.Build()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -147,9 +147,28 @@ func TestDegreeStats(t *testing.T) {
 	}
 }
 
+// bfsDistances reads every vertex's distance from src off
+// BFS.AppendAtDistance, one distance at a time; unreachable vertices get
+// -1.
+func bfsDistances(g *Graph, src V) []int {
+	dist := make([]int, g.N())
+	for i := range dist {
+		dist[i] = -1
+	}
+	var s BFS
+	var at []V
+	for d := 0; d < g.N(); d++ {
+		at = s.AppendAtDistance(g, at[:0], src, d)
+		for _, v := range at {
+			dist[v] = d
+		}
+	}
+	return dist
+}
+
 func TestBFSAndDistances(t *testing.T) {
 	g := buildPath(0, 0, 0, 0, 0)
-	d := g.BFSFrom(0)
+	d := bfsDistances(g, 0)
 	for i, want := range []int{0, 1, 2, 3, 4} {
 		if d[i] != want {
 			t.Fatalf("dist[%d]=%d, want %d", i, d[i], want)
@@ -171,7 +190,7 @@ func TestBFSDisconnected(t *testing.T) {
 	b.AddVertex(0)
 	b.AddEdge(0, 1)
 	g := b.Build()
-	d := g.BFSFrom(0)
+	d := bfsDistances(g, 0)
 	if d[2] != -1 {
 		t.Fatalf("unreachable vertex distance %d, want -1", d[2])
 	}
@@ -327,7 +346,7 @@ func TestQuickBFSEdgeConsistency(t *testing.T) {
 			b.AddEdge(V(rng.Intn(n)), V(rng.Intn(n)))
 		}
 		g := b.Build()
-		d := g.BFSFrom(0)
+		d := bfsDistances(g, 0)
 		for _, e := range g.Edges() {
 			du, dw := d[e.U], d[e.W]
 			if du >= 0 && dw >= 0 {

@@ -36,19 +36,15 @@ package graph
 // magic + version pair: any change to the field set or layout must bump
 // them so stale images never alias under a different interpretation.
 //
-// Verification tiers. OpenImage and OpenMapped fully verify the image —
-// the O(1) header checks, the section checksums, one streaming pass over
-// the CSR (offset monotonicity, neighbor bounds and sortedness, sketch
-// consistency) and one linear sweep that checks adjacency symmetry
-// exactly — so arbitrary bytes either error or yield a graph
-// indistinguishable from a Builder.Build output. The tier is zero-decode
-// and costs O(V+E) reads; its only scratch is the symmetry sweep's
-// cursor table, 4 bytes per vertex in one allocation, so an open still
-// makes a constant number of allocations.
-// OpenMappedTrusted performs only the O(1) header validation and is for
-// images the caller already verified (or wrote itself): open time is
-// independent of graph size, but a corrupt trusted image can crash the
-// process, so it must never be handed untrusted input.
+// Verification. Every open — OpenImage and OpenMapped alike — runs one
+// tier, in full: the O(1) header checks, the section checksums, one
+// streaming pass over the CSR (offset monotonicity, neighbor bounds and
+// sortedness, sketch consistency) and one linear sweep that checks
+// adjacency symmetry exactly, so arbitrary bytes either error or yield a
+// graph indistinguishable from a Builder.Build output. The tier is
+// zero-decode and costs O(V+E) reads; its only scratch is the symmetry
+// sweep's cursor table, 4 bytes per vertex in one allocation, so an open
+// still makes a constant number of allocations.
 
 import (
 	"encoding/binary"
@@ -121,9 +117,6 @@ func layoutFor(n, m int) imageLayout {
 	return l
 }
 
-// ImageSize returns the exact byte size of g's SPC1 image.
-func (g *Graph) ImageSize() int64 { return layoutFor(g.N(), g.m).end }
-
 // rawBytes reinterprets a numeric slice as its in-memory bytes. Only
 // valid on little-endian hosts, where the in-memory representation is
 // the wire representation.
@@ -177,10 +170,9 @@ func (g *Graph) imageSections() [4][]byte {
 }
 
 // WriteImage writes g's SPC1 image to w and returns the number of bytes
-// written (always g.ImageSize() on success). The write streams the CSR
-// arrays directly — no per-edge encoding and no second copy of the
-// adjacency is made (on little-endian hosts the section payloads alias
-// the graph's own arrays).
+// written. The write streams the CSR arrays directly — no per-edge
+// encoding and no second copy of the adjacency is made (on little-endian
+// hosts the section payloads alias the graph's own arrays).
 func (g *Graph) WriteImage(w io.Writer) (int64, error) {
 	g.ensureSketches()
 	l := layoutFor(g.N(), g.m)
@@ -211,30 +203,6 @@ func (g *Graph) WriteImage(w io.Writer) (int64, error) {
 		}
 	}
 	return written, nil
-}
-
-// AppendImage appends g's SPC1 image to dst and returns the extended
-// slice.
-func (g *Graph) AppendImage(dst []byte) []byte {
-	need := int(g.ImageSize())
-	if cap(dst)-len(dst) < need {
-		grown := make([]byte, len(dst), len(dst)+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	buf := imageBuf{b: dst}
-	if _, err := g.WriteImage(&buf); err != nil {
-		// imageBuf never fails; unreachable.
-		panic(err)
-	}
-	return buf.b
-}
-
-type imageBuf struct{ b []byte }
-
-func (w *imageBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }
 
 // WriteImageFile writes g's SPC1 image to path via a temporary file
@@ -341,22 +309,19 @@ func copySection[T int32 | Label | uint64](data []byte, off int64, count int) []
 	return out
 }
 
-// openImage validates data as an SPC1 image and assembles the Graph.
-// aliased reports whether the graph's arrays point into data (true on
-// aligned little-endian opens) — the caller must then keep data alive
-// and unmodified for the graph's lifetime. With verify set the full
-// O(V+E) tier runs (checksums + structural invariants); without it only
-// the O(1) header tier does.
-func openImage(data []byte, verify bool) (g *Graph, aliased bool, err error) {
+// openImage validates data as an SPC1 image and assembles the Graph,
+// running the whole verification tier (checksums and structural
+// invariants). aliased reports whether the graph's arrays point into
+// data (true on aligned little-endian opens) — the caller must then keep
+// data alive and unmodified for the graph's lifetime.
+func openImage(data []byte) (g *Graph, aliased bool, err error) {
 	l, crcs, err := parseImageHeader(data)
 	if err != nil {
 		return nil, false, err
 	}
-	if verify {
-		for i := 0; i < 4; i++ {
-			if crc32.Checksum(data[l.off[i]:l.off[i]+l.size[i]], imageCRC) != crcs[i] {
-				return nil, false, fmt.Errorf("%w: section %d checksum mismatch", ErrBadImage, i)
-			}
+	for i := 0; i < 4; i++ {
+		if crc32.Checksum(data[l.off[i]:l.off[i]+l.size[i]], imageCRC) != crcs[i] {
+			return nil, false, fmt.Errorf("%w: section %d checksum mismatch", ErrBadImage, i)
 		}
 	}
 	aliased = hostLittleEndian
@@ -381,10 +346,8 @@ func openImage(data []byte, verify bool) (g *Graph, aliased bool, err error) {
 		g.nbrs = copySection[V](data, l.off[2], 2*l.m)
 		g.sketches = copySection[uint64](data, l.off[3], l.n)
 	}
-	if verify {
-		if err := verifyImageGraph(g); err != nil {
-			return nil, false, err
-		}
+	if err := verifyImageGraph(g); err != nil {
+		return nil, false, err
 	}
 	return g, aliased, nil
 }
@@ -478,7 +441,7 @@ func verifySymmetric(offs []int32, nbrs []V) error {
 // out-of-bounds access later. Verification allocates one 4-byte cursor
 // per vertex for its symmetry sweep, freed when OpenImage returns.
 func OpenImage(data []byte) (*Graph, error) {
-	g, _, err := openImage(data, true)
+	g, _, err := openImage(data)
 	return g, err
 }
 
@@ -550,19 +513,6 @@ func (m *Mapped) Close() error {
 // without mmap support the image is read onto the heap instead (same
 // validation, same graph).
 func OpenMapped(path string) (*Mapped, error) {
-	return openMappedPath(path, true)
-}
-
-// OpenMappedTrusted is OpenMapped with only the O(1) header validation:
-// open time is independent of graph size. The caller vouches for the
-// image — one this process wrote, or one fully verified before (e.g. by
-// a prior OpenMapped or a content-fingerprint check). A corrupt trusted
-// image can crash the process; never hand this untrusted input.
-func OpenMappedTrusted(path string) (*Mapped, error) {
-	return openMappedPath(path, false)
-}
-
-func openMappedPath(path string, verify bool) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -577,27 +527,23 @@ func openMappedPath(path string, verify bool) (*Mapped, error) {
 		return nil, fmt.Errorf("%w: %s: %d bytes is shorter than the %d-byte header", ErrBadImage, path, size, imageHeaderSize)
 	}
 	if !mmapSupported || size > int64(math.MaxInt) {
-		return openMappedFallback(f, path, verify)
+		return openMappedFallback(f, path)
 	}
 	data, err := mmapBytes(f, int(size))
 	if err != nil {
 		// mmap can fail on filesystems that do not support it; fall back
 		// to reading the image onto the heap.
-		return openMappedFallback(f, path, verify)
+		return openMappedFallback(f, path)
 	}
-	if verify {
-		// The verification pass streams the whole file once; tell the
-		// kernel so readahead works with us, then drop back to normal.
-		madviseBytes(data, AdviceSequential)
-	}
-	g, aliased, err := openImage(data, verify)
+	// The verification pass streams the whole file once; tell the kernel
+	// so readahead works with us, then drop back to normal.
+	madviseBytes(data, AdviceSequential)
+	g, aliased, err := openImage(data)
 	if err != nil {
 		munmapBytes(data)
 		return nil, fmt.Errorf("graph: open image %s: %w", path, err)
 	}
-	if verify {
-		madviseBytes(data, AdviceNormal)
-	}
+	madviseBytes(data, AdviceNormal)
 	if !aliased {
 		// Byte-order conversion copied the arrays to the heap; the
 		// mapping has nothing left to offer.
@@ -611,7 +557,7 @@ func openMappedPath(path string, verify bool) (*Mapped, error) {
 // files) that cannot mmap: the image is read onto the heap and opened
 // with the same validation; the graph is heap-backed and Close is a
 // no-op.
-func openMappedFallback(f *os.File, path string, verify bool) (*Mapped, error) {
+func openMappedFallback(f *os.File, path string) (*Mapped, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
@@ -619,7 +565,7 @@ func openMappedFallback(f *os.File, path string, verify bool) (*Mapped, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, _, err := openImage(data, verify)
+	g, _, err := openImage(data)
 	if err != nil {
 		return nil, fmt.Errorf("graph: open image %s: %w", path, err)
 	}

@@ -14,10 +14,10 @@ import (
 // traversal and re-images to bytes that open to the same content.
 func FuzzOpenImage(f *testing.F) {
 	small := FromEdges([]Label{1, 2, 3, 2}, []Edge{{0, 1}, {1, 2}, {2, 3}})
-	valid := small.AppendImage(nil)
+	valid := imageBytes(small)
 	f.Add([]byte(nil))
 	f.Add(valid)                                  // well-formed
-	f.Add(FromEdges(nil, nil).AppendImage(nil))   // well-formed, empty
+	f.Add(imageBytes(FromEdges(nil, nil)))        // well-formed, empty
 	f.Add(valid[:16])                             // truncated header
 	f.Add(valid[:imageHeaderSize])                // header only, missing sections
 	f.Add(valid[:len(valid)-3])                   // truncated final section
@@ -83,7 +83,7 @@ func FuzzOpenImage(f *testing.F) {
 		}
 		// Round-trip: re-imaging an accepted graph must produce an image
 		// that opens to identical content.
-		img2 := g.AppendImage(nil)
+		img2 := imageBytes(g)
 		g2, err := OpenImage(img2)
 		if err != nil {
 			t.Fatalf("re-image of accepted graph rejected: %v", err)

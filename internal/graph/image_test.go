@@ -49,6 +49,14 @@ func sameImageGraph(t *testing.T, want, got *Graph) {
 	}
 }
 
+// imageBytes returns g's SPC1 image, written with WriteImage into a
+// bytes.Buffer.
+func imageBytes(g *Graph) []byte {
+	var buf bytes.Buffer
+	g.WriteImage(&buf) // a bytes.Buffer write cannot fail
+	return buf.Bytes()
+}
+
 func TestImageRoundTrip(t *testing.T) {
 	for name, g := range imageTestGraphs() {
 		t.Run(name, func(t *testing.T) {
@@ -57,11 +65,8 @@ func TestImageRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("WriteImage: %v", err)
 			}
-			if nw != g.ImageSize() || int64(buf.Len()) != g.ImageSize() {
-				t.Fatalf("wrote %d bytes (buffer %d), ImageSize says %d", nw, buf.Len(), g.ImageSize())
-			}
-			if app := g.AppendImage(nil); !bytes.Equal(app, buf.Bytes()) {
-				t.Fatal("AppendImage differs from WriteImage")
+			if size := layoutFor(g.N(), g.M()).end; nw != size || int64(buf.Len()) != size {
+				t.Fatalf("wrote %d bytes (buffer %d), the layout says %d", nw, buf.Len(), size)
 			}
 			g2, err := OpenImage(buf.Bytes())
 			if err != nil {
@@ -74,7 +79,7 @@ func TestImageRoundTrip(t *testing.T) {
 
 func TestImageTruncationErrors(t *testing.T) {
 	g := imageTestGraphs()["random"]
-	img := g.AppendImage(nil)
+	img := imageBytes(g)
 	for _, cut := range []int{0, 1, 4, 63, imageHeaderSize - 1, imageHeaderSize, imageHeaderSize + 5, len(img) / 2, len(img) - 1} {
 		if _, err := OpenImage(img[:cut]); err == nil {
 			t.Errorf("OpenImage accepted a %d-byte truncation of a %d-byte image", cut, len(img))
@@ -90,7 +95,7 @@ func TestImageTruncationErrors(t *testing.T) {
 
 func TestImageBitFlipsDetectedOrHarmless(t *testing.T) {
 	g := imageTestGraphs()["path"]
-	img := g.AppendImage(nil)
+	img := imageBytes(g)
 	for i := range img {
 		for _, bit := range []byte{1, 0x80} {
 			mut := append([]byte(nil), img...)
@@ -128,7 +133,7 @@ func rehashImage(img []byte) {
 
 func TestImageHostileContentRejected(t *testing.T) {
 	g := imageTestGraphs()["path"] // labels [1 2 3 2], edges 0-1 1-2 2-3
-	base := g.AppendImage(nil)
+	base := imageBytes(g)
 	l := layoutFor(g.N(), g.M())
 	off32 := func(sec int, idx int) int { return int(l.off[sec]) + 4*idx }
 	mutate := func(name string, f func(img []byte)) {
@@ -186,7 +191,7 @@ func TestImageHostileContentRejected(t *testing.T) {
 
 func TestOpenImageUnalignedInput(t *testing.T) {
 	g := imageTestGraphs()["random"]
-	img := g.AppendImage(nil)
+	img := imageBytes(g)
 	for shift := 1; shift < imageAlign; shift++ {
 		buf := make([]byte, len(img)+shift)
 		copy(buf[shift:], img)
@@ -210,27 +215,21 @@ func writeTempImage(t testing.TB, g *Graph) string {
 func TestOpenMappedFile(t *testing.T) {
 	for name, g := range imageTestGraphs() {
 		t.Run(name, func(t *testing.T) {
-			path := writeTempImage(t, g)
-			for _, open := range []struct {
-				name string
-				fn   func(string) (*Mapped, error)
-			}{{"verified", OpenMapped}, {"trusted", OpenMappedTrusted}} {
-				m, err := open.fn(path)
-				if err != nil {
-					t.Fatalf("%s: %v", open.name, err)
+			m, err := OpenMapped(writeTempImage(t, g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameImageGraph(t, g, m.Graph())
+			for _, a := range []Advice{AdviceSequential, AdviceRandom, AdviceWillNeed, AdviceNormal} {
+				if err := m.Advise(a); err != nil {
+					t.Fatalf("Advise(%d): %v", a, err)
 				}
-				sameImageGraph(t, g, m.Graph())
-				for _, a := range []Advice{AdviceSequential, AdviceRandom, AdviceWillNeed, AdviceNormal} {
-					if err := m.Advise(a); err != nil {
-						t.Fatalf("%s: Advise(%d): %v", open.name, a, err)
-					}
-				}
-				if err := m.Close(); err != nil {
-					t.Fatalf("%s: Close: %v", open.name, err)
-				}
-				if err := m.Close(); err != nil {
-					t.Fatalf("%s: second Close: %v", open.name, err)
-				}
+			}
+			if err := m.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if err := m.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
 			}
 		})
 	}
@@ -238,7 +237,7 @@ func TestOpenMappedFile(t *testing.T) {
 
 func TestOpenMappedRejectsCorruptFile(t *testing.T) {
 	g := imageTestGraphs()["random"]
-	img := g.AppendImage(nil)
+	img := imageBytes(g)
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.spc1")
 	if err := os.WriteFile(bad, img[:len(img)-8], 0o644); err != nil {
@@ -269,7 +268,7 @@ func TestOpenMappedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	m, err := openMappedFallback(f, path, true)
+	m, err := openMappedFallback(f, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,23 +296,18 @@ func TestOpenMappedO1Alloc(t *testing.T) {
 		g    *Graph
 	}{{"small", small}, {"big", big}} {
 		path := writeTempImage(t, tc.g)
-		for _, open := range []struct {
-			name string
-			fn   func(string) (*Mapped, error)
-		}{{"verified", OpenMapped}, {"trusted", OpenMappedTrusted}} {
-			allocs := testing.AllocsPerRun(10, func() {
-				m, err := open.fn(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m.Graph().N() != tc.g.N() {
-					t.Fatal("wrong graph")
-				}
-				m.Close()
-			})
-			if allocs > budget {
-				t.Errorf("%s open of %s graph: %.0f allocs/op, budget %d", open.name, tc.name, allocs, budget)
+		allocs := testing.AllocsPerRun(10, func() {
+			m, err := OpenMapped(path)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if m.Graph().N() != tc.g.N() {
+				t.Fatal("wrong graph")
+			}
+			m.Close()
+		})
+		if allocs > budget {
+			t.Errorf("open of %s graph: %.0f allocs/op, budget %d", tc.name, allocs, budget)
 		}
 		m, err := OpenMapped(path)
 		if err != nil {

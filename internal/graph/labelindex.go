@@ -18,14 +18,14 @@ import "slices"
 // front of the exact adjacency checks.
 
 const (
-	sketchBuckets = 16
-	sketchMax     = 7 // per-bucket saturation (3 usable bits per field)
+	sketchMax = 7 // per-bucket saturation (3 usable bits per field)
 	// sketchHigh has the reserved top bit of each 4-bit field set.
 	sketchHigh uint64 = 0x8888888888888888
 )
 
 // sketchBucket maps a label to its sketch bucket via a multiplicative
-// hash, spreading adjacent label values across buckets.
+// hash, spreading adjacent label values across buckets: the hash's top 4
+// bits pick one of the 16.
 func sketchBucket(l Label) uint {
 	return uint(uint32(l)*2654435761) >> 28
 }

@@ -57,25 +57,6 @@ func (g *Graph) bfs(s *BFS, src V) int32 {
 	return ecc
 }
 
-// BFSFrom runs a breadth-first search from src and returns the distance of
-// every vertex from src; unreachable vertices get -1.
-func (g *Graph) BFSFrom(src V) []int {
-	dist := make([]int, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	if int(src) >= g.N() || src < 0 {
-		return dist
-	}
-	s := bfsPool.Get().(*BFS)
-	g.bfs(s, src)
-	for i, d := range s.dist {
-		dist[i] = int(d)
-	}
-	bfsPool.Put(s)
-	return dist
-}
-
 // AppendAtDistance appends to dst the vertices of g at exactly distance d
 // from src, in ascending vertex order, and returns the extended slice.
 // Warm calls allocate only if dst must grow — this is the growth loop's

@@ -46,8 +46,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			writeSample(bw, name, "", "", "", float64(m.counterFn()))
 		case m.gaugeFn != nil:
 			writeSample(bw, name, "", "", "", m.gaugeFn())
-		case m.gauge != nil:
-			writeSample(bw, name, "", "", "", float64(m.gauge.Value()))
 		case m.histogram != nil:
 			writeHistogram(bw, name, "", "", m.histogram)
 		}

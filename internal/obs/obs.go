@@ -1,7 +1,8 @@
 // Package obs is a zero-dependency metrics substrate: named counters,
-// gauges, and fixed-bucket histograms registered in a Registry that can
-// render itself in the Prometheus text exposition format (GET /metrics)
-// and as a JSON-friendly snapshot (folded into /stats).
+// scrape-time gauges, and fixed-bucket histograms registered in a
+// Registry that can render itself in the Prometheus text exposition
+// format (GET /metrics) and as a JSON-friendly snapshot (folded into
+// /stats).
 //
 // The package follows internal/fault's discipline for production code
 // paths: a record site on the hot path is a handful of atomic operations
@@ -70,33 +71,6 @@ func (c *Counter) Value() uint64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add shifts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) {
-	if g != nil {
-		g.v.Add(delta)
-	}
-}
-
-// Value reads the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Histogram is a fixed-bucket distribution of int64 observations. The
 // bucket layout is immutable after construction; observing and reading
 // are wait-free atomic operations. Values are recorded in a raw unit
@@ -123,48 +97,11 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count reports the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Sum reports the sum of raw observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) of the recorded
-// distribution in raw units, by linear interpolation inside the bucket
-// holding the target rank. The overflow bucket clamps to the largest
-// finite bound (a +Inf estimate is useless for an SLO readout). Returns
-// 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	// Snapshot counts once so a concurrent Observe cannot tear the
-	// cumulative walk.
-	counts := make([]uint64, len(h.counts))
-	var total uint64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	return quantileFromCounts(q, h.bounds, counts, total)
-}
-
-// quantileFromCounts is the pure estimation core, shared with snapshots
-// that already hold a consistent copy of the counts.
+// quantileFromCounts estimates the q-quantile (0 < q <= 1) in raw units
+// from one consistent copy of a histogram's bucket counts, by linear
+// interpolation inside the bucket holding the target rank. The overflow
+// bucket clamps to the largest finite bound (a +Inf estimate is useless
+// for an SLO readout). Returns 0 when empty.
 func quantileFromCounts(q float64, bounds []int64, counts []uint64, total uint64) float64 {
 	if total == 0 {
 		return 0
@@ -229,7 +166,6 @@ type metric struct {
 	// labelling; vec maps are guarded by the registry mutex.
 	counter   *Counter
 	counterFn func() uint64
-	gauge     *Gauge
 	gaugeFn   func() float64
 	histogram *Histogram
 
@@ -275,13 +211,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{}
 	r.register(&metric{name: name, help: help, kind: "counter", counter: c})
 	return c
-}
-
-// Gauge registers and returns a settable gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&metric{name: name, help: help, kind: "gauge", gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is read at scrape time — the
@@ -464,8 +393,6 @@ func (r *Registry) Snapshot() map[string]any {
 			out[name] = m.counterFn()
 		case m.gaugeFn != nil:
 			out[name] = m.gaugeFn()
-		case m.gauge != nil:
-			out[name] = m.gauge.Value()
 		case m.histogram != nil:
 			out[name] = snapshotHistogram(m.histogram)
 		}

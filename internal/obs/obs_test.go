@@ -12,26 +12,28 @@ import (
 func TestCounterAndGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "a counter")
-	g := r.Gauge("g", "a gauge")
+	depth := 7.0
+	r.GaugeFunc("g", "a gauge", func() float64 { return depth })
 	c.Inc()
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Errorf("gauge = %d, want 4", got)
+	if got := r.Snapshot()["g"]; got != 7.0 {
+		t.Errorf("gauge = %v, want 7", got)
+	}
+	depth = 4 // read at scrape time
+	if got := r.Snapshot()["g"]; got != 4.0 {
+		t.Errorf("gauge = %v, want 4", got)
 	}
 	// nil receivers are safe no-ops (metrics are optional wiring).
 	var nc *Counter
-	var ng *Gauge
 	var nh *Histogram
 	nc.Inc()
-	ng.Set(1)
+	nc.Add(2)
 	nh.Observe(1)
-	if nc.Value() != 0 || ng.Value() != 0 || nh.Count() != 0 {
-		t.Error("nil metrics recorded something")
+	if nc.Value() != 0 {
+		t.Error("nil counter recorded something")
 	}
 }
 
@@ -43,7 +45,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	r.Gauge("dup", "")
+	r.GaugeFunc("dup", "", func() float64 { return 0 })
 }
 
 // TestHistogramBuckets pins the bucket assignment rule: le bounds are
@@ -60,12 +62,24 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Errorf("bucket %d = %d, want %d", i, got, w)
 		}
 	}
-	if h.Count() != 7 {
-		t.Errorf("count = %d, want 7", h.Count())
+	if n := snapshotHistogram(h).Count; n != 7 {
+		t.Errorf("count = %d, want 7", n)
 	}
-	if h.Sum() != 1+100+101+200+250+301+1000 {
-		t.Errorf("sum = %d", h.Sum())
+	if sum := h.sum.Load(); sum != 1+100+101+200+250+301+1000 {
+		t.Errorf("sum = %d", sum)
 	}
+}
+
+// quantile estimates h's q-quantile in raw units the way a snapshot
+// does: one load of the bucket counts, then quantileFromCounts.
+func quantile(h *Histogram, q float64) float64 {
+	counts := make([]uint64, len(h.counts))
+	var total uint64
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
+	}
+	return quantileFromCounts(q, h.bounds, counts, total)
 }
 
 // TestHistogramQuantiles pins the interpolation: uniform mass within a
@@ -80,13 +94,16 @@ func TestHistogramQuantiles(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(50)
 	}
-	if got := h.Quantile(0.50); got != 50 {
+	if snap := r.Snapshot()["q"].(HistogramSnapshot); snap.P50 != 50 || snap.P99 != 99 {
+		t.Errorf("snapshot p50, p99 = %v, %v, want 50, 99", snap.P50, snap.P99)
+	}
+	if got := quantile(h, 0.50); got != 50 {
 		t.Errorf("p50 = %v, want 50", got)
 	}
-	if got := h.Quantile(0.99); got != 99 {
+	if got := quantile(h, 0.99); got != 99 {
 		t.Errorf("p99 = %v, want 99", got)
 	}
-	if got := h.Quantile(1); got != 100 {
+	if got := quantile(h, 1); got != 100 {
 		t.Errorf("p100 = %v, want 100 (first bound)", got)
 	}
 
@@ -96,23 +113,23 @@ func TestHistogramQuantiles(t *testing.T) {
 		h2.Observe(50)
 		h2.Observe(150)
 	}
-	if got := h2.Quantile(0.5); got != 100 {
+	if got := quantile(h2, 0.5); got != 100 {
 		t.Errorf("p50 = %v, want 100 (bucket boundary)", got)
 	}
-	if got := h2.Quantile(0.75); got != 150 {
+	if got := quantile(h2, 0.75); got != 150 {
 		t.Errorf("p75 = %v, want 150 (mid second bucket)", got)
 	}
 
 	// Overflow-bucket quantiles clamp to the largest finite bound.
 	h3 := r.Histogram("q3", "", 1, []int64{100})
 	h3.Observe(5000)
-	if got := h3.Quantile(0.99); got != 100 {
+	if got := quantile(h3, 0.99); got != 100 {
 		t.Errorf("overflow p99 = %v, want clamp to 100", got)
 	}
 
 	// Empty histogram: quantiles are 0, not NaN.
 	h4 := r.Histogram("q4", "", 1, []int64{100})
-	if got := h4.Quantile(0.5); got != 0 {
+	if got := quantile(h4, 0.5); got != 0 {
 		t.Errorf("empty p50 = %v, want 0", got)
 	}
 }
@@ -136,13 +153,12 @@ func TestHistogramScale(t *testing.T) {
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jobs_total", "jobs accepted")
-	g := r.Gauge("queue_depth", "queued jobs")
+	r.GaugeFunc("queue_depth", "queued jobs", func() float64 { return 2 })
 	cv := r.CounterVec("rejects_total", "rejections by cause", "cause")
 	h := r.Histogram("wait_seconds", "queue wait", SecondsScale,
 		[]int64{int64(time.Millisecond), int64(10 * time.Millisecond)})
 
 	c.Add(3)
-	g.Set(2)
 	cv.With("queue_full").Add(2)
 	cv.With("draining").Inc()
 	h.Observe(int64(500 * time.Microsecond))
@@ -228,7 +244,6 @@ func TestVecChildrenIndependentAndStable(t *testing.T) {
 func TestSnapshotShapes(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total", "").Add(2)
-	r.Gauge("g", "").Set(-3)
 	r.GaugeFunc("gf", "", func() float64 { return 1.5 })
 	r.Histogram("h_seconds", "", SecondsScale, DurationBuckets()).Observe(int64(3 * time.Millisecond))
 	cv := r.CounterVec("cv_total", "", "k")
@@ -237,9 +252,6 @@ func TestSnapshotShapes(t *testing.T) {
 	snap := r.Snapshot()
 	if snap["c_total"] != uint64(2) {
 		t.Errorf("counter snapshot %v", snap["c_total"])
-	}
-	if snap["g"] != int64(-3) {
-		t.Errorf("gauge snapshot %v", snap["g"])
 	}
 	if snap["gf"] != 1.5 {
 		t.Errorf("gaugefunc snapshot %v", snap["gf"])
@@ -260,7 +272,6 @@ func TestSnapshotShapes(t *testing.T) {
 func TestRecordSiteNoAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "")
-	g := r.Gauge("g", "")
 	h := r.Histogram("h", "", SecondsScale, DurationBuckets())
 	child := r.CounterVec("cv_total", "", "k").With("hot") // held, not looked up per record
 	cases := []struct {
@@ -268,7 +279,6 @@ func TestRecordSiteNoAlloc(t *testing.T) {
 		fn   func()
 	}{
 		{"Counter.Inc", func() { c.Inc() }},
-		{"Gauge.Set", func() { g.Set(3) }},
 		{"Histogram.Observe", func() { h.Observe(int64(2 * time.Millisecond)) }},
 		{"Vec child Inc", func() { child.Inc() }},
 	}
@@ -291,8 +301,8 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 	const workers, perWorker = 8, 2000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Scrapers: exposition + snapshot + quantiles in a loop until the
-	// recorders finish.
+	// Scrapers: exposition + snapshot (quantiles included) in a loop
+	// until the recorders finish.
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
@@ -309,7 +319,6 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 					return
 				}
 				_ = r.Snapshot()
-				_ = h.Quantile(0.99)
 			}
 		}()
 	}
@@ -333,10 +342,10 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 	if got := c.Value(); got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := h.Count(); got != workers*perWorker {
+	if got := snapshotHistogram(h).Count; got != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", got, workers*perWorker)
 	}
-	if got := hv.With("w").Count(); got != workers*perWorker {
+	if got := snapshotHistogram(hv.With("w")).Count; got != workers*perWorker {
 		t.Errorf("vec histogram count = %d, want %d", got, workers*perWorker)
 	}
 }

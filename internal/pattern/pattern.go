@@ -66,10 +66,6 @@ func (p *Pattern) Size() int { return p.G.M() }
 // NV returns the number of pattern vertices.
 func (p *Pattern) NV() int { return p.G.N() }
 
-// SupportCount returns the raw number of stored embeddings. Overlap-aware
-// measures live in internal/support.
-func (p *Pattern) SupportCount() int { return len(p.Emb) }
-
 // Invariant returns the cached isomorphism-invariant hash of the pattern
 // graph.
 func (p *Pattern) Invariant() uint64 {
@@ -139,19 +135,13 @@ func (p *Pattern) DedupeEmbeddings() int {
 	return removed
 }
 
-// Boundary returns the pattern vertices at exactly the given distance from
-// Origin — the frontier B[P] that SpiderGrow extends. If Origin is -1 the
-// boundary is every vertex (merged patterns grow from their whole rim).
-// Vertices are returned sorted, matching the paper's lexicographic queue.
-func (p *Pattern) Boundary(radius int) []graph.V {
-	return p.AppendBoundary(new(graph.BFS), nil, radius)
-}
-
-// AppendBoundary is Boundary into caller-owned scratch: the boundary
-// vertices (ascending) are appended to dst and the extended slice
-// returned, and the BFS behind them runs in s. The growth loop reuses one
-// buffer and one BFS per worker this way, so warm calls only allocate if
-// dst must grow.
+// AppendBoundary appends to dst the pattern vertices at exactly the given
+// distance from Origin — the frontier B[P] that SpiderGrow extends — and
+// returns the extended slice. If Origin is -1 the boundary is every vertex
+// (merged patterns grow from their whole rim). Vertices come in ascending
+// order, matching the paper's lexicographic queue. The BFS behind them
+// runs in the caller's s: the growth loop reuses one buffer and one BFS
+// per worker, so warm calls only allocate if dst must grow.
 func (p *Pattern) AppendBoundary(s *graph.BFS, dst []graph.V, radius int) []graph.V {
 	if p.Origin < 0 {
 		for i := 0; i < p.NV(); i++ {

@@ -29,7 +29,7 @@ func star(head graph.Label, leaves ...graph.Label) *graph.Graph {
 
 func TestPatternBasics(t *testing.T) {
 	p := New(path(1, 2, 3), []Embedding{{10, 11, 12}})
-	if p.Size() != 2 || p.NV() != 3 || p.SupportCount() != 1 {
+	if p.Size() != 2 || p.NV() != 3 || len(p.Emb) != 1 {
 		t.Fatalf("basics wrong: %v", p)
 	}
 }
@@ -43,18 +43,23 @@ func TestDedupeEmbeddings(t *testing.T) {
 	}
 }
 
+// boundary returns p's boundary at the given radius from a fresh BFS.
+func boundary(p *Pattern, radius int) []graph.V {
+	return p.AppendBoundary(new(graph.BFS), nil, radius)
+}
+
 func TestBoundary(t *testing.T) {
 	p := New(path(0, 0, 0, 0, 0), nil)
 	p.Origin = 2 // center of P5
-	b0 := p.Boundary(0)
+	b0 := boundary(p, 0)
 	if len(b0) != 1 || b0[0] != 2 {
 		t.Fatalf("radius-0 boundary: %v", b0)
 	}
-	b1 := p.Boundary(1)
+	b1 := boundary(p, 1)
 	if len(b1) != 2 {
 		t.Fatalf("radius-1 boundary: %v", b1)
 	}
-	b2 := p.Boundary(2)
+	b2 := boundary(p, 2)
 	if len(b2) != 2 || b2[0] != 0 || b2[1] != 4 {
 		t.Fatalf("radius-2 boundary: %v", b2)
 	}
@@ -63,7 +68,7 @@ func TestBoundary(t *testing.T) {
 func TestBoundaryNoOrigin(t *testing.T) {
 	p := New(path(0, 0, 0), nil)
 	p.Origin = -1
-	if got := p.Boundary(5); len(got) != 3 {
+	if got := boundary(p, 5); len(got) != 3 {
 		t.Fatalf("merged-pattern boundary should be all vertices, got %v", got)
 	}
 }

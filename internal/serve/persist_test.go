@@ -524,18 +524,21 @@ func TestRecoverRejectsTamperedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-key the blob under a different (wrong) fingerprint.
+	// Re-key the blob under a different (wrong) fingerprint, copying it
+	// into a second disk.
 	blob, err := backend.Get("graphs", sg.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := backend.Delete("graphs", sg.ID); err != nil {
+	tampered, err := store.OpenDisk(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := backend.Put("graphs", "0123456789abcdef0123456789abcdef", blob); err != nil {
+	defer tampered.Close()
+	if err := tampered.Put("graphs", "0123456789abcdef0123456789abcdef", blob); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewStore(backend).Recover(); err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+	if _, _, err := NewStore(tampered).Recover(); err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
 		t.Fatalf("Recover accepted a tampered blob (err %v)", err)
 	}
 }

@@ -89,8 +89,9 @@ func (sd *Seeder) Draw(ctx context.Context, g *graph.Graph, stars *Stars, m int,
 		perm[j] = int32(i)
 	}
 	seeds := make([]*pattern.Pattern, m)
+	done := ctx.Done()
 	for i, s := range perm[:m] {
-		if err := ctx.Err(); err != nil {
+		if err := poll(ctx, done); err != nil {
 			return nil, err
 		}
 		seeds[i] = sd.mz.Materialize(g, stars, int(s))

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"strconv"
 	"sync"
 	"weak"
 
@@ -35,34 +34,6 @@ type Star struct {
 	Head   graph.Label
 	Leaves []graph.Label
 }
-
-// Key returns a canonical string key for the star.
-func (s Star) Key() string {
-	b := make([]byte, 0, 4+4*len(s.Leaves))
-	b = strconv.AppendInt(b, int64(s.Head), 10)
-	b = append(b, ':')
-	for i, l := range s.Leaves {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(l), 10)
-	}
-	return string(b)
-}
-
-// Graph materializes the star as a pattern graph: vertex 0 is the head.
-func (s Star) Graph() *graph.Graph {
-	b := graph.NewBuilder(1+len(s.Leaves), len(s.Leaves))
-	head := b.AddVertex(s.Head)
-	for _, l := range s.Leaves {
-		leaf := b.AddVertex(l)
-		b.AddEdge(head, leaf)
-	}
-	return b.Build()
-}
-
-// Size returns the number of edges of the star.
-func (s Star) Size() int { return len(s.Leaves) }
 
 // Stars is Stage I's output, S_all: every frequent star of a host, as
 // one flat table with no pointers in it. Stars come level by level (by

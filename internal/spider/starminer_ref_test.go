@@ -373,7 +373,7 @@ func TestMineStarsNegativeLeafLabel(t *testing.T) {
 		if len(stars) != 3 {
 			t.Errorf("leaf label %d: %d stars, want 3", leaf, len(stars))
 			for _, ms := range stars {
-				t.Logf("  %s hosts %v", ms.Star.Key(), ms.Hosts)
+				t.Logf("  %s hosts %v", starKey(ms.Star), ms.Hosts)
 			}
 		}
 	}

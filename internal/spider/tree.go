@@ -67,26 +67,6 @@ func writeLabel(b *strings.Builder, l graph.Label) {
 	b.Write(strconv.AppendInt(tmp[:0], int64(l), 36))
 }
 
-// Size returns the number of edges of the tree spider.
-func (t *TreeNode) Size() int {
-	n := 0
-	for _, c := range t.Children {
-		n += 1 + c.Size()
-	}
-	return n
-}
-
-// Depth returns the tree depth (the spider radius).
-func (t *TreeNode) Depth() int {
-	d := 0
-	for _, c := range t.Children {
-		if cd := c.Depth() + 1; cd > d {
-			d = cd
-		}
-	}
-	return d
-}
-
 // Graph materializes the tree as a pattern graph with the head at vertex 0.
 func (t *TreeNode) Graph() *graph.Graph {
 	b := graph.NewBuilder(8, 8)
@@ -108,9 +88,6 @@ type MinedTree struct {
 	Tree  *TreeNode
 	Hosts []graph.V
 }
-
-// Support returns the head-count support.
-func (m *MinedTree) Support() int { return len(m.Hosts) }
 
 // TreeOptions configures r-spider tree mining.
 type TreeOptions struct {
@@ -172,13 +149,14 @@ func MineTreesContext(ctx context.Context, g *graph.Graph, opt TreeOptions) ([]*
 		seen[t.Tree.Key()] = struct{}{}
 	}
 	var ctxErr error
+	done := ctx.Done()
 	for len(frontier) > 0 && ctxErr == nil {
 		if opt.MaxSpiders > 0 && len(all) >= opt.MaxSpiders {
 			break
 		}
 		var next []*MinedTree
 		for _, mt := range frontier {
-			if err := ctx.Err(); err != nil {
+			if err := poll(ctx, done); err != nil {
 				ctxErr = err
 				break
 			}

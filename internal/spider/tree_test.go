@@ -17,15 +17,17 @@ import (
 func TestTreeNodeKeyAndSize(t *testing.T) {
 	leaf := &TreeNode{Label: 2}
 	root := &TreeNode{Label: 1, Children: []*TreeNode{leaf, {Label: 3}}}
-	if root.Size() != 2 {
-		t.Fatalf("size %d", root.Size())
+	// A tree's size is its graph's edge count, and its depth the head's
+	// eccentricity there.
+	if m := root.Graph().M(); m != 2 {
+		t.Fatalf("size %d", m)
 	}
-	if root.Depth() != 1 {
-		t.Fatalf("depth %d", root.Depth())
+	if d := root.Graph().Eccentricity(0); d != 1 {
+		t.Fatalf("depth %d", d)
 	}
 	deep := &TreeNode{Label: 0, Children: []*TreeNode{{Label: 1, Children: []*TreeNode{{Label: 2}}}}}
-	if deep.Depth() != 2 {
-		t.Fatalf("deep depth %d", deep.Depth())
+	if d := deep.Graph().Eccentricity(0); d != 2 {
+		t.Fatalf("deep depth %d", d)
 	}
 	// keys distinguish structure
 	a := &TreeNode{Label: 1, Children: []*TreeNode{{Label: 2}, {Label: 2}}}
@@ -138,8 +140,9 @@ func TestMineTreesDepth1MatchesStars(t *testing.T) {
 	// The tree 9(1)(1)(2) must be found with 2 hosts.
 	found := false
 	for _, mt := range trees {
-		if mt.Tree.Depth() <= 1 && mt.Tree.Size() == 3 && mt.Tree.Label == 9 {
-			if mt.Support() == 2 {
+		tg := mt.Tree.Graph()
+		if tg.Eccentricity(0) <= 1 && tg.M() == 3 && mt.Tree.Label == 9 {
+			if len(mt.Hosts) == 2 {
 				found = true
 			}
 		}
@@ -148,10 +151,10 @@ func TestMineTreesDepth1MatchesStars(t *testing.T) {
 		t.Fatal("depth-1 tree spider 9(1)(1)(2) not mined")
 	}
 	for _, mt := range trees {
-		if mt.Tree.Depth() > 1 {
+		if mt.Tree.Graph().Eccentricity(0) > 1 {
 			t.Fatalf("radius 1 exceeded: %s", mt.Tree.Key())
 		}
-		if mt.Support() < 2 {
+		if len(mt.Hosts) < 2 {
 			t.Fatalf("infrequent tree returned: %s", mt.Tree.Key())
 		}
 	}

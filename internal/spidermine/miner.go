@@ -335,18 +335,24 @@ func (m *Miner) RunContext(ctx context.Context) (*Result, error) {
 	// Stage I: mine all r-spiders. Stars always back the growth procedure
 	// (growth proceeds in radius-1 steps); with Radius >= 2, tree spiders
 	// are additionally mined as the seed population — at exponentially
-	// higher Stage I cost, as Appendix C(3) documents. The star table is
-	// shared: an earlier mine's table of the same host and Stage I options
-	// is reused while it is alive, so a context that has already fired is
-	// polled first.
+	// higher Stage I cost, as Appendix C(3) documents. Such a run reads
+	// only the single-leaf stars, growth's frequent pairs, so only they
+	// are built. (seedPatterns draws stars there only when no tree is
+	// frequent, and then no star is: a star's head label would be a
+	// frequent one-vertex tree.) The star table is shared: an earlier
+	// mine's table of the same host and Stage I options is reused while it
+	// is alive, so a context that has already fired is polled first.
 	t0 := time.Now()
 	if err := m.cancelled(); err != nil {
 		return &Result{Stats: m.stats}, err
 	}
+	maxLeaves := m.cfg.MaxLeavesPerStar
+	if m.cfg.Radius >= 2 {
+		maxLeaves = 1
+	}
 	stars, starErr := spider.MineStarsShared(ctx, m.g, spider.Options{
 		MinSupport: m.cfg.MinSupport,
-		MaxLeaves:  m.cfg.MaxLeavesPerStar,
-		Radius:     1,
+		MaxLeaves:  maxLeaves,
 		MaxSpiders: m.cfg.MaxSpiders,
 	})
 	if starErr != nil {

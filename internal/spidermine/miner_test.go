@@ -358,3 +358,41 @@ func TestStageIIManyIterationsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestRadiusTwoBuildsLevelOne: a radius-2 mine reads only the single-leaf
+// stars of Stage I (growth's frequent pairs; tree spiders give the
+// seeds), so its star table holds only those. Each digest is the SHA-256
+// of the result's patterns as JSON followed by its work counters,
+// recorded while the table still held every level (1,000 stars, 383 of
+// them single-leaf on GID-1 and 560 on GID-2).
+func TestRadiusTwoBuildsLevelOne(t *testing.T) {
+	for _, c := range []struct {
+		gid    int
+		seed   int64
+		digest string
+	}{
+		{1, 1, "2c00e39c35b0eb7f7de119a33fa4ef197a45164f399b88ac7aa2875ede083356"},
+		{1, 2, "0d278734a621cf702d425ec2c06b0f828b7ea52880c87b3f66f465235a692d51"},
+		{2, 1, "d4a0b76636778d000d2c9ca9f7c45fe871357b966bc9c9be698e2fd411ad3660"},
+		{2, 2, "6b9419a147af100708c8b298413214f4df77073ec1832dd86d005c3644858e67"},
+	} {
+		g, _ := gen.Synthetic(gen.GIDConfig(c.gid, 1))
+		m := New(g, Config{MinSupport: 2, K: 10, Dmax: 4, Radius: 2, MaxSpiders: 1000, Seed: c.seed})
+		res, err := m.RunContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.stars.Len() == 0 {
+			t.Fatalf("GID-%d seed %d: empty star table", c.gid, c.seed)
+		}
+		for i := 0; i < m.stars.Len(); i++ {
+			if n := m.stars.NumLeaves(i); n != 1 {
+				t.Fatalf("GID-%d seed %d: star %d of %d has %d leaves, want only single-leaf stars", c.gid, c.seed, i, m.stars.Len(), n)
+			}
+		}
+		sum := sha256.Sum256([]byte(fingerprint(t, res) + workStats(res.Stats).String()))
+		if got := fmt.Sprintf("%x", sum); got != c.digest {
+			t.Errorf("GID-%d seed %d: result digest %s, want %s", c.gid, c.seed, got, c.digest)
+		}
+	}
+}

@@ -22,10 +22,10 @@ import (
 // length, or checksum does not verify, restoring the longest valid
 // prefix.
 //
-// A nil-error return from Put, Delete or Append means the mutation is
-// on disk. Slices passed to them may be reused by the caller once they
-// return; slices returned by Get, GetPrefix and Journal are freshly read
-// and owned by the caller. Every read re-verifies its frame's CRC;
+// A nil-error return from Put or Append means the mutation is on disk.
+// Slices passed to them may be reused by the caller once they return;
+// slices returned by Get, GetPrefix and Journal are freshly read and
+// owned by the caller. Every read re-verifies its frame's CRC;
 // GetPrefix verifies the whole frame but returns, and holds in memory,
 // only the head of the blob. A Disk is safe for concurrent use.
 //
@@ -35,14 +35,15 @@ import (
 //
 // Payload layout:
 //
-//	u8 op (1 blob-put, 2 blob-delete, 3 journal-append)
+//	u8 op (1 blob-put, 3 journal-append; the recovery scan skips any
+//	       other op)
 //	uvarint kind length | kind | uvarint key length | key   (empty for journal)
 //	data
 //
-// Deletes are tombstone frames; space from overwritten and deleted
-// blobs is not reclaimed (log compaction is out of scope — see the
-// package comment of internal/serve for the serving-tier bounds that
-// keep the live set small).
+// The log is only ever appended to: a blob is never deleted, and space
+// from overwritten blobs is not reclaimed (log compaction is out of
+// scope — see the package comment of internal/serve for the
+// serving-tier bounds that keep the live set small).
 //
 // A Disk must have a single owner: two processes opening the same
 // directory corrupt each other (no lock file is taken).
@@ -63,13 +64,13 @@ type Disk struct {
 // diskStats is the counter block behind Stats(): wait-free atomics so
 // hot paths never serialize on a stats lock.
 type diskStats struct {
-	puts, gets, deletes, appends atomic.Uint64
-	filePuts                     atomic.Uint64
-	bytesWritten, bytesRead      atomic.Uint64
-	fsyncs                       atomic.Uint64
-	recoveryTruncations          atomic.Uint64
-	recoveredBlobs               atomic.Uint64
-	recoveredJournal             atomic.Uint64
+	puts, gets, appends     atomic.Uint64
+	filePuts                atomic.Uint64
+	bytesWritten, bytesRead atomic.Uint64
+	fsyncs                  atomic.Uint64
+	recoveryTruncations     atomic.Uint64
+	recoveredBlobs          atomic.Uint64
+	recoveredJournal        atomic.Uint64
 }
 
 type diskKind struct {
@@ -100,9 +101,8 @@ const (
 	// treated as torn/corrupt rather than attempted.
 	maxFramePayload = 1 << 30
 
-	opBlobPut    = 1
-	opBlobDelete = 2
-	opJournal    = 3
+	opBlobPut = 1
+	opJournal = 3
 )
 
 // castagnoli is the CRC-32C table; Castagnoli detects short bursts
@@ -246,7 +246,8 @@ func (d *Disk) scan(logSize int64) error {
 	return nil
 }
 
-// applyScanned replays one verified frame into the index.
+// applyScanned replays one verified frame into the index; a frame of
+// any other op is skipped.
 func (d *Disk) applyScanned(op byte, kind, key string, ref frameRef) {
 	switch op {
 	case opBlobPut:
@@ -255,18 +256,6 @@ func (d *Disk) applyScanned(op byte, kind, key string, ref frameRef) {
 			k.order = append(k.order, key)
 		}
 		k.refs[key] = ref
-	case opBlobDelete:
-		if k, ok := d.kinds[kind]; ok {
-			if _, existed := k.refs[key]; existed {
-				delete(k.refs, key)
-				for i, id := range k.order {
-					if id == key {
-						k.order = append(k.order[:i], k.order[i+1:]...)
-						break
-					}
-				}
-			}
-		}
 	case opJournal:
 		d.journal = append(d.journal, ref)
 	}
@@ -522,34 +511,6 @@ func (d *Disk) List(kind string) ([]string, error) {
 	return append([]string(nil), k.order...), nil
 }
 
-// Delete appends a tombstone frame and drops the blob from the index.
-func (d *Disk) Delete(kind, key string) error {
-	if err := fpDiskPut.Hit(); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	k, ok := d.kinds[kind]
-	if !ok {
-		return nil
-	}
-	if _, existed := k.refs[key]; !existed {
-		return nil
-	}
-	if _, err := d.appendFrame(d.buildPayload(opBlobDelete, kind, key, nil)); err != nil {
-		return fmt.Errorf("store: delete %s/%s: %w", kind, key, err)
-	}
-	delete(k.refs, key)
-	for i, id := range k.order {
-		if id == key {
-			k.order = append(k.order[:i], k.order[i+1:]...)
-			break
-		}
-	}
-	d.stats.deletes.Add(1)
-	return nil
-}
-
 // Append durably adds one record to the metadata journal.
 func (d *Disk) Append(rec []byte) error {
 	if err := fpDiskPut.Hit(); err != nil {
@@ -629,7 +590,6 @@ func (d *Disk) Stats() Stats {
 	return Stats{
 		Puts:                    s.puts.Load(),
 		Gets:                    s.gets.Load(),
-		Deletes:                 s.deletes.Load(),
 		JournalAppends:          s.appends.Load(),
 		FilePuts:                s.filePuts.Load(),
 		BytesWritten:            s.bytesWritten.Load(),

@@ -39,9 +39,6 @@ func TestDiskReopenRestoresEverything(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Delete("graphs", "g1"); err != nil {
-		t.Fatal(err)
-	}
 	if err := d.Put("results", "r0", []byte("result")); err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +54,10 @@ func TestDiskReopenRestoresEverything(t *testing.T) {
 		t.Fatalf("sidecar index not written at Close: %v", err)
 	}
 	keys, _ := d.List("graphs")
-	if fmt.Sprint(keys) != "[g0 g2 g3]" {
-		t.Fatalf("graphs after reopen = %v, want [g0 g2 g3]", keys)
+	if fmt.Sprint(keys) != "[g0 g1 g2 g3]" {
+		t.Fatalf("graphs after reopen = %v, want [g0 g1 g2 g3]", keys)
 	}
-	for _, k := range []string{"g0", "g2", "g3"} {
+	for _, k := range []string{"g0", "g1", "g2", "g3"} {
 		got, err := d.Get("graphs", k)
 		if err != nil {
 			t.Fatalf("Get(%s) after reopen: %v", k, err)
@@ -69,16 +66,13 @@ func TestDiskReopenRestoresEverything(t *testing.T) {
 			t.Fatalf("Get(%s) = %d bytes, want 64", k, len(got))
 		}
 	}
-	if _, err := d.Get("graphs", "g1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted blob resurfaced after reopen: %v", err)
-	}
 	recs, err := d.Journal()
 	if err != nil || len(recs) != 3 {
 		t.Fatalf("journal after reopen = %d records (%v), want 3", len(recs), err)
 	}
 	st := d.Stats()
-	if st.RecoveredBlobs != 4 || st.RecoveredJournalRecords != 3 {
-		t.Fatalf("recovery stats = %+v, want 4 blobs + 3 journal records", st)
+	if st.RecoveredBlobs != 5 || st.RecoveredJournalRecords != 3 {
+		t.Fatalf("recovery stats = %+v, want 5 blobs + 3 journal records", st)
 	}
 	if st.RecoveryTruncations != 0 {
 		t.Fatalf("clean reopen counted %d truncations, want 0", st.RecoveryTruncations)
@@ -350,7 +344,7 @@ func TestDiskSidecarOverflowFallsBackToScan(t *testing.T) {
 }
 
 // diskSeeds returns the log and sidecar of a small data dir holding
-// overwritten, deleted and live blobs and journal records, closed
+// overwritten and live blobs, an empty one, and journal records, closed
 // cleanly.
 func diskSeeds(f *testing.F) (log, idx []byte) {
 	f.Helper()
@@ -365,7 +359,6 @@ func diskSeeds(f *testing.F) (log, idx []byte) {
 		func() error { return d.Append([]byte(`{"type":"job/v1"}`)) },
 		func() error { return d.Put("graphs", "g1", nil) },
 		func() error { return d.Put("graphs", "g0", []byte("second")) },
-		func() error { return d.Delete("graphs", "g1") },
 		func() error { return d.Append([]byte("tail")) },
 	} {
 		if err := op(); err != nil {

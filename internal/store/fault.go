@@ -14,8 +14,8 @@ import "repro/internal/fault"
 // internal/fault). Arm them from tests via fault.Arm, or in a running
 // daemon via the SPIDERSERVED_FAULTS environment DSL.
 var (
-	// store/disk/put: every durable write — blob puts, tombstones, and
-	// journal appends. An error trip fails the mutation before any bytes
+	// store/disk/put: every durable write — blob puts and journal
+	// appends. An error trip fails the mutation before any bytes
 	// hit the log: an upload surfaces it as 503 (the graph is not
 	// registered — clients retry), a result-cache store drops silently
 	// (the result is still served), a job-journal append is counted and

@@ -38,10 +38,9 @@ var ErrNotFound = errors.New("store: not found")
 // nil *Disk (a server with no durable tier) reports zero Stats, so the
 // metrics schema does not depend on whether a disk is attached.
 type Stats struct {
-	// Puts / Gets / Deletes / JournalAppends count successful operations.
+	// Puts / Gets / JournalAppends count successful operations.
 	Puts           uint64 `json:"puts"`
 	Gets           uint64 `json:"gets"`
-	Deletes        uint64 `json:"deletes"`
 	JournalAppends uint64 `json:"journal_appends"`
 	// FilePuts counts whole-file artifacts written through PutFile.
 	FilePuts uint64 `json:"file_puts"`

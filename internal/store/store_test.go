@@ -82,43 +82,6 @@ func TestBackendListOrderAndOverwrite(t *testing.T) {
 	}
 }
 
-func TestBackendDelete(t *testing.T) {
-	for name, b := range backends(t) {
-		t.Run(name, func(t *testing.T) {
-			for _, k := range []string{"x", "y", "z"} {
-				if err := b.Put("g", k, []byte(k)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := b.Delete("g", "y"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := b.Get("g", "y"); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get after Delete: want ErrNotFound, got %v", err)
-			}
-			keys, _ := b.List("g")
-			if fmt.Sprint(keys) != "[x z]" {
-				t.Fatalf("List after Delete = %v, want [x z]", keys)
-			}
-			// Deleting an absent key (and an absent kind) is a no-op.
-			if err := b.Delete("g", "y"); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Delete("nope", "y"); err != nil {
-				t.Fatal(err)
-			}
-			// Re-Put after Delete re-adds at the end.
-			if err := b.Put("g", "y", []byte("y2")); err != nil {
-				t.Fatal(err)
-			}
-			keys, _ = b.List("g")
-			if fmt.Sprint(keys) != "[x z y]" {
-				t.Fatalf("List after re-Put = %v, want [x z y]", keys)
-			}
-		})
-	}
-}
-
 func TestBackendJournal(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {

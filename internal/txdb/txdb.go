@@ -19,9 +19,6 @@ type DB struct {
 // New builds a database from graphs.
 func New(gs ...*graph.Graph) *DB { return &DB{Graphs: gs} }
 
-// Len returns the number of transactions.
-func (db *DB) Len() int { return len(db.Graphs) }
-
 // Union returns the disjoint union of all transaction graphs plus txOf,
 // mapping each union vertex to the index of its source graph. Vertex ids
 // are assigned consecutively per graph in order.

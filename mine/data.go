@@ -66,20 +66,17 @@ func ReadLG(r io.Reader) (*Graph, string, error) { return graph.ReadLG(r) }
 
 // OpenMapped mmaps an SPC1 graph image written by Graph.WriteImage /
 // WriteImageFile: the returned handle's Graph reads straight from the
-// page cache with zero decoding and O(1) open-time allocations, after a
-// streaming verification pass. A mapped host mines identically to its
-// in-RAM twin (README §Out-of-core). Close the handle when done; Clone
-// the graph first if it must outlive the mapping.
+// page cache with zero decoding and O(1) open-time allocations. Every
+// open first verifies the image in full — section checksums, a streaming
+// structural pass and an exact symmetry sweep — so a corrupt or hostile
+// image errors instead of crashing a later read. A mapped host mines
+// identically to its in-RAM twin (README §Out-of-core). Close the handle
+// when done; Clone the graph first if it must outlive the mapping.
 func OpenMapped(path string) (*Mapped, error) { return graph.OpenMapped(path) }
-
-// OpenMappedTrusted is OpenMapped without the verification pass — O(1)
-// total. Only for images this process (or a fingerprint check) already
-// verified; a hostile image can crash the process.
-func OpenMappedTrusted(path string) (*Mapped, error) { return graph.OpenMappedTrusted(path) }
 
 // OpenImage opens an SPC1 image already sitting in memory, aliasing the
 // graph onto data (which must stay live and unmodified while the graph
-// is in use).
+// is in use). It runs the same verification as OpenMapped.
 func OpenImage(data []byte) (*Graph, error) { return graph.OpenImage(data) }
 
 // NewDB builds a transaction database over the given graphs.
